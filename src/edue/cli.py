@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -75,10 +76,11 @@ class Scenario:
             n=int(_number(sol, "n")),
             alpha=_number(sol, "alpha"),
             max_iters=int(_number(sol, "max_iters")),
-            gap_tol=float(sol.get("gap_tol", 0.0)),
-            gap_rtol=float(sol.get("gap_rtol", 1e-6)),
+            gap_tol=_number(sol, "gap_tol") if "gap_tol" in sol else 0.0,
+            gap_rtol=_number(sol, "gap_rtol") if "gap_rtol" in sol else 1e-6,
             halve_on_stall=(
-                int(sol["halve_on_stall"]) if sol.get("halve_on_stall") is not None else 40
+                int(_number(sol, "halve_on_stall"))
+                if sol.get("halve_on_stall") is not None else 40
             ),
         )
 
@@ -114,7 +116,7 @@ class Scenario:
                 e = by_od[od]
                 intercept.append(_number(e, "intercept"))
                 slope.append(_number(e, "slope"))
-                cap.append(float(e["cap"]) if "cap" in e else None)
+                cap.append(_number(e, "cap") if "cap" in e else None)
             self.inv_demand = InverseDemand.build(intercept, slope, cap)
 
     def grid(self) -> TimeGrid:
@@ -139,6 +141,8 @@ def _number(doc: dict, key: str) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"field {key!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"field {key!r} must be finite, got {value!r}")
     return float(value)
 
 
@@ -196,6 +200,10 @@ def read_flows_csv(path: Path, network: Network, grid: TimeGrid) -> ExtendedPoin
             value = float(flow)
         except ValueError as exc:
             raise ScenarioError(f"flow file line {ln}: {exc}") from exc
+        if not 0.0 <= value < math.inf:
+            raise ScenarioError(
+                f"flow file line {ln}: flow must be finite and nonnegative, got {flow!r}"
+            )
         if not 0 <= j < grid.n:
             raise ScenarioError(f"flow file line {ln}: cell index {j} out of range")
         h[path_ids[pid], j] = value

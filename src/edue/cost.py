@@ -7,6 +7,7 @@ below 1 so that the penalty's slope bound Delta = -beta exceeds -1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,16 @@ class SchedulePenalty:
     late: float  # gamma, cost per hour of late arrival
 
     def __post_init__(self) -> None:
+        for name in ("early", "late"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"penalty {name} must be finite, got {value!r}")
         if self.early < 0.0 or self.late < 0.0:
             raise ValueError("penalty slopes must be nonnegative")
 
-    def __call__(self, x: float) -> float:
-        return self.early * max(0.0, -x) + self.late * max(0.0, x)
+    def __call__(self, x):
+        """The penalty at x, elementwise for an array."""
+        return self.early * np.maximum(0.0, -x) + self.late * np.maximum(0.0, x)
 
     def slope_bound(self) -> float:
         """The largest Delta with f(x2) - f(x1) >= Delta * (x2 - x1) for x1 < x2."""
@@ -94,19 +100,16 @@ def effective_delay(
     """
     check_slope_bound(penalty)
     grid = result.grid
-    bounds = grid.boundaries
-    out = []
-    for p in range(len(result.network.paths)):
-        exits = np.array([result.exit_time(p, t) for t in bounds])
-        psi_pts = (exits - bounds) + np.array([penalty(e - arrival_target) for e in exits])
-        vals = 0.5 * (psi_pts[:-1] + psi_pts[1:])
-        if np.any(vals <= 0.0):
-            raise CostInvariantError(
-                f"nonpositive effective delay on path index {p}; "
-                "free-flow times must be positive and the penalty nonnegative"
-            )
-        out.append(Profile(grid, vals))
-    return tuple(out)
+    exits = result.boundary_exits()
+    psi_pts = (exits - grid.boundaries) + penalty(exits - arrival_target)
+    vals = 0.5 * (psi_pts[:, :-1] + psi_pts[:, 1:])
+    if (vals <= 0.0).any():
+        p = int(np.argmax((vals <= 0.0).any(axis=1)))
+        raise CostInvariantError(
+            f"nonpositive effective delay on path index {p}; "
+            "free-flow times must be positive and the penalty nonnegative"
+        )
+    return tuple(Profile(grid, row) for row in vals)
 
 
 def min_travel_cost(costs: CostField, network: Network, od_index: int) -> float:

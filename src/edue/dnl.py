@@ -1,23 +1,32 @@
 """Vickrey point-queue network loading with exact piecewise-linear curves.
 
-Traffic entering a link first travels the free-flow time, then joins a
-vertical queue at the link exit that discharges at the exit capacity. All
-cumulative curves are piecewise linear, with breakpoints at departure cell
-boundaries and at queue regime changes; exit times come from exact inversion
-of those curves rather than time-stepping.
+Traffic entering a link first travels the free-flow time tau, then joins a
+vertical queue at the link exit that discharges at the exit capacity M. With
+A(u) the cumulative arrivals at the queue, Newell's cumulative-curve form of
+the point queue gives the cumulative exits D(u) = min over s <= u of
+[A(s) + M (u - s)], so the queue is q = g - (running minimum of g) with
+g(u) = A(u) - M u, and an arrival at u leaves at u + q(u) / M. Departure
+rates are piecewise constant, so every curve is piecewise linear: the running
+minimum is exact at the breakpoints of A plus the instants where a queue
+empties inside a piece, and no time stepping enters.
 
-Flow is propagated as constant-rate parcels. Parcels are consumed in windows
-of width min_a tau_a: any parcel entering a link during a window can produce
-downstream entries no earlier than the window's end, so processing windows in
-chronological order sees every link's inflow in arrival order.
+Links are loaded in topological order of the link-succession graph (link b
+succeeds link a when some path uses b right after a), each in one array step
+over the whole horizon: merge the users' cumulative inflow curves on the union
+of their breakpoints, take the queue from the running minimum of g, insert the
+emptying instants and a final drain point, and give each path its downstream
+curve (exit time, its own cumulative count), which is exact by FIFO. Links on
+a succession cycle (a ring road) run the same step in passes: nothing leaves
+a link sooner than tau after entering it, so each pass makes the cycle's
+curves exact for one more min-tau of time.
+
+A loading keeps, per link, its breakpoints s and waits w = q / M. Exit times
+of a path follow by s <- s + tau, then s <- s + w(s), link by link.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,158 +35,125 @@ from .network import Link, Network
 
 __all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "load", "default_horizon"]
 
-# Parcels shorter than this (hours) carry no resolvable volume and are dropped.
-_MIN_PARCEL_LEN = 1e-15
+# Breakpoints closer than this (hours, 3.6 ns) are merged and waits shorter
+# than it are zero. It exceeds the float spacing of clock times below 1000 h
+# (1.1e-13 h), so the breakpoints kept, emptying instants and drain points
+# are distinct floats.
+_MIN_PARCEL_LEN = 1e-12
+
+# A path's cumulative curve at one point of its route: (times, counts), both
+# nondecreasing and linear between samples; None when the path carries nothing.
+Curve = Optional[tuple[np.ndarray, np.ndarray]]
 
 
 class HorizonOverflowError(RuntimeError):
     """The network did not clear within the extended horizon."""
 
-    def __init__(self, residual_volume: float, horizon_end: float):
+    def __init__(self, residual_volume: float, horizon_end: float, path_id: str, link_id: str):
         self.residual_volume = residual_volume
         self.horizon_end = horizon_end
+        self.path_id = path_id
+        self.link_id = link_id
         super().__init__(
             f"loading exceeded horizon end {horizon_end}: "
-            f"{residual_volume} vehicles still in network"
+            f"{residual_volume} vehicles still in network, "
+            f"e.g. path {path_id} on link {link_id}"
         )
 
 
-@dataclass
-class _Segment:
-    """Queue dynamics on [start, end): arrival rate and queue size are constant
-    and linear respectively. Exit rate is cap while queued, else min(rate, cap)."""
-
-    start: float
-    end: float
-    q0: float
-    rate: float
-    cum_in: float  # cumulative queue arrivals at `start`
-    cum_out: float  # cumulative exits at `start`
-
-
 class LinkState:
-    """Point-queue state of one link, built incrementally in arrival order."""
+    """Point-queue curves of one link, sampled at their breakpoints on the
+    queue-arrival time axis (entry time plus free-flow time): cumulative
+    arrivals ``cum_in`` and queue ``queue``, both linear between breakpoints
+    and constant outside them."""
 
-    def __init__(self, link: Link):
+    def __init__(self, link: Link, s: np.ndarray, cum_in: np.ndarray, queue: np.ndarray):
         self.link = link
-        self.cap = link.exit_capacity
-        self.tau = link.free_flow_time
-        self.segments: list[_Segment] = []
-        self._starts: list[float] = []
-        self.frontier: float | None = None  # queue-arrival time finalized so far
-        self.queue: float = 0.0
-        self.cum_in: float = 0.0
-        self.cum_out: float = 0.0
+        self.s = s
+        self.cum_in = cum_in
+        self.queue = queue
+        self.w = queue / link.exit_capacity  # wait at the exit
 
-    def _push(self, end: float, rate: float) -> None:
-        start = self.frontier
-        assert start is not None and end > start
-        length = end - start
-        queued = self.queue > 0.0
-        exit_rate = self.cap if queued else min(rate, self.cap)
-        slope = rate - exit_rate
-        seg = _Segment(start, end, self.queue, rate, self.cum_in, self.cum_out)
-        self.segments.append(seg)
-        self._starts.append(start)
-        self.queue = max(0.0, self.queue + slope * length)
-        if self.queue < 1e-12:  # vehicles; snap denormal residue
-            self.queue = 0.0
-        self.cum_in += rate * length
-        self.cum_out += exit_rate * length
-        self.frontier = end
-
-    def extend(self, end: float, rate: float) -> None:
-        """Append arrivals at constant `rate` on [frontier, end), splitting at
-        the instant the queue empties so every segment has one regime."""
-        assert self.frontier is not None
-        while self.frontier < end - _MIN_PARCEL_LEN:
-            if self.queue > 0.0 and rate < self.cap:
-                t_empty = self.frontier + self.queue / (self.cap - rate)
-                if self.frontier + _MIN_PARCEL_LEN < t_empty < end - _MIN_PARCEL_LEN:
-                    self._push(t_empty, rate)
-                    self.queue = 0.0
-                    continue
-            self._push(end, rate)
-
-    def feed(self, pieces: list[tuple[float, float, float]]) -> None:
-        """Add merged queue arrivals: contiguous (start, end, total_rate) pieces
-        in increasing time. Gaps before/between pieces drain at zero inflow."""
-        for s, e, r in pieces:
-            if self.frontier is None:
-                self.frontier = s
-            elif s > self.frontier + _MIN_PARCEL_LEN:
-                self.extend(s, 0.0)
-            if e > self.frontier:
-                self.extend(e, r)
-
-    def finalize(self) -> None:
-        """Drain any remaining queue so the curves cover the full busy period."""
-        if self.frontier is not None and self.queue > 0.0:
-            self.extend(self.frontier + self.queue / self.cap, 0.0)
-        self.queue = 0.0
-
-    def queue_at(self, s: float) -> float:
-        """Queue size at queue-arrival time s (zero outside the loaded span;
-        at the frontier itself, the running queue)."""
-        if not self.segments:
-            return 0.0
-        if s <= self.segments[0].start:
-            return 0.0
-        if s >= self.frontier:
-            return self.queue
-        i = bisect_right(self._starts, s) - 1
-        seg = self.segments[i]
-        queued = seg.q0 > 0.0
-        exit_rate = self.cap if queued else min(seg.rate, self.cap)
-        return max(0.0, seg.q0 + (seg.rate - exit_rate) * (s - seg.start))
-
-    def exit_time(self, s: float) -> float:
-        """Exit time of flow arriving at the queue at time s."""
-        return s + self.queue_at(s) / self.cap
-
-    def map_interval(self, s1: float, s2: float, rate: float):
-        """FIFO image of a constant-rate arrival slab [s1, s2): yields
-        (e_start, e_end, exit_rate) pieces on the exit-time axis."""
-        out: list[tuple[float, float, float]] = []
-        # walk the segment list, cutting [s1, s2) at segment boundaries
-        cuts = [s1]
-        i = bisect_right(self._starts, s1) - 1
-        i = max(i, 0)
-        while i < len(self.segments) and self.segments[i].end < s2:
-            if self.segments[i].end > s1:
-                cuts.append(self.segments[i].end)
-            i += 1
-        cuts.append(s2)
-        for a, b in zip(cuts, cuts[1:]):
-            if b - a <= _MIN_PARCEL_LEN:
-                continue
-            ea, eb = self.exit_time(a), self.exit_time(b)
-            vol = rate * (b - a)
-            if eb - ea <= _MIN_PARCEL_LEN:
-                # degenerate image; attach the volume as a short burst at cap,
-                # never shorter than one float spacing
-                eb = max(ea + vol / self.cap, float(np.nextafter(ea, np.inf)))
-            out.append((ea, eb, vol / (eb - ea)))
-        return out
+    @property
+    def segments(self) -> np.ndarray:
+        """(start, end) of each piece on which arrivals and queue are linear."""
+        return np.column_stack((self.s[:-1], self.s[1:]))
 
     def curve_samples(self) -> np.ndarray:
         """Breakpoint samples (time, cum_in, cum_out, queue) of the curves."""
-        rows = []
-        for seg in self.segments:
-            rows.append((seg.start, seg.cum_in, seg.cum_out, seg.q0))
-        if self.segments:
-            rows.append((self.frontier, self.cum_in, self.cum_out, self.queue))
-        return np.array(rows) if rows else np.empty((0, 4))
+        return np.column_stack((self.s, self.cum_in, self.cum_in - self.queue, self.queue))
 
 
-@dataclass(order=True)
-class _Parcel:
-    t_start: float
-    seq: int
-    t_end: float = field(compare=False)
-    rate: float = field(compare=False)
-    path: int = field(compare=False)
-    leg: int = field(compare=False)
+def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]]:
+    """Load one link over the whole horizon: its users' inflow curves (entry
+    times) in, its queue curves and the users' downstream curves (exit times)
+    out, in the order of ``inflows``."""
+    live = [c for c in inflows if c is not None]
+    if not live:
+        empty = np.empty(0)
+        return LinkState(link, empty, empty, empty), [None] * len(inflows)
+    cap = link.exit_capacity
+    # sorted in Python: the first use of numpy's sort kernels adds about
+    # 0.3 MB of resident memory, more than a few hundred breakpoints are worth
+    e = live[0][0] if len(live) == 1 else np.array(
+        sorted(set(np.concatenate([t for t, _ in live]).tolist())))
+    s = e + link.free_flow_time
+    keep = np.concatenate((s[1:] - s[:-1] > _MIN_PARCEL_LEN, [True]))  # each cluster's last
+    e, s = e[keep], s[keep]
+    if len(live) == 1:
+        counts = live[0][1][keep][None]
+    else:
+        counts = np.array([np.interp(e, t, n) for t, n in live])
+    a = counts.sum(axis=0)
+    g = a - cap * s
+    run_min = np.minimum.accumulate(g)
+    # q = g - run_min, taken from the breakpoint b where the running minimum
+    # was set (the start of the busy period) so that no large g cancels
+    b = np.maximum.accumulate(np.where(g == run_min, np.arange(len(g)), 0))
+    q = (a - a[b]) - cap * (s - s[b])
+    q[q < cap * _MIN_PARCEL_LEN] = 0.0
+
+    # The queue empties strictly inside piece i when g falls below the running
+    # minimum there, and what is left at the end drains at capacity. Add those
+    # instants (q = 0) after breakpoint i, so that q is linear on every piece.
+    after, new_s, new_counts = [], [], []
+    (i,) = np.nonzero((q[:-1] > 0.0) & (g[1:] < run_min[:-1]))
+    if i.size:
+        frac = q[i] / (g[i] - g[i + 1])
+        u = s[i] + frac * (s[i + 1] - s[i])
+        inside = (u > s[i] + _MIN_PARCEL_LEN) & (u < s[i + 1] - _MIN_PARCEL_LEN)
+        i, frac = i[inside], frac[inside]
+        after.append(i)
+        new_s.append(u[inside])
+        new_counts.append(counts[:, i] + frac * (counts[:, i + 1] - counts[:, i]))
+    if q[-1] > 0.0:
+        after.append([len(s) - 1])
+        new_s.append([s[-1] + q[-1] / cap])
+        new_counts.append(counts[:, -1:])
+    if after:
+        after = np.concatenate(after)
+        shift = np.zeros(len(s) + 1, dtype=np.intp)
+        shift[after + 1] = 1
+        old_at = np.arange(len(s)) + np.cumsum(shift[:-1])  # moved by the points before
+        new_at = after + np.arange(1, len(after) + 1)
+        size = len(s) + len(after)
+        s_all, q_all = np.empty(size), np.zeros(size)
+        s_all[old_at], s_all[new_at], q_all[old_at] = s, np.concatenate(new_s), q
+        counts_all = np.empty((len(counts), size))
+        counts_all[:, old_at], counts_all[:, new_at] = counts, np.concatenate(new_counts, axis=1)
+        s, q, counts = s_all, q_all, counts_all
+        a = counts.sum(axis=0)
+
+    state = LinkState(link, s, a, q)
+    exits = np.maximum.accumulate(s + state.w)
+    out = iter(counts)
+    return state, [None if c is None else (exits, next(out)) for c in inflows]
+
+
+def _settle_time(curve: Curve) -> float:
+    """Time at which the curve reaches its final count."""
+    t, n = curve
+    return float(t[np.searchsorted(n, n[-1])])
 
 
 def default_horizon(network: Network, flows: Sequence[Profile]) -> float:
@@ -200,28 +176,43 @@ class LoadingResult:
         states: dict[str, LinkState],
         total_in: float,
         total_out: float,
-        arrivals_by_path: np.ndarray,
     ):
         self.network = network
         self.grid = grid
         self.states = states
         self.total_in = total_in
         self.total_out = total_out
-        self.arrivals_by_path = arrivals_by_path
+        # per path, per link: free-flow time and the wait curve (None when the
+        # link never queues)
+        waits = {lid: (st.s, st.w) if st.w.size and st.w.max() > 0.0 else None
+                 for lid, st in states.items()}
+        self._legs = tuple(tuple((link.free_flow_time, waits[link.id]) for link in route)
+                           for route in network.routes)
 
     @property
     def conservation_residual(self) -> float:
         scale = max(abs(self.total_in), 1.0)
         return abs(self.total_in - self.total_out) / scale
 
+    def exit_times(self, path_index: int, t):
+        """Clock times at which marginal travelers departing at t (a scalar or
+        an array) on the path reach the destination."""
+        s = t
+        for tau, wait in self._legs[path_index]:
+            s = s + tau
+            if wait is not None:
+                s = s + np.interp(s, *wait)
+        return s
+
+    def boundary_exits(self) -> np.ndarray:
+        """Exit times at every cell boundary, one row per path."""
+        bounds = self.grid.boundaries
+        return np.array([self.exit_times(p, bounds) for p in range(len(self.network.paths))])
+
     def exit_time(self, path_index: int, t: float) -> float:
         """Clock time at which a marginal traveler departing at t on the path
         reaches the destination."""
-        s = t
-        for link in self.network.path_links(path_index):
-            state = self.states[link.id]
-            s = state.exit_time(s + state.tau)
-        return s
+        return float(self.exit_times(path_index, t))
 
     def delay(self, path_index: int, t: float) -> float:
         return self.exit_time(path_index, t) - t
@@ -229,12 +220,8 @@ class LoadingResult:
     def delay_profiles(self) -> tuple[Profile, ...]:
         """Cell-averaged path delays: average of the two cell-endpoint values
         of the exact piecewise-linear delay function."""
-        bounds = self.grid.boundaries
-        out = []
-        for p in range(len(self.network.paths)):
-            d = np.array([self.delay(p, t) for t in bounds])
-            out.append(Profile(self.grid, 0.5 * (d[:-1] + d[1:])))
-        return tuple(out)
+        d = self.boundary_exits() - self.grid.boundaries
+        return tuple(Profile(self.grid, row) for row in 0.5 * (d[:, :-1] + d[:, 1:]))
 
 
 def load(
@@ -256,86 +243,70 @@ def load(
         horizon = default_horizon(network, flows)
     t_end = grid.tf + horizon
 
-    states = {l.id: LinkState(l) for l in network.links}
-    min_tau = min(l.free_flow_time for l in network.links)
-    path_links = [network.path_links(p) for p in range(len(network.paths))]
-
-    heap: list[_Parcel] = []
-    seq = 0
-    total_in = 0.0
+    # curves[p][k]: path p's curve at the entry of its k-th link; the last
+    # one is its arrival curve at the destination
     bounds = grid.boundaries
-    for p, f in enumerate(flows):
-        for j, rate in enumerate(f.values):
-            if rate > 0.0:
-                heapq.heappush(
-                    heap, _Parcel(float(bounds[j]), seq, float(bounds[j + 1]), float(rate), p, 0)
-                )
-                seq += 1
-                total_in += rate * grid.dt
+    curves: list[list[Curve]] = []
+    total_in = 0.0
+    for f, route in zip(flows, network.routes):
+        cum = np.concatenate(([0.0], np.cumsum(f.values * grid.dt)))
+        total_in += float(cum[-1])
+        curves.append([(bounds, cum) if cum[-1] > 0.0 else None] + [None] * len(route))
+
+    states: dict[str, LinkState] = {}
+
+    def step(link: Link, users: tuple[tuple[int, int], ...]) -> None:
+        state, outs = _link_step(link, [curves[p][k] for p, k in users])
+        states[link.id] = state
+        for (p, k), out in zip(users, outs):
+            curves[p][k + 1] = out
+
+    for component in network.loading_order:
+        ids = {link.id for link, _ in component}
+        inner = {(p, k) for _, users in component for p, k in users
+                 if k > 0 and network.routes[p][k - 1].id in ids}
+        if inner:
+            # Succession cycle. Before a pass, every curve the cycle produces
+            # is exact up to `exact_until`: at first the empty curves are,
+            # since nothing leaves a link sooner than min tau after the
+            # cycle's first entry. A pass of the per-link step moves that time
+            # on by min tau. The cycle is done once every curve it produces has
+            # reached its final count before that time.
+            width = min(link.free_flow_time for link, _ in component)
+            entries = [float(curves[p][k][0][0]) for _, users in component for p, k in users
+                       if (p, k) not in inner and curves[p][k] is not None]
+            produced = [(p, k + 1) for _, users in component for p, k in users
+                        if curves[p][0] is not None]
+            exact_until = min(entries, default=t_end) + width
+        while True:
+            for link, users in component:
+                step(link, users)
+            if not inner:
+                break
+            exact_until += width
+            if exact_until > t_end + width or all(
+                curves[p][k] is not None and _settle_time(curves[p][k]) < exact_until
+                for p, k in produced
+            ):
+                break
+
+    def count_at_end(curve: Curve) -> float:
+        if curve is None:
+            return 0.0
+        t, n = curve
+        return float(n[-1]) if t[-1] <= t_end else float(np.interp(t_end, t, n))
 
     total_out = 0.0
-    arrivals = np.zeros(len(network.paths))
+    worst = (0.0, -1)  # (vehicles still on the path at t_end, path index)
+    for p, path_curves in enumerate(curves):
+        arrived = count_at_end(path_curves[-1])
+        total_out += arrived
+        worst = max(worst, (count_at_end(path_curves[0]) - arrived, p))
+    if worst[0] > 0.0:
+        p = worst[1]
+        held = [count_at_end(c_in) - count_at_end(c_out)
+                for c_in, c_out in zip(curves[p], curves[p][1:])]
+        link = network.routes[p][int(np.argmax(held))]
+        raise HorizonOverflowError(total_in - total_out, t_end, network.paths[p].id, link.id)
 
-    while heap:
-        window_start = heap[0].t_start
-        if window_start > t_end:
-            residual = total_in - total_out
-            raise HorizonOverflowError(residual, t_end)
-        window_end = window_start + min_tau
-
-        # collect the pieces of every parcel that fall inside the window
-        batch: list[_Parcel] = []
-        while heap and heap[0].t_start < window_end:
-            parcel = heapq.heappop(heap)
-            if parcel.t_end > window_end + _MIN_PARCEL_LEN:
-                heapq.heappush(
-                    heap,
-                    _Parcel(window_end, seq, parcel.t_end, parcel.rate, parcel.path, parcel.leg),
-                )
-                seq += 1
-                parcel = _Parcel(
-                    parcel.t_start, parcel.seq, window_end, parcel.rate, parcel.path, parcel.leg
-                )
-            if parcel.t_end - parcel.t_start > _MIN_PARCEL_LEN:
-                batch.append(parcel)
-
-        # merge this window's arrivals per link and advance the queues
-        by_link: dict[str, list[_Parcel]] = {}
-        for parcel in batch:
-            link = path_links[parcel.path][parcel.leg]
-            by_link.setdefault(link.id, []).append(parcel)
-        for link_id, parcels in by_link.items():
-            state = states[link_id]
-            cuts = sorted({p.t_start for p in parcels} | {p.t_end for p in parcels})
-            pieces = []
-            for a, b in zip(cuts, cuts[1:]):
-                r = sum(p.rate for p in parcels if p.t_start <= a and p.t_end >= b)
-                pieces.append((a + state.tau, b + state.tau, r))
-            state.feed(pieces)
-
-        # map each parcel through its link's exit-time curve
-        for parcel in batch:
-            link = path_links[parcel.path][parcel.leg]
-            state = states[link.id]
-            images = state.map_interval(
-                parcel.t_start + state.tau, parcel.t_end + state.tau, parcel.rate
-            )
-            last_leg = parcel.leg == len(path_links[parcel.path]) - 1
-            for ea, eb, rate in images:
-                if last_leg:
-                    if eb > t_end:
-                        residual = total_in - total_out
-                        raise HorizonOverflowError(residual, t_end)
-                    vol = rate * (eb - ea)
-                    total_out += vol
-                    arrivals[parcel.path] += vol
-                else:
-                    heapq.heappush(
-                        heap, _Parcel(ea, seq, eb, rate, parcel.path, parcel.leg + 1)
-                    )
-                    seq += 1
-
-    for state in states.values():
-        state.finalize()
-
-    return LoadingResult(network, grid, states, total_in, total_out, arrivals)
+    return LoadingResult(network, grid, states, total_in, total_out)

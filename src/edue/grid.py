@@ -9,6 +9,7 @@ used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,10 +53,12 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.tf - self.t0) / self.n
 
-    @property
+    @cached_property
     def boundaries(self) -> np.ndarray:
-        """The n+1 cell boundaries t0 = b[0] < ... < b[n] = tf."""
-        return np.linspace(self.t0, self.tf, self.n + 1)
+        """The n+1 cell boundaries t0 = b[0] < ... < b[n] = tf (read-only)."""
+        b = np.linspace(self.t0, self.tf, self.n + 1)
+        b.setflags(write=False)
+        return b
 
     def cell_bounds(self, j: int) -> tuple[float, float]:
         if not 0 <= j < self.n:

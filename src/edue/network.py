@@ -6,8 +6,9 @@ problem and the equilibrium model takes the set as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 from .grid import TimeGrid
 
@@ -27,6 +28,12 @@ class Link:
     head: str
     free_flow_time: float  # hours
     exit_capacity: float  # vehicles/hour
+
+    def __post_init__(self) -> None:
+        for name in ("free_flow_time", "exit_capacity"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"link {self.id}: {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ class Network:
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "od_pairs", od_pairs)
 
-    @property
+    @cached_property
     def link_by_id(self) -> dict[str, Link]:
         return {l.id: l for l in self.links}
 
@@ -80,12 +87,12 @@ class Network:
         except ValueError:
             raise StructureError(f"unknown OD pair {origin}->{destination}") from None
 
-    @property
+    @cached_property
     def path_od(self) -> tuple[int, ...]:
         """For each path index, the index of its OD pair."""
         return tuple(self.od_index(p.origin, p.destination) for p in self.paths)
 
-    @property
+    @cached_property
     def od_paths(self) -> tuple[tuple[int, ...], ...]:
         """Per OD pair, the indices of its paths, sorted by path id.
 
@@ -104,6 +111,68 @@ class Network:
 
     def path_free_flow_time(self, path_index: int) -> float:
         return sum(l.free_flow_time for l in self.path_links(path_index))
+
+    @cached_property
+    def routes(self) -> tuple[tuple[Link, ...], ...]:
+        """Per path index, its links in travel order."""
+        return tuple(self.path_links(p) for p in range(len(self.paths)))
+
+    @cached_property
+    def loading_order(self) -> tuple[tuple[tuple[Link, tuple[tuple[int, int], ...]], ...], ...]:
+        """Links grouped into the strong components of the succession graph
+        (link b succeeds link a when some path uses b right after a), in
+        topological order. Each link comes with its users: the (path index,
+        position on the path) of every path through it. A component of more
+        than one link, or a link that succeeds itself, lies on a succession
+        cycle."""
+        users: dict[str, list[tuple[int, int]]] = {l.id: [] for l in self.links}
+        succ: dict[str, dict[str, None]] = {l.id: {} for l in self.links}  # ordered sets
+        pred: dict[str, dict[str, None]] = {l.id: {} for l in self.links}
+        for p, route in enumerate(self.routes):
+            for k, link in enumerate(route):
+                users[link.id].append((p, k))
+            for a, b in zip(route, route[1:]):
+                succ[a.id][b.id] = pred[b.id][a.id] = None
+        # Kosaraju: depth-first finishing order on the graph, then components
+        # collected on the reversed graph in reverse finishing order, which
+        # comes out topologically sorted
+        finished: list[str] = []
+        seen: set[str] = set()
+        for root in succ:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                node, todo = stack[-1]
+                for b in todo:
+                    if b not in seen:
+                        seen.add(b)
+                        stack.append((b, iter(succ[b])))
+                        break
+                else:
+                    stack.pop()
+                    finished.append(node)
+        position = {lid: i for i, lid in enumerate(succ)}
+        components: list[list[str]] = []
+        seen.clear()
+        for root in reversed(finished):
+            if root in seen:
+                continue
+            seen.add(root)
+            comp, stack = [], [root]
+            while stack:
+                node = stack.pop()
+                comp.append(node)
+                for a in pred[node]:
+                    if a not in seen:
+                        seen.add(a)
+                        stack.append(a)
+            components.append(sorted(comp, key=position.__getitem__))
+        by_id = self.link_by_id
+        return tuple(
+            tuple((by_id[lid], tuple(users[lid])) for lid in comp) for comp in components
+        )
 
 
 def validate(network: Network, grid: TimeGrid) -> list[str]:

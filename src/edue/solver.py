@@ -13,6 +13,7 @@ non-convergence is reported honestly via the gap history and exit status.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +47,10 @@ class SolverConfig:
     halve_on_stall: int | None = 40  # halve alpha after this many non-improving iters
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "gap_tol", "gap_rtol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"solver {name} must be finite, got {value!r}")
         if self.n < 1:
             raise ValueError("grid resolution must be >= 1")
         if self.alpha <= 0.0:

@@ -124,6 +124,27 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, doc)
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("block, field", [
+        (("network", "links", 0), "exit_capacity"),
+        (("network", "links", 0), "free_flow_time"),
+        (("penalty",), "early"),
+        (("demand", 0), "cap"),
+        (("solver",), "alpha"),
+        (("solver",), "gap_tol"),
+        (("solver",), "gap_rtol"),
+    ])
+    def test_non_finite_number_rejected_naming_the_field(self, tmp_path, capsys, block,
+                                                         field, value):
+        doc = congested_scenario()
+        target = doc
+        for key in block:
+            target = target[key]
+        target[field] = value
+        path = write_scenario(tmp_path, doc)  # json writes NaN / Infinity
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert repr(field) in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_solve_converges_and_writes_outputs(self, tmp_path):
@@ -187,6 +208,18 @@ class TestCheckAndLoad:
             w.writeheader()
             w.writerows(rows)
         assert main(["check", str(path), str(bad), "--out", str(out)]) == EXIT_NOT_CONVERGED
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
+    def test_flow_file_rejects_non_finite_and_negative_values(self, tmp_path, capsys, bad):
+        path = write_scenario(tmp_path, congested_scenario())
+        out = tmp_path / "out"
+        main(["solve", str(path), "--out", str(out)])
+        lines = (out / "flows.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+        (out / "bad_flows.csv").write_text("\n".join(lines) + "\n")
+        code = main(["check", str(path), str(out / "bad_flows.csv"), "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert "line 4" in capsys.readouterr().err
 
     def test_load_writes_cumulative_curves(self, tmp_path):
         path = write_scenario(tmp_path, congested_scenario())

@@ -34,6 +34,14 @@ class TestSchedulePenalty:
         with pytest.raises(ValueError):
             SchedulePenalty(-0.1, 2.0)
 
+    @pytest.mark.parametrize("early, late, field", [
+        (float("nan"), 2.0, "early"),
+        (0.5, float("inf"), "late"),
+    ])
+    def test_non_finite_slope_rejected(self, early, late, field):
+        with pytest.raises(ValueError, match=field):
+            SchedulePenalty(early, late)
+
     @given(
         st.floats(0.0, 0.99),
         st.floats(0.0, 10.0),

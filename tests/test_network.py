@@ -50,6 +50,16 @@ class TestValidate:
         assert any("repeated link" in v for v in report)
 
 
+class TestLinkConstruction:
+    @pytest.mark.parametrize("field", ["free_flow_time", "exit_capacity"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(free_flow_time=0.1, exit_capacity=100.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            Link("a", "i", "j", **kwargs)
+
+
 class TestMaxExitCapacity:
     def test_max_of_two(self):
         net = make_net(
@@ -97,3 +107,29 @@ class TestStructure:
         net = make_net(links, paths)
         (od,) = net.od_paths
         assert [net.paths[i].id for i in od] == ["pA", "pB"]
+
+
+class TestLoadingOrder:
+    def test_components_in_succession_order(self):
+        # f feeds a ring r1 -> r2 -> r3 -> r1 that x leaves; u is unused
+        links = [
+            Link("x", "C", "E", 0.1, 100.0),
+            Link("r3", "C", "A", 0.1, 100.0),
+            Link("u", "E", "F", 0.1, 100.0),
+            Link("r2", "B", "C", 0.1, 100.0),
+            Link("r1", "A", "B", 0.1, 100.0),
+            Link("f", "S", "A", 0.1, 100.0),
+        ]
+        paths = [
+            Path("in", ("f", "r1", "r2"), "S", "C"),
+            Path("a", ("r2", "r3"), "B", "A"),
+            Path("b", ("r3", "r1"), "C", "B"),
+            Path("out", ("r1", "r2", "x"), "A", "E"),
+        ]
+        loading_order = make_net(links, paths).loading_order
+        order = [[link.id for link, _ in comp] for comp in loading_order]
+        assert sorted(order) == [["f"], ["r3", "r2", "r1"], ["u"], ["x"]]
+        assert order.index(["f"]) < order.index(["r3", "r2", "r1"]) < order.index(["x"])
+        users = {link.id: u for comp in loading_order for link, u in comp}
+        assert users["r2"] == ((0, 2), (1, 0), (3, 1))
+        assert users["u"] == ()

@@ -307,3 +307,8 @@ class TestConfigValidation:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=-1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "gap_tol", "gap_rtol"])
+    def test_non_finite_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: float("nan")})
