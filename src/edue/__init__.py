@@ -8,7 +8,7 @@ definition, and a brute-force oracle for tiny instances.
 from .cost import A1ViolationError, CostField, SchedulePenalty, check_slope_bound, effective_delay, min_travel_cost
 from .demand import InverseDemand
 from .dnl import HorizonOverflowError, LoadingResult, load
-from .grid import ExtendedPoint, Profile, TimeGrid, essential_infimum, inner_product, integrate, is_feasible
+from .grid import ExtendedPoint, TimeGrid, essential_infimum, inner_product, integrate, is_feasible
 from .network import Link, Network, Path, max_exit_capacity, validate
 from .oracle import OracleResult, TinyInstance, brute_force_equilibrium
 from .solver import SolveReport, SolverConfig, compute_gap, f_map, fixed_point_step, lemma2_bound, reduced_costs, solve

@@ -7,9 +7,11 @@ still written), 1 malformed input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import dnl, network as net_mod, oracle as oracle_mod, solver, verify
 from .cost import SchedulePenalty
 from .demand import InverseDemand
-from .grid import ExtendedPoint, Profile, TimeGrid
+from .grid import ExtendedPoint, TimeGrid
 from .network import Link, Network, Path as NetPath
 from .solver import SolverConfig
 
@@ -72,8 +74,8 @@ class Scenario:
         self.network = Network(links=links, paths=paths, arrival_target=self.arrival_target)
 
         sol = _require(doc, "solver", dict)
+        self.n = int(_number(sol, "n"))  # grid cells
         self.config = SolverConfig(
-            n=int(_number(sol, "n")),
             alpha=_number(sol, "alpha"),
             max_iters=int(_number(sol, "max_iters")),
             gap_tol=_number(sol, "gap_tol") if "gap_tol" in sol else 0.0,
@@ -120,7 +122,7 @@ class Scenario:
             self.inv_demand = InverseDemand.build(intercept, slope, cap)
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(self.t0, self.tf, self.config.n)
+        return TimeGrid(self.t0, self.tf, self.n)
 
     def validate(self) -> list[str]:
         return net_mod.validate(self.network, self.grid())
@@ -166,67 +168,102 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+FLOWS_HEADER = "path_id,cell_index,t_start,t_end,flow"
+FLOWS_CHUNK = 1024  # flow file lines parsed at once; bounds the parser's scratch memory
+
+
 def write_flows_csv(path: Path, network: Network, point: ExtendedPoint) -> None:
-    grid = point.grid
-    bounds = grid.boundaries
-    lines = ["path_id,cell_index,t_start,t_end,flow"]
-    for p, flow in enumerate(point.flows):
-        pid = network.paths[p].id
-        for j, val in enumerate(flow.values):
-            lines.append(
-                f"{pid},{j},{_fmt(bounds[j])},{_fmt(bounds[j + 1])},{_fmt(val)}"
-            )
+    b = point.grid.boundaries.tolist()
+    cells = [f"{j},{_fmt(b[j])},{_fmt(b[j + 1])}," for j in range(point.grid.n)]
+    lines = [FLOWS_HEADER] + [
+        f"{p.id},{cell}{_fmt(value)}"
+        for p, row in zip(network.paths, point.flows.tolist())
+        for cell, value in zip(cells, row)
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 
+def _flow_file_error(ln: int, problem: str) -> ScenarioError:
+    return ScenarioError(f"flow file line {ln}: {problem}")
+
+
+def _parse_flow_lines(
+    lines: list[str], first_ln: int, path_ids: dict[str, int], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Path indices, cell indices and flows of flows.csv body lines, the
+    first being file line first_ln. Each check runs over all the lines at
+    once and names the first line that fails it."""
+    m = len(lines)
+    bad = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=m) != 4
+    if bad.any():
+        raise _flow_file_error(first_ln + int(np.argmax(bad)), "expected 5 columns")
+    fields = ",".join(lines).split(",")
+    pids, cell_strs, flow_strs = fields[0::5], fields[1::5], fields[4::5]
+    rows = np.fromiter(map(path_ids.get, pids, repeat(-1)), dtype=np.intp, count=m)
+    if (rows < 0).any():
+        i = int(np.argmax(rows < 0))
+        raise _flow_file_error(first_ln + i, f"unknown path id {pids[i]!r}")
+    try:
+        cells = list(map(int, cell_strs))
+        values = np.fromiter(map(float, flow_strs), dtype=float, count=m)
+    except ValueError:
+        for i, (j_str, flow) in enumerate(zip(cell_strs, flow_strs)):
+            try:
+                int(j_str)
+                float(flow)
+            except ValueError as exc:
+                raise _flow_file_error(first_ln + i, str(exc)) from exc
+        raise
+    bad = ~((values >= 0.0) & (values < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _flow_file_error(first_ln + i, f"flow must be finite and nonnegative, "
+                                             f"got {flow_strs[i]!r}")
+    if not 0 <= min(cells) <= max(cells) < n:
+        i = next(i for i, j in enumerate(cells) if not 0 <= j < n)
+        raise _flow_file_error(first_ln + i, f"cell index {cells[i]} out of range")
+    return rows, np.array(cells, dtype=np.intp), values
+
+
 def read_flows_csv(path: Path, network: Network, grid: TimeGrid) -> ExtendedPoint:
+    """Parse a flows.csv file into a point; every (path, cell) must appear
+    exactly once."""
     try:
         lines = path.read_text().strip().splitlines()
     except OSError as exc:
         raise ScenarioError(f"cannot read flow file: {exc}") from exc
-    if not lines or lines[0].strip() != "path_id,cell_index,t_start,t_end,flow":
+    if not lines or lines[0].strip() != FLOWS_HEADER:
         raise ScenarioError("flow file must start with the flows.csv header")
+    coverage = ScenarioError("flow file does not cover every (path, cell)")
+    if len(lines) < 2:
+        raise coverage
     path_ids = {p.id: i for i, p in enumerate(network.paths)}
-    h = np.full((len(network.paths), grid.n), np.nan)
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ScenarioError(f"flow file line {ln}: expected 5 columns")
-        pid, j_str, t_start, t_end, flow = parts
-        if pid not in path_ids:
-            raise ScenarioError(f"flow file line {ln}: unknown path id {pid!r}")
-        try:
-            j = int(j_str)
-            value = float(flow)
-        except ValueError as exc:
-            raise ScenarioError(f"flow file line {ln}: {exc}") from exc
-        if not 0.0 <= value < math.inf:
-            raise ScenarioError(
-                f"flow file line {ln}: flow must be finite and nonnegative, got {flow!r}"
-            )
-        if not 0 <= j < grid.n:
-            raise ScenarioError(f"flow file line {ln}: cell index {j} out of range")
-        h[path_ids[pid], j] = value
-    if np.any(np.isnan(h)):
-        raise ScenarioError("flow file does not cover every (path, cell)")
-    demands = np.array(
-        [
-            sum(h[p].sum() for p in paths) * grid.dt
-            for paths in network.od_paths
-        ]
-    )
-    return ExtendedPoint.from_matrix(grid, h, demands)
+    chunks = [_parse_flow_lines(lines[i:i + FLOWS_CHUNK], i + 1, path_ids, grid.n)
+              for i in range(1, len(lines), FLOWS_CHUNK)]
+    rows, cells, values = (np.concatenate(parts) for parts in zip(*chunks))
+    key = rows * grid.n + cells
+    size = len(network.paths) * grid.n
+    if np.bincount(key, minlength=size).max() > 1:
+        first: dict[int, int] = {}
+        for i, k in enumerate(key.tolist()):
+            if first.setdefault(k, i) != i:
+                raise _flow_file_error(i + 2, f"path {network.paths[rows[i]].id!r} cell "
+                                              f"{cells[i]} repeats line {first[k] + 2}")
+    if key.size != size:
+        raise coverage
+    h = np.empty(size)
+    h[key] = values
+    h = h.reshape(len(network.paths), grid.n)
+    return ExtendedPoint.from_matrix(grid, h, network.od_sum(h.sum(axis=1)) * grid.dt)
 
 
-def write_costs_csv(path: Path, network: Network, costs, point: ExtendedPoint) -> None:
+def write_costs_csv(path: Path, network: Network, costs) -> None:
     rc = solver.reduced_costs(costs, network)
-    lines = ["path_id,cell_index,eff_delay,reduced_cost"]
-    for p in range(len(network.paths)):
-        pid = network.paths[p].id
-        for j in range(point.grid.n):
-            lines.append(
-                f"{pid},{j},{_fmt(costs.psi[p].values[j])},{_fmt(rc[p][j])}"
-            )
+    lines = ["path_id,cell_index,eff_delay,reduced_cost"] + [
+        f"{p.id},{j},{_fmt(psi)},{_fmt(r)}"
+        for p, psi_row, rc_row in zip(network.paths, costs.psi.tolist(), rc.tolist())
+        for j, (psi, r) in enumerate(zip(psi_row, rc_row))
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -256,7 +293,7 @@ def _cmd_solve(scenario: Scenario, out_dir: Path, seed: int | None) -> int:
         pinned_demand=scenario.pinned_demand,
     )
     write_flows_csv(out_dir / "flows.csv", scenario.network, report.point)
-    write_costs_csv(out_dir / "costs.csv", scenario.network, report.costs, report.point)
+    write_costs_csv(out_dir / "costs.csv", scenario.network, report.costs)
     write_gap_csv(out_dir / "gap.csv", report.gap_history)
     summary = report.summary_lines()
     if seed is not None:
@@ -340,25 +377,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        overrides = {}
         if args.n is not None:
-            overrides["n"] = args.n
-        if args.alpha is not None:
-            overrides["alpha"] = args.alpha
-        if args.max_iters is not None:
-            overrides["max_iters"] = args.max_iters
-        if args.gap_tol is not None:
-            overrides["gap_tol"] = args.gap_tol
+            scenario.n = args.n
+        overrides = {
+            name: value
+            for name, value in (("alpha", args.alpha), ("max_iters", args.max_iters),
+                                ("gap_tol", args.gap_tol))
+            if value is not None
+        }
         if overrides:
-            cfg = scenario.config
-            scenario.config = SolverConfig(
-                n=overrides.get("n", cfg.n),
-                alpha=overrides.get("alpha", cfg.alpha),
-                max_iters=overrides.get("max_iters", cfg.max_iters),
-                gap_tol=overrides.get("gap_tol", cfg.gap_tol),
-                gap_rtol=cfg.gap_rtol,
-                halve_on_stall=cfg.halve_on_stall,
-            )
+            scenario.config = dataclasses.replace(scenario.config, **overrides)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnl import LoadingResult
-from .grid import Profile, TimeGrid
-from .network import Network, StructureError
+from .grid import ShapeError
+from .network import Network
 
 __all__ = [
     "A1ViolationError",
@@ -76,15 +76,22 @@ def check_slope_bound(penalty: SchedulePenalty) -> float:
 @dataclass(frozen=True)
 class CostField:
     """Image of one point under the cost mapping: cell-averaged effective
-    delays per path plus the inverse-demand value per OD pair (all hours)."""
+    delays as a read-only (paths, n) array, one row per path, plus the
+    inverse-demand value per OD pair (all hours)."""
 
-    psi: tuple[Profile, ...]
+    psi: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float).copy()
+        psi = np.array(self.psi, dtype=float)
+        if psi.ndim != 2:
+            raise ShapeError(f"effective delays must be a (paths, n) array, got shape {psi.shape}")
+        if not np.isfinite(psi).all():
+            raise ValueError("effective delays must all be finite")
+        theta = np.array(self.theta, dtype=float)
+        psi.setflags(write=False)
         theta.setflags(write=False)
-        object.__setattr__(self, "psi", tuple(self.psi))
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "theta", theta)
 
 
@@ -92,8 +99,8 @@ def effective_delay(
     result: LoadingResult,
     penalty: SchedulePenalty,
     arrival_target: float,
-) -> tuple[Profile, ...]:
-    """Cell-averaged effective delays per path.
+) -> np.ndarray:
+    """Cell-averaged effective delays, a (paths, n) array.
 
     Each cell value averages the two endpoint evaluations of
     D(t) + f(t + D(t) - target), using the exact exit-time function.
@@ -109,13 +116,10 @@ def effective_delay(
             f"nonpositive effective delay on path index {p}; "
             "free-flow times must be positive and the penalty nonnegative"
         )
-    return tuple(Profile(grid, row) for row in vals)
+    return vals
 
 
 def min_travel_cost(costs: CostField, network: Network, od_index: int) -> float:
     """Discrete minimum travel cost of an OD pair: the least cell-averaged
     effective delay over its paths and cells."""
-    paths = network.od_paths[od_index]
-    if not paths:
-        raise StructureError(f"OD pair index {od_index} has no paths")
-    return min(float(costs.psi[p].values.min()) for p in paths)
+    return float(network.od_min(costs.psi)[od_index])

@@ -36,6 +36,9 @@ class InverseDemand:
         cap = np.asarray(self.cap, dtype=float).copy()
         if not (intercept.shape == slope.shape == cap.shape) or intercept.ndim != 1:
             raise ValueError("intercept, slope and cap must be flat vectors of equal length")
+        for name, a in (("intercept", intercept), ("slope", slope), ("cap", cap)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"inverse-demand {name} must be finite, got {a.tolist()}")
         if np.any(intercept <= 0.0):
             raise ValueError("inverse-demand intercepts must be strictly positive")
         if np.any(slope < 0.0):
@@ -76,34 +79,26 @@ class InverseDemand:
                 )
         return InverseDemand(intercept, slope, np.array(filled))
 
-    @property
-    def n_od(self) -> int:
-        return self.intercept.shape[0]
-
     def theta(self, demand: np.ndarray) -> np.ndarray:
         """Inverse demand values at the given demand vector (hours)."""
         demand = np.asarray(demand, dtype=float)
-        bad = np.nonzero((demand < 0.0) | (demand > self.cap))[0]
-        if bad.size:
+        inside = (demand >= 0.0) & (demand <= self.cap)  # False for nan
+        if not inside.all():
             raise DemandDomainError(
-                f"demand outside [0, cap] for OD pair indices {bad.tolist()}"
+                f"demand outside [0, cap] for OD pair indices {np.flatnonzero(~inside).tolist()}"
             )
         return self.intercept - self.slope * demand
 
     def theta_inverse(self, cost: np.ndarray) -> np.ndarray:
         """Demand generated at the given cost vector, clamped to [0, cap]."""
         cost = np.asarray(cost, dtype=float)
-        out = np.empty_like(self.intercept)
-        for w in range(self.n_od):
-            if self.slope[w] == 0.0:
-                if cost[w] != self.intercept[w]:
-                    raise DemandDomainError(
-                        f"OD pair index {w}: zero-slope inverse demand is not invertible "
-                        f"away from its intercept {self.intercept[w]}"
-                    )
-                out[w] = 0.0
-            else:
-                out[w] = min(
-                    max((self.intercept[w] - cost[w]) / self.slope[w], 0.0), self.cap[w]
-                )
-        return out
+        flat = self.slope == 0.0
+        (bad,) = np.nonzero(flat & (cost != self.intercept))
+        if bad.size:
+            w = int(bad[0])
+            raise DemandDomainError(
+                f"OD pair index {w}: zero-slope inverse demand is not invertible "
+                f"away from its intercept {self.intercept[w]}"
+            )
+        q = (self.intercept - cost) / np.where(flat, 1.0, self.slope)
+        return np.where(flat, 0.0, np.clip(q, 0.0, self.cap))

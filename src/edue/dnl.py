@@ -26,11 +26,11 @@ of a path follow by s <- s + tau, then s <- s + w(s), link by link.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .grid import Profile, TimeGrid
+from .grid import TimeGrid
 from .network import Link, Network
 
 __all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "load", "default_horizon"]
@@ -156,13 +156,13 @@ def _settle_time(curve: Curve) -> float:
     return float(t[np.searchsorted(n, n[-1])])
 
 
-def default_horizon(network: Network, flows: Sequence[Profile]) -> float:
-    """Extended-horizon length guaranteeing clearance of the loaded volume:
-    total departures over the slowest capacity plus the total free-flow time."""
-    total = sum(float(f.values.sum()) * f.grid.dt for f in flows)
+def default_horizon(network: Network, volume: float) -> float:
+    """Extended-horizon length guaranteeing clearance of the loaded volume
+    (total departures, vehicles): the volume over the slowest capacity plus
+    the total free-flow time."""
     min_cap = min(l.exit_capacity for l in network.links)
     total_fft = sum(l.free_flow_time for l in network.links)
-    return total / min_cap + total_fft
+    return volume / min_cap + total_fft
 
 
 class LoadingResult:
@@ -217,41 +217,47 @@ class LoadingResult:
     def delay(self, path_index: int, t: float) -> float:
         return self.exit_time(path_index, t) - t
 
-    def delay_profiles(self) -> tuple[Profile, ...]:
-        """Cell-averaged path delays: average of the two cell-endpoint values
-        of the exact piecewise-linear delay function."""
+    def delay_profiles(self) -> np.ndarray:
+        """Cell-averaged path delays, one row per path: average of the two
+        cell-endpoint values of the exact piecewise-linear delay function."""
         d = self.boundary_exits() - self.grid.boundaries
-        return tuple(Profile(self.grid, row) for row in 0.5 * (d[:, :-1] + d[:, 1:]))
+        return 0.5 * (d[:, :-1] + d[:, 1:])
 
 
 def load(
     network: Network,
-    flows: Sequence[Profile],
+    flows: np.ndarray,
     grid: TimeGrid,
     horizon: float | None = None,
 ) -> LoadingResult:
-    """Run the point-queue loading of the given path departure rates.
+    """Run the point-queue loading of the given path departure rates, a
+    (paths, n) array with one row per path.
 
     Raises HorizonOverflowError if vehicles remain in the network past
     tf + horizon (horizon defaults to a clearance-guaranteeing bound).
     """
-    if len(flows) != len(network.paths):
-        raise ValueError("need exactly one flow profile per path")
-    for f in flows:
-        f.require_nonnegative()
-    if horizon is None:
-        horizon = default_horizon(network, flows)
-    t_end = grid.tf + horizon
+    flows = np.asarray(flows, dtype=float)
+    if flows.shape != (len(network.paths), grid.n):
+        raise ValueError(
+            f"need a ({len(network.paths)}, {grid.n}) array of path flows, "
+            f"got shape {flows.shape}"
+        )
+    if not (np.isfinite(flows).all() and (flows >= 0.0).all()):
+        raise ValueError("path flows must be finite and nonnegative")
 
     # curves[p][k]: path p's curve at the entry of its k-th link; the last
     # one is its arrival curve at the destination
     bounds = grid.boundaries
+    cum = np.zeros((len(flows), grid.n + 1))
+    np.cumsum(flows * grid.dt, axis=1, out=cum[:, 1:])
     curves: list[list[Curve]] = []
     total_in = 0.0
-    for f, route in zip(flows, network.routes):
-        cum = np.concatenate(([0.0], np.cumsum(f.values * grid.dt)))
-        total_in += float(cum[-1])
-        curves.append([(bounds, cum) if cum[-1] > 0.0 else None] + [None] * len(route))
+    for row, route in zip(cum, network.routes):
+        total_in += float(row[-1])
+        curves.append([(bounds, row) if row[-1] > 0.0 else None] + [None] * len(route))
+    if horizon is None:
+        horizon = default_horizon(network, total_in)
+    t_end = grid.tf + horizon
 
     states: dict[str, LinkState] = {}
 

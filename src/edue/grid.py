@@ -1,13 +1,14 @@
-"""Uniform time grids, step-function profiles, and the extended-space inner product.
+"""Uniform time grids, step functions on them, and the extended-space point.
 
 Departure rates and delays are represented as real-valued step functions on a
-uniform partition of the analysis horizon [t0, tf]. Every integral reduces to
-an exact finite sum, so no quadrature error enters the equilibrium tolerances
-used downstream.
+uniform partition of the analysis horizon [t0, tf], one value per cell. Every
+integral reduces to an exact finite sum, so no quadrature error enters the
+equilibrium tolerances used downstream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "TimeGrid",
-    "Profile",
     "ExtendedPoint",
     "integrate",
     "essential_infimum",
@@ -46,6 +46,10 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"cell count must be a positive integer, got {self.n!r}")
+        for name in ("t0", "tf"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"horizon {name} must be finite, got {value!r}")
         if not self.tf > self.t0:
             raise ValueError(f"horizon end {self.tf} must exceed start {self.t0}")
 
@@ -67,90 +71,58 @@ class TimeGrid:
         return float(b[j]), float(b[j + 1])
 
 
-@dataclass(frozen=True)
-class Profile:
-    """A step function on a TimeGrid: one finite real value per cell."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).copy()
-        if vals.shape != (self.grid.n,):
-            raise ShapeError(
-                f"profile needs exactly {self.grid.n} cell values, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("profile values must all be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def integral(self) -> float:
-        return integrate(self)
-
-    def require_nonnegative(self) -> "Profile":
-        if np.any(self.values < 0.0):
-            raise ValueError("profile used as a path flow must be nonnegative")
-        return self
+def integrate(grid: TimeGrid, values) -> np.ndarray | float:
+    """Exact integral of step functions on the grid: the sum of cell values
+    times cell width, along the last axis (one number per row of a matrix)."""
+    return np.sum(values, axis=-1) * grid.dt
 
 
-def integrate(profile: Profile) -> float:
-    """Exact integral of a step function: sum of cell values times cell width."""
-    return float(profile.values.sum() * profile.grid.dt)
-
-
-def essential_infimum(profile: Profile) -> float:
+def essential_infimum(values) -> float:
     """Essential infimum of a step function; equals the minimum cell value."""
-    return float(profile.values.min())
+    return float(np.min(values))
 
 
 @dataclass(frozen=True)
 class ExtendedPoint:
     """An element X = (h, Q) of the product space of path flows and OD demands.
 
-    ``flows`` holds one Profile per path (ordering matches the network's path
-    tuple); ``demands`` holds one real per OD pair. Feasibility (conservation
-    of each OD's demand) is *not* enforced here -- arbitrary elements of the
-    extended space are legal, e.g. as inner-product arguments. Use
-    :func:`is_feasible` to test membership in the feasible set.
+    ``flows`` is a read-only (paths, n) array of departure rates on ``grid``,
+    one row per path in the network's path order; ``demands`` holds one real
+    per OD pair. Feasibility (nonnegative flows that conserve each OD's
+    demand) is *not* enforced here -- arbitrary elements of the extended space
+    are legal, e.g. as inner-product arguments. Use :func:`is_feasible` to test
+    membership in the feasible set.
     """
 
-    flows: tuple[Profile, ...]
+    grid: TimeGrid
+    flows: np.ndarray
     demands: np.ndarray
 
     def __post_init__(self) -> None:
-        flows = tuple(self.flows)
-        if not flows:
-            raise ShapeError("an extended point needs at least one path flow")
-        grid = flows[0].grid
-        for f in flows[1:]:
-            if f.grid != grid:
-                raise ShapeError("all path-flow profiles must share one grid")
-        demands = np.asarray(self.demands, dtype=float).copy()
+        flows = np.array(self.flows, dtype=float)
+        if flows.ndim != 2 or flows.shape[1] != self.grid.n or not flows.shape[0]:
+            raise ShapeError(
+                f"path flows must be a (paths, {self.grid.n}) array with at least one "
+                f"path, got shape {flows.shape}"
+            )
+        if not np.isfinite(flows).all():
+            raise ValueError("path flows must all be finite")
+        demands = np.array(self.demands, dtype=float)
         if demands.ndim != 1:
             raise ShapeError("demands must be a flat vector, one entry per OD pair")
+        flows.setflags(write=False)
         demands.setflags(write=False)
         object.__setattr__(self, "flows", flows)
         object.__setattr__(self, "demands", demands)
 
-    @property
-    def grid(self) -> TimeGrid:
-        return self.flows[0].grid
-
-    def flow_matrix(self) -> np.ndarray:
-        """Cell values as a (num_paths, n) array (copy)."""
-        return np.array([f.values for f in self.flows])
-
     @staticmethod
     def from_matrix(grid: TimeGrid, h: np.ndarray, demands: np.ndarray) -> "ExtendedPoint":
-        return ExtendedPoint(
-            flows=tuple(Profile(grid, row) for row in np.asarray(h, dtype=float)),
-            demands=np.asarray(demands, dtype=float),
-        )
+        """The point with (paths, n) flow matrix h and the given demands (both copied)."""
+        return ExtendedPoint(grid, h, demands)
 
 
 def _check_same_shape(x: ExtendedPoint, y: ExtendedPoint) -> None:
-    if len(x.flows) != len(y.flows):
+    if x.flows.shape[0] != y.flows.shape[0]:
         raise ShapeError("path counts differ")
     if x.grid != y.grid:
         raise ShapeError("grids differ")
@@ -162,12 +134,7 @@ def inner_product(x: ExtendedPoint, y: ExtendedPoint) -> float:
     """Inner product on the extended space: sum of L2 pairings plus the
     Euclidean pairing of the demand vectors. Exact for step functions."""
     _check_same_shape(x, y)
-    dt = x.grid.dt
-    acc = 0.0
-    for fx, fy in zip(x.flows, y.flows):
-        acc += float(np.dot(fx.values, fy.values)) * dt
-    acc += float(np.dot(x.demands, y.demands))
-    return acc
+    return float(np.vdot(x.flows, y.flows)) * x.grid.dt + float(np.dot(x.demands, y.demands))
 
 
 def conservation_residuals(
@@ -175,16 +142,15 @@ def conservation_residuals(
 ) -> np.ndarray:
     """Per-OD difference between integrated path flows and the stated demand.
 
-    ``od_paths[w]`` lists the indices into ``point.flows`` of the paths
+    ``od_paths[w]`` lists the row indices into ``point.flows`` of the paths
     serving OD pair w.
     """
     if len(od_paths) != point.demands.shape[0]:
         raise ShapeError("od_paths length must match the demand vector")
-    res = np.empty(len(od_paths))
-    for w, paths in enumerate(od_paths):
-        total = sum(integrate(point.flows[p]) for p in paths)
-        res[w] = total - point.demands[w]
-    return res
+    rows = np.concatenate([np.asarray(paths, dtype=np.intp) for paths in od_paths])
+    owner = np.repeat(np.arange(len(od_paths)), [len(paths) for paths in od_paths])
+    volumes = integrate(point.grid, point.flows[rows])
+    return np.bincount(owner, weights=volumes, minlength=len(od_paths)) - point.demands
 
 
 def is_feasible(
@@ -194,10 +160,7 @@ def is_feasible(
 ) -> bool:
     """Membership in the feasible set: nonnegative flows whose per-OD integrals
     match the demand vector within a relative tolerance."""
-    for f in point.flows:
-        if np.any(f.values < 0.0):
-            return False
-    if np.any(point.demands < 0.0):
+    if (point.flows < 0.0).any() or (point.demands < 0.0).any():
         return False
     res = conservation_residuals(point, od_paths)
     scale = np.maximum(np.abs(point.demands), 1.0)

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .grid import TimeGrid
 
 __all__ = ["Link", "Path", "Network", "StructureError", "validate", "max_exit_capacity"]
@@ -88,9 +90,12 @@ class Network:
             raise StructureError(f"unknown OD pair {origin}->{destination}") from None
 
     @cached_property
-    def path_od(self) -> tuple[int, ...]:
-        """For each path index, the index of its OD pair."""
-        return tuple(self.od_index(p.origin, p.destination) for p in self.paths)
+    def path_od(self) -> np.ndarray:
+        """For each path index, the index of its OD pair (read-only)."""
+        out = np.array([self.od_index(p.origin, p.destination) for p in self.paths],
+                       dtype=np.intp)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def od_paths(self) -> tuple[tuple[int, ...], ...]:
@@ -98,12 +103,56 @@ class Network:
 
         The sort fixes the tie-breaking order used by best-response argmins.
         """
-        out: list[tuple[int, ...]] = []
-        for w, od in enumerate(self.od_pairs):
-            idx = [i for i, p in enumerate(self.paths) if (p.origin, p.destination) == od]
-            idx.sort(key=lambda i: self.paths[i].id)
-            out.append(tuple(idx))
-        return tuple(out)
+        out: list[list[int]] = [[] for _ in self.od_pairs]
+        for p, w in enumerate(self.path_od.tolist()):
+            out[w].append(p)
+        return tuple(tuple(sorted(idx, key=lambda i: self.paths[i].id)) for idx in out)
+
+    @cached_property
+    def od_rows(self) -> np.ndarray:
+        """(OD pairs, most paths of one pair) path indices, read-only: row w
+        lists od_paths[w] and repeats its last path to fill the row. A
+        reduction along a row meets the pair's paths in od_paths order."""
+        empty = [od for od, paths in zip(self.od_pairs, self.od_paths) if not paths]
+        if empty:
+            raise StructureError(f"OD pair {empty[0][0]}->{empty[0][1]} has no paths")
+        width = max(len(paths) for paths in self.od_paths)
+        rows = np.array([paths + paths[-1:] * (width - len(paths)) for paths in self.od_paths],
+                        dtype=np.intp)
+        rows.setflags(write=False)
+        return rows
+
+    def od_sum(self, per_path: np.ndarray) -> np.ndarray:
+        """Per OD pair, the sum of a per-path vector over the pair's paths."""
+        return np.bincount(self.path_od, weights=per_path, minlength=len(self.od_pairs))
+
+    @cached_property
+    def _od_take(self) -> slice | np.ndarray:
+        """The index by_od applies: all rows as they stand (a view, no copy)
+        when the paths already lie OD pair after OD pair in od_paths order,
+        as many per pair; else od_rows."""
+        rows = self.od_rows
+        return slice(None) if np.array_equal(rows.ravel(), np.arange(len(self.paths))) else rows
+
+    def by_od(self, x: np.ndarray) -> np.ndarray:
+        """A (paths, n) array regrouped as one row per OD pair: its paths'
+        rows in od_paths order, end to end (a row repeats the last path of a
+        pair with fewer paths than the widest)."""
+        return x[self._od_take].reshape(len(self.od_rows), -1)
+
+    def od_min(self, x: np.ndarray) -> np.ndarray:
+        """Per OD pair, the least entry of a (paths, n) array over the pair's
+        paths and cells."""
+        return self.by_od(x).min(axis=1)
+
+    def od_argmin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per OD pair, the (path index, cell) of the least entry of a
+        (paths, n) array; ties break to the lowest path id, then the earliest
+        cell."""
+        # argmin returns the first minimizer of each row of by_od, which runs
+        # through the pair's paths in od_paths order and each path's cells
+        k, j = np.divmod(self.by_od(x).argmin(axis=1), x.shape[1])
+        return self.od_rows[np.arange(len(self.od_rows)), k], j
 
     def path_links(self, path_index: int) -> tuple[Link, ...]:
         by_id = self.link_by_id

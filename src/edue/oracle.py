@@ -67,13 +67,9 @@ class _GapObjective:
         self.evaluations = 0
 
     def demands_of(self, h: np.ndarray) -> np.ndarray | None:
-        net = self.inst.network
-        demands = np.empty(len(net.od_pairs))
-        for w, paths in enumerate(net.od_paths):
-            vol = float(sum(h[p].sum() for p in paths)) * self.dt
-            if vol > self.inst.inv_demand.cap[w]:
-                return None  # outside the feasible set
-            demands[w] = vol
+        demands = self.inst.network.od_sum(h.sum(axis=1)) * self.dt
+        if (demands > self.inst.inv_demand.cap).any():
+            return None  # outside the feasible set
         return demands
 
     def __call__(self, flat: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import dnl, verify
 from .cost import CostField, SchedulePenalty, check_slope_bound, effective_delay
 from .demand import InverseDemand
-from .grid import ExtendedPoint, Profile, TimeGrid
+from .grid import ExtendedPoint, TimeGrid
 from .network import Network, max_exit_capacity
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    n: int = 64  # grid cells
     alpha: float = 100.0  # step size, (veh/h) per hour of reduced cost
     max_iters: int = 500
     gap_tol: float = 0.0  # absolute gap target (veh*h)
@@ -51,8 +50,6 @@ class SolverConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"solver {name} must be finite, got {value!r}")
-        if self.n < 1:
-            raise ValueError("grid resolution must be >= 1")
         if self.alpha <= 0.0:
             raise ValueError("step size must be positive")
         if self.max_iters < 1:
@@ -113,18 +110,13 @@ def f_map(
     if inv_demand is not None:
         theta = inv_demand.theta(point.demands)
     else:
-        theta = np.array(
-            [min(float(psi[p].values.min()) for p in paths) for paths in network.od_paths]
-        )
+        theta = network.od_min(psi)
     return CostField(psi=psi, theta=theta)
 
 
 def reduced_costs(costs: CostField, network: Network) -> np.ndarray:
     """Per-path-per-cell margin: cell cost minus the OD's demand value."""
-    path_od = network.path_od
-    return np.array(
-        [costs.psi[p].values - costs.theta[path_od[p]] for p in range(len(network.paths))]
-    )
+    return costs.psi - costs.theta[network.path_od, None]
 
 
 def fixed_point_step(
@@ -139,45 +131,22 @@ def fixed_point_step(
     re-induce demands, then rescale any OD that overruns its cap (elastic) or
     misses its pinned demand (fixed mode)."""
     grid = point.grid
-    dt = grid.dt
-    h = point.flow_matrix()
-    rc = reduced_costs(costs, network)
-    h_new = np.maximum(0.0, h - alpha * rc)
-    demands = np.empty(len(network.od_pairs))
-    for w, paths in enumerate(network.od_paths):
-        vol = float(sum(h_new[p].sum() for p in paths)) * dt
-        if pinned_demand is not None:
-            target = float(pinned_demand[w])
-            if vol <= 0.0:
-                # all flow got clipped; restart the OD at its cheapest cell
-                p_best, j_best, _ = _od_argmin(costs, network, w)
-                h_new[p_best, j_best] = target / dt
-            else:
-                scale = target / vol
-                for p in paths:
-                    h_new[p] *= scale
-            demands[w] = target
-        else:
-            if caps is not None and vol > caps[w]:
-                scale = caps[w] / vol
-                for p in paths:
-                    h_new[p] *= scale
-                vol = float(caps[w])
-            demands[w] = vol
-    return ExtendedPoint.from_matrix(grid, h_new, demands)
-
-
-def _od_argmin(costs: CostField, network: Network, w: int) -> tuple[int, int, float]:
-    """Cheapest (path, cell) of an OD pair; ties break to the lowest path id,
-    then the earliest cell."""
-    best: tuple[int, int, float] | None = None
-    for p in network.od_paths[w]:
-        vals = costs.psi[p].values
-        j = int(np.argmin(vals))  # argmin returns the earliest minimizer
-        if best is None or vals[j] < best[2]:
-            best = (p, j, float(vals[j]))
-    assert best is not None
-    return best
+    h = np.maximum(0.0, point.flows - alpha * reduced_costs(costs, network))
+    vol = network.od_sum(h.sum(axis=1)) * grid.dt
+    if pinned_demand is not None:
+        demands = np.asarray(pinned_demand, dtype=float)
+        clipped = vol <= 0.0
+        h *= np.divide(demands, vol, out=np.zeros_like(vol), where=~clipped)[network.path_od, None]
+        if clipped.any():
+            # all of an OD's flow got clipped; restart it at its cheapest cell
+            p, j = network.od_argmin(costs.psi)
+            h[p[clipped], j[clipped]] = demands[clipped] / grid.dt
+    elif caps is not None and (vol > caps).any():
+        h *= np.divide(caps, vol, out=np.ones_like(vol), where=vol > caps)[network.path_od, None]
+        demands = np.minimum(vol, caps)
+    else:
+        demands = vol
+    return ExtendedPoint.from_matrix(grid, h, demands)
 
 
 def compute_gap(
@@ -195,20 +164,12 @@ def compute_gap(
     cap volume there if its reduced cost is negative, nothing otherwise (with
     pinned demand, always the pinned volume there).
     """
-    dt = point.grid.dt
     rc = reduced_costs(costs, network)
-    gap = 0.0
-    for w, paths in enumerate(network.od_paths):
-        carried = float(
-            sum(np.dot(point.flows[p].values, rc[p]) for p in paths)
-        ) * dt
-        p_best, j_best, _ = _od_argmin(costs, network, w)
-        c = float(rc[p_best][j_best])
-        if pinned_demand is not None:
-            gap += carried - c * float(pinned_demand[w])
-        else:
-            gap += carried - min(0.0, c) * float(caps[w])
-    return gap
+    carried = float(np.vdot(point.flows, rc)) * point.grid.dt
+    cheapest = network.od_min(rc)  # the reduced cost at each OD's cheapest cell
+    if pinned_demand is not None:
+        return carried - float(np.dot(cheapest, pinned_demand))
+    return carried - float(np.dot(np.minimum(0.0, cheapest), caps))
 
 
 def lemma2_bound(network: Network, penalty: SchedulePenalty) -> float:
@@ -255,12 +216,9 @@ def solve(
         point = warm_start
     elif pinned_demand is not None:
         # zero flow is infeasible under pinned demand; start uniform
-        h = np.zeros((len(network.paths), grid.n))
-        for w, paths in enumerate(network.od_paths):
-            per_cell = pinned_demand[w] / (len(paths) * grid.n * grid.dt)
-            for p in paths:
-                h[p, :] = per_cell
-        point = ExtendedPoint.from_matrix(grid, h, np.asarray(pinned_demand, dtype=float))
+        per_cell = caps / (np.bincount(network.path_od, minlength=len(caps)) * grid.n * grid.dt)
+        h = np.repeat(per_cell[network.path_od, None], grid.n, axis=1)
+        point = ExtendedPoint.from_matrix(grid, h, caps)
     else:
         point = zero_point(network, grid)
 
@@ -300,12 +258,9 @@ def solve(
     assert best_costs is not None
     residuals = verify.due_residuals(best_point, best_costs, network)
     bound = lemma2_bound(network, penalty)
-    max_flow = max(float(f.values.max()) for f in best_point.flows)
-    caps_active = [
-        w
-        for w in range(len(network.od_pairs))
-        if mode == "elastic" and best_point.demands[w] >= caps[w] * (1.0 - 1e-12)
-    ]
+    max_flow = float(best_point.flows.max())
+    caps_active = (np.flatnonzero(best_point.demands >= caps * (1.0 - 1e-12)).tolist()
+                   if mode == "elastic" else [])
     return SolveReport(
         point=best_point,
         costs=best_costs,

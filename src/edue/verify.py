@@ -79,34 +79,23 @@ def due_residuals(
     small fraction of the maximum cell flow.
     """
     if flow_threshold is None:
-        max_flow = max(float(f.values.max()) for f in point.flows)
-        flow_threshold = DEFAULT_FLOW_THRESHOLD_REL * max_flow
-    dt = point.grid.dt
-    n_od = len(network.od_pairs)
-    v = np.empty(n_od)
-    r1 = np.zeros(n_od)
-    r2 = np.zeros(n_od)
-    for w, paths in enumerate(network.od_paths):
-        theta_w = float(costs.theta[w])
-        used_min = np.inf
-        overall_min = np.inf
-        for p in paths:
-            psi = costs.psi[p].values
-            h = point.flows[p].values
-            overall_min = min(overall_min, float(psi.min()))
-            used = h > flow_threshold
-            if np.any(used):
-                used_min = min(used_min, float(psi[used].min()))
-            r1[w] += float(np.dot(h, np.maximum(0.0, psi - theta_w))) * dt
-        v[w] = used_min if np.isfinite(used_min) else overall_min
-        r2[w] = max(0.0, theta_w - overall_min)
+        flow_threshold = DEFAULT_FLOW_THRESHOLD_REL * float(point.flows.max())
+    psi, theta = costs.psi, costs.theta
+    excess = np.maximum(0.0, psi - theta[network.path_od, None])
+    r1 = network.od_sum((point.flows * excess).sum(axis=1)) * point.grid.dt
+    by_od = network.by_od
+    psi_od = by_od(psi)
+    overall_min = psi_od.min(axis=1)
+    used_min = psi_od.min(axis=1, initial=np.inf, where=by_od(point.flows > flow_threshold))
+    v = np.where(used_min < np.inf, used_min, overall_min)
+    # costs and point are read-only, so the report can share their arrays
     return ResidualReport(
         v=v,
-        theta=costs.theta.copy(),
+        theta=theta,
         r1=r1,
-        r2=r2,
-        demand_gap=np.abs(v - costs.theta),
-        demand=point.demands.copy(),
+        r2=np.maximum(0.0, theta - overall_min),
+        demand_gap=np.abs(v - theta),
+        demand=point.demands,
     )
 
 
@@ -120,18 +109,12 @@ def vi_lhs(
     x_probe: flow-cost pairing of the flow difference minus the demand-value
     pairing of the demand difference. Nonnegative for all feasible probes
     exactly when x_star is an equilibrium."""
-    if len(x_star.flows) != len(x_probe.flows) or x_star.grid != x_probe.grid:
+    if x_star.flows.shape != x_probe.flows.shape or x_star.grid != x_probe.grid:
         raise ShapeError("probe must share the solution's grid and path set")
     if x_star.demands.shape != x_probe.demands.shape:
         raise ShapeError("probe must share the solution's OD set")
-    dt = x_star.grid.dt
-    acc = 0.0
-    for p in range(len(x_star.flows)):
-        acc += float(
-            np.dot(costs.psi[p].values, x_probe.flows[p].values - x_star.flows[p].values)
-        ) * dt
-    acc -= float(np.dot(costs.theta, x_probe.demands - x_star.demands))
-    return acc
+    flow_part = float(np.vdot(costs.psi, x_probe.flows - x_star.flows)) * x_star.grid.dt
+    return flow_part - float(np.dot(costs.theta, x_probe.demands - x_star.demands))
 
 
 def best_response(
@@ -140,16 +123,12 @@ def best_response(
     """The feasible point minimizing the pairing with the given costs: per OD,
     the cap volume at the cheapest (path, cell) when its reduced cost is
     negative, nothing otherwise. Ties break to lowest path id, earliest cell."""
-    from .solver import _od_argmin  # local import to avoid a cycle
-
+    caps = np.asarray(caps, dtype=float)
+    p, j = network.od_argmin(costs.psi)
+    buy = costs.psi[p, j] - costs.theta < 0.0
     h = np.zeros((len(network.paths), grid.n))
-    demands = np.zeros(len(network.od_pairs))
-    for w in range(len(network.od_pairs)):
-        p, j, val = _od_argmin(costs, network, w)
-        if val - float(costs.theta[w]) < 0.0:
-            h[p, j] = caps[w] / grid.dt
-            demands[w] = caps[w]
-    return ExtendedPoint.from_matrix(grid, h, demands)
+    h[p[buy], j[buy]] = caps[buy] / grid.dt
+    return ExtendedPoint.from_matrix(grid, h, np.where(buy, caps, 0.0))
 
 
 def random_probe(
@@ -160,18 +139,15 @@ def random_probe(
 ) -> ExtendedPoint:
     """A random feasible point: uniform cell flows per path, rescaled so each
     OD carries a uniform fraction of its cap."""
-    h = np.zeros((len(network.paths), grid.n))
-    demands = np.zeros(len(network.od_pairs))
-    for w, paths in enumerate(network.od_paths):
-        for p in paths:
-            h[p, :] = rng.uniform(0.0, 1.0, size=grid.n)
-        vol = sum(h[p].sum() for p in paths) * grid.dt
-        target = rng.uniform(0.0, caps[w])
-        if vol > 0.0:
-            for p in paths:
-                h[p] *= target / vol
-        demands[w] = target if vol > 0.0 else 0.0
-        if vol == 0.0:
-            for p in paths:
-                h[p, :] = 0.0
+    # the draws, OD pair after OD pair: one per cell of each of its paths in
+    # od_paths order, then one for its volume
+    sizes = np.bincount(network.path_od, minlength=len(network.od_pairs)) * grid.n + 1
+    u = rng.uniform(0.0, 1.0, size=int(sizes.sum()))
+    volume_draws = np.cumsum(sizes) - 1
+    h = np.empty((len(network.paths), grid.n))
+    h[np.concatenate(network.od_paths)] = np.delete(u, volume_draws).reshape(-1, grid.n)
+    vol = network.od_sum(h.sum(axis=1)) * grid.dt
+    live = vol > 0.0
+    demands = np.where(live, caps * u[volume_draws], 0.0)
+    h *= np.divide(demands, vol, out=np.zeros_like(vol), where=live)[network.path_od, None]
     return ExtendedPoint.from_matrix(grid, h, demands)

@@ -32,8 +32,8 @@ def uncongested_elastic():
         grid_bounds=(0.0, 2.0),
         penalty=SchedulePenalty(early=0.5, late=2.0),
         inv_demand=InverseDemand.build([1.0], [1 / 120.0]),  # choke demand 120 veh
-        config=SolverConfig(n=64, alpha=400.0, max_iters=4000, gap_rtol=1e-6,
-                            halve_on_stall=25),
+        n=64,
+        config=SolverConfig(alpha=400.0, max_iters=4000, gap_rtol=1e-6, halve_on_stall=25),
     )
 
 
@@ -45,8 +45,8 @@ def congested_bottleneck():
         grid_bounds=(0.0, 1.0),
         penalty=SchedulePenalty(early=0.5, late=2.0),
         inv_demand=InverseDemand([1.0], [0.002], [450.0]),
-        config=SolverConfig(n=4, alpha=400.0, max_iters=4000, gap_rtol=1e-6,
-                            halve_on_stall=25),
+        n=4,
+        config=SolverConfig(alpha=400.0, max_iters=4000, gap_rtol=1e-6, halve_on_stall=25),
     )
 
 
@@ -64,11 +64,11 @@ def two_parallel_elastic():
         grid_bounds=(0.0, 1.0),
         penalty=SchedulePenalty(early=0.5, late=2.0),
         inv_demand=InverseDemand([0.8], [0.002], [350.0]),
-        config=SolverConfig(n=8, alpha=400.0, max_iters=4000, gap_rtol=1e-6,
-                            halve_on_stall=25),
+        n=8,
+        config=SolverConfig(alpha=400.0, max_iters=4000, gap_rtol=1e-6, halve_on_stall=25),
     )
 
 
 def grid_of(inst, n=None):
     t0, tf = inst["grid_bounds"]
-    return TimeGrid(t0, tf, n if n is not None else inst["config"].n)
+    return TimeGrid(t0, tf, n if n is not None else inst["n"])

@@ -31,12 +31,12 @@ def report(name, ok, detail=""):
 
 def solve_inst(inst, n=None):
     grid = grid_of(inst, n)
-    cfg = inst["config"]
-    if n is not None and n != cfg.n:
+    cfg, n0 = inst["config"], inst["n"]
+    if n is not None and n != n0:
         # the per-cell step shrinks with the cell width, so the step size and
         # the iteration budget scale with n to keep the contraction comparable
-        scale = max(1, n // cfg.n)
-        cfg = SolverConfig(n=n, alpha=cfg.alpha * n / cfg.n,
+        scale = max(1, n // n0)
+        cfg = SolverConfig(alpha=cfg.alpha * n / n0,
                            max_iters=cfg.max_iters * scale,
                            gap_tol=cfg.gap_tol, gap_rtol=cfg.gap_rtol,
                            halve_on_stall=50)
@@ -53,7 +53,7 @@ def test_criterion_1_uncongested_demand_vs_bisection(uncongested_elastic):
         grid, rep = solve_inst(inst, n)
         costs0 = f_map(inst["network"], zero_point(inst["network"], grid),
                        inst["penalty"], inst["inv_demand"], grid)
-        v_min = float(costs0.psi[0].values.min())
+        v_min = float(costs0.psi[0].min())
         q_star = bisect_demand(theta0=1.0, theta1=1 / 120.0, v_min=v_min, q_hi=114.0)
         err = abs(float(rep.point.demands[0]) - q_star) / q_star
         gap_ok = rep.final_gap <= 1e-6 * rep.initial_gap
@@ -105,15 +105,14 @@ def test_criterion_2_solver_agrees_with_brute_force_oracle():
     ok = True
     for name, inst in tiny_instances():
         oracle_res = brute_force_equilibrium(inst)
-        cfg = SolverConfig(n=inst.grid.n, alpha=400.0, max_iters=6000,
-                           gap_rtol=1e-8, halve_on_stall=25)
+        cfg = SolverConfig(alpha=400.0, max_iters=6000, gap_rtol=1e-8, halve_on_stall=25)
         rep = solve(inst.network, inst.penalty, inst.inv_demand, cfg, grid=inst.grid)
         q_o = float(oracle_res.point.demands[0])
         q_s = float(rep.point.demands[0])
         q_err = abs(q_s - q_o) / q_o
         total_demand_rate = q_o / (inst.grid.tf - inst.grid.t0)
         cell_err = float(
-            np.abs(rep.point.flow_matrix() - oracle_res.point.flow_matrix()).max()
+            np.abs(rep.point.flows - oracle_res.point.flows).max()
         ) / total_demand_rate
         this_ok = q_err <= 0.01 and cell_err <= 0.02
         ok = ok and this_ok
@@ -167,7 +166,7 @@ def test_criterion_4_vi_probe_battery(uncongested_elastic, congested_bottleneck,
         worst = min(worst, vi_lhs(rep.point, br, rep.costs, net))
         this_ok = worst >= -1e-6 * scale
         # a deliberately perturbed point must fail: shove all flow early
-        h = rep.point.flow_matrix().copy()
+        h = rep.point.flows.copy()
         h[:, 0] += h.sum(axis=1)
         h[:, 1:] = 0.0
         bad = ExtendedPoint.from_matrix(grid, h, rep.point.demands)
@@ -194,12 +193,11 @@ def test_criterion_5_cell_flow_bound():
     dem = InverseDemand([1.0], [0.002], [200.0])
     grid = TimeGrid(0.0, 1.0, 4)
     bound = lemma2_bound(net, penalty)  # 3 * 100 / 0.5 = 600 veh/h
-    cfg = SolverConfig(n=4, alpha=400.0, max_iters=6000, gap_rtol=1e-6,
-                       halve_on_stall=None)
+    cfg = SolverConfig(alpha=400.0, max_iters=6000, gap_rtol=1e-6, halve_on_stall=None)
     rep = solve(net, penalty, dem, cfg, grid=grid)
     costs0 = f_map(net, zero_point(net, grid), penalty, dem, grid)
     br = best_response(costs0, net, dem.cap, grid)
-    br_max = float(br.flow_matrix().max())
+    br_max = float(br.flows.max())
     ok = rep.converged and br_max > bound and rep.max_cell_flow <= bound
     report(
         "criterion 5: equilibrium cell flows below 3*Mmax/(Delta+1)",
@@ -239,7 +237,7 @@ def test_criterion_6_loading_invariants_battery():
 def test_criterion_7_parallel_link_symmetry(two_parallel_elastic):
     inst = two_parallel_elastic
     grid, rep = solve_inst(inst)
-    h = rep.point.flow_matrix()
+    h = rep.point.flows
     diff = float(np.abs(h[0] - h[1]).max())
     tol = 1e-6 * float(h.max())
     ok = rep.converged and diff <= tol
@@ -264,9 +262,9 @@ def test_criterion_8_fixed_demand_degeneration(congested_bottleneck):
     v_fixed = float(res_f.v[0])
     cross_ok = abs(v_fixed - v_star) <= 0.01 * v_star
     flow_diff = float(
-        np.abs(rep_e.point.flow_matrix() - rep_f.point.flow_matrix()).max()
+        np.abs(rep_e.point.flows - rep_f.point.flows).max()
     )
-    flows_ok = flow_diff <= 0.01 * float(rep_e.point.flow_matrix().max())
+    flows_ok = flow_diff <= 0.01 * float(rep_e.point.flows.max())
     ok = rep_f.converged and r1_ok and cross_ok and flows_ok
     report(
         "criterion 8: pinned-demand mode reproduces the elastic solution",

@@ -81,7 +81,7 @@ def read_csv(path):
 class TestScenarioParsing:
     def test_valid_scenario_loads(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, uncongested_scenario()))
-        assert sc.config.n == 64
+        assert sc.n == 64
         assert sc.inv_demand is not None
 
     def test_missing_units_rejected(self, tmp_path):
@@ -220,6 +220,31 @@ class TestCheckAndLoad:
         code = main(["check", str(path), str(out / "bad_flows.csv"), "--out", str(out)])
         assert code == EXIT_INPUT_ERROR
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda lines: lines[3].replace(",", ",,", 1),
+                     "line 4: expected 5 columns", id="columns"),
+        pytest.param(lambda lines: "nope" + lines[3][2:],
+                     "line 4: unknown path id 'nope'", id="path id"),
+        pytest.param(lambda lines: lines[3].rsplit(",", 1)[0] + ",1.5x",
+                     "line 4: could not convert", id="flow"),
+        pytest.param(lambda lines: "p1,x" + lines[3][4:],
+                     "line 4: invalid literal for int()", id="cell"),
+        pytest.param(lambda lines: "p1,9" + lines[3][4:],
+                     "line 4: cell index 9 out of range", id="cell range"),
+        pytest.param(lambda lines: lines[1],
+                     "line 4: path 'p1' cell 0 repeats line 2", id="duplicate"),
+    ])
+    def test_flow_file_errors_name_the_line(self, tmp_path, capsys, edit, message):
+        path = write_scenario(tmp_path, congested_scenario())
+        out = tmp_path / "out"
+        main(["solve", str(path), "--out", str(out)])
+        lines = (out / "flows.csv").read_text().splitlines()
+        lines[3] = edit(lines)
+        (out / "bad_flows.csv").write_text("\n".join(lines) + "\n")
+        code = main(["check", str(path), str(out / "bad_flows.csv"), "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
 
     def test_load_writes_cumulative_curves(self, tmp_path):
         path = write_scenario(tmp_path, congested_scenario())

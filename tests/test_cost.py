@@ -11,7 +11,7 @@ from edue.cost import (
     min_travel_cost,
 )
 from edue.dnl import load
-from edue.grid import Profile, TimeGrid
+from edue.grid import TimeGrid
 from edue.network import Link, Network, Path
 
 MIN = 1 / 60.0
@@ -83,7 +83,7 @@ class TestEffectiveDelay:
         # beta = 0.5 the penalty is 20 min, total effective delay 25 min.
         net = bottleneck_instance()
         grid = TimeGrid(0.0, 10 * MIN, 2)
-        res = load(net, (Profile(grid, [0.0, 0.0]),), grid)
+        res = load(net, [[0.0, 0.0]], grid)
         psi = effective_delay(res, SchedulePenalty(0.5, 2.0), net.arrival_target)
         exits = res.exit_time(0, 0.0)
         assert exits == pytest.approx(5 * MIN)
@@ -91,7 +91,7 @@ class TestEffectiveDelay:
         assert pt == pytest.approx(25 * MIN)
         # cell 0 endpoint delays 25 and 22.5 min (each minute later departed
         # saves half a minute of earliness charge)
-        assert psi[0].values[0] == pytest.approx(23.75 * MIN, rel=1e-12)
+        assert psi[0][0] == pytest.approx(23.75 * MIN, rel=1e-12)
 
     def test_queue_plus_late_penalty(self):
         # Inflow 2 veh/min on [0, 10] min against 1 veh/min: departure at
@@ -100,7 +100,7 @@ class TestEffectiveDelay:
         # 55, 10 min late -> penalty 20, effective delay 25 min.
         net = bottleneck_instance()
         grid = TimeGrid(0.0, 50 * MIN, 5)
-        res = load(net, (Profile(grid, [120.0, 0.0, 0.0, 0.0, 0.0]),), grid)
+        res = load(net, [[120.0, 0.0, 0.0, 0.0, 0.0]], grid)
         penalty = SchedulePenalty(0.5, 2.0)
         exits_10 = res.exit_time(0, 10 * MIN)
         assert exits_10 == pytest.approx(25 * MIN, rel=1e-9)
@@ -114,15 +114,15 @@ class TestEffectiveDelay:
     def test_zero_penalty_reduces_to_travel_delay(self):
         net = bottleneck_instance()
         grid = TimeGrid(0.0, 10 * MIN, 4)
-        res = load(net, (Profile(grid, [120.0] * 4),), grid)
+        res = load(net, [[120.0] * 4], grid)
         psi = effective_delay(res, SchedulePenalty(0.0, 0.0), net.arrival_target)
         (dprof,) = res.delay_profiles()
-        assert np.allclose(psi[0].values, dprof.values)
+        assert np.allclose(psi[0], dprof)
 
     def test_invalid_penalty_rejected_before_evaluation(self):
         net = bottleneck_instance()
         grid = TimeGrid(0.0, 10 * MIN, 2)
-        res = load(net, (Profile(grid, [0.0, 0.0]),), grid)
+        res = load(net, [[0.0, 0.0]], grid)
         with pytest.raises(A1ViolationError):
             effective_delay(res, SchedulePenalty(1.5, 2.0), net.arrival_target)
 
@@ -131,14 +131,13 @@ class TestEffectiveDelay:
         net = bottleneck_instance()
         grid = TimeGrid(0.0, 1.0, 8)
         for _ in range(10):
-            res = load(net, (Profile(grid, rng.uniform(0, 300, 8)),), grid)
+            res = load(net, [rng.uniform(0, 300, 8)], grid)
             psi = effective_delay(res, SchedulePenalty(0.5, 2.0), net.arrival_target)
-            assert np.all(psi[0].values > 0.0)
+            assert np.all(psi[0] > 0.0)
 
 
 class TestMinTravelCost:
     def test_minimum_over_paths_and_cells(self):
-        grid = TimeGrid(0.0, 1.0, 2)
         links = (
             Link("a", "O", "D", 0.1, 100.0),
             Link("b", "O", "D", 0.2, 100.0),
@@ -149,7 +148,7 @@ class TestMinTravelCost:
             arrival_target=0.5,
         )
         costs = CostField(
-            psi=(Profile(grid, [0.4, 0.3]), Profile(grid, [0.25, 0.6])),
+            psi=[[0.4, 0.3], [0.25, 0.6]],
             theta=np.array([0.0]),
         )
         assert min_travel_cost(costs, net, 0) == pytest.approx(0.25)

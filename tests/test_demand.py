@@ -24,6 +24,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InverseDemand(np.array([60.0]), np.array([0.5]), np.array([120.0]))
 
+    @pytest.mark.parametrize("intercept, slope, cap, field", [
+        ([np.nan], [0.01], [80.0], "intercept"),
+        ([1.0], [np.nan], [80.0], "slope"),
+        ([1.0], [0.0], [np.inf], "cap"),
+    ])
+    def test_non_finite_rejected_naming_the_field(self, intercept, slope, cap, field):
+        with pytest.raises(ValueError, match=f"inverse-demand {field} must be finite"):
+            InverseDemand(intercept, slope, cap)
+
 
 class TestTheta:
     def test_linear_value(self):
@@ -36,6 +45,8 @@ class TestTheta:
             d.theta(np.array([150.0]))
         with pytest.raises(DemandDomainError):
             d.theta(np.array([-1.0]))
+        with pytest.raises(DemandDomainError):
+            d.theta(np.array([np.nan]))
 
     def test_positive_on_domain(self):
         d = InverseDemand(np.array([60.0]), np.array([0.5]), np.array([100.0]))

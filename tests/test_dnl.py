@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edue.dnl import HorizonOverflowError, load
-from edue.grid import Profile, TimeGrid
+from edue.grid import TimeGrid
 from edue.network import Link, Network, Path, validate
 
 from oracles import single_link_delay
@@ -20,7 +20,7 @@ class TestFreeFlow:
     def test_zero_inflow_gives_free_flow_delay(self):
         net = single_link()
         grid = TimeGrid(0.0, 10 * MIN, 2)
-        res = load(net, (Profile(grid, [0.0, 0.0]),), grid)
+        res = load(net, [[0.0, 0.0]], grid)
         for t in grid.boundaries:
             assert res.delay(0, t) == pytest.approx(5 * MIN, abs=1e-12)
 
@@ -31,16 +31,16 @@ class TestFreeFlow:
         )
         net = Network(links=links, paths=(Path("p", ("a", "b"), "O", "D"),), arrival_target=0.5)
         grid = TimeGrid(0.0, 10 * MIN, 4)
-        res = load(net, (Profile(grid, [300.0, 0.0, 120.0, 60.0]),), grid)
+        res = load(net, [[300.0, 0.0, 120.0, 60.0]], grid)
         for t in grid.boundaries:
             assert res.delay(0, t) == pytest.approx(10 * MIN, rel=1e-12)
 
     def test_delay_profiles_constant_at_free_flow(self):
         net = single_link()
         grid = TimeGrid(0.0, 10 * MIN, 4)
-        res = load(net, (Profile(grid, [0.1] * 4),), grid)
+        res = load(net, [[0.1] * 4], grid)
         (prof,) = res.delay_profiles()
-        assert np.allclose(prof.values, 5 * MIN)
+        assert np.allclose(prof, 5 * MIN)
 
 
 class TestBottleneck:
@@ -49,7 +49,7 @@ class TestBottleneck:
     def make(self):
         net = single_link(tau_min=5.0, cap_per_min=1.0)
         grid = TimeGrid(0.0, 10 * MIN, 2)
-        res = load(net, (Profile(grid, [120.0, 120.0]),), grid)
+        res = load(net, [[120.0, 120.0]], grid)
         return net, grid, res
 
     def test_hand_computed_endpoints(self):
@@ -78,9 +78,9 @@ class TestBottleneck:
         # values 15 and 10, cell average 12.5 (endpoint-averaged).
         net = single_link(tau_min=5.0, cap_per_min=1.0)
         grid = TimeGrid(0.0, 15 * MIN, 3)
-        res = load(net, (Profile(grid, [120.0, 120.0, 0.0]),), grid)
+        res = load(net, [[120.0, 120.0, 0.0]], grid)
         (prof,) = res.delay_profiles()
-        assert prof.values[2] == pytest.approx(12.5 * MIN, rel=1e-9)
+        assert prof[2] == pytest.approx(12.5 * MIN, rel=1e-9)
 
     def test_queue_episode_inside_one_cell(self):
         # A short burst well above capacity creates a queue that clears
@@ -88,11 +88,11 @@ class TestBottleneck:
         net = single_link(tau_min=5.0, cap_per_min=10.0)
         grid = TimeGrid(0.0, 40 * MIN, 4)
         vals = [0.0, 1200.0, 0.0, 0.0]  # 20 veh/min on [10, 20) min
-        res = load(net, (Profile(grid, vals),), grid)
+        res = load(net, [vals], grid)
         (prof,) = res.delay_profiles()
-        assert prof.values[1] > 5 * MIN
-        assert prof.values[0] == pytest.approx(5 * MIN, abs=1e-12)
-        assert prof.values[3] == pytest.approx(5 * MIN, abs=1e-12)
+        assert prof[1] > 5 * MIN
+        assert prof[0] == pytest.approx(5 * MIN, abs=1e-12)
+        assert prof[3] == pytest.approx(5 * MIN, abs=1e-12)
 
 
 class TestSharedLink:
@@ -110,7 +110,7 @@ class TestSharedLink:
         )
         net = Network(links=links, paths=paths, arrival_target=0.5)
         grid = TimeGrid(0.0, 10 * MIN, 2)
-        flows = (Profile(grid, [60.0, 60.0]), Profile(grid, [60.0, 60.0]))
+        flows = [[60.0, 60.0], [60.0, 60.0]]
         res = load(net, flows, grid)
         for t in grid.boundaries:
             assert res.delay(0, t) == pytest.approx(res.delay(1, t), rel=1e-12)
@@ -132,9 +132,7 @@ def random_loading(seed, n_cells=6, positive=True):
     net = Network(links=links, paths=paths, arrival_target=0.8)
     grid = TimeGrid(0.0, 1.0, n_cells)
     lo = 1.0 if positive else 0.0
-    flows = tuple(
-        Profile(grid, rng.uniform(lo, 1200.0, size=n_cells)) for _ in paths
-    )
+    flows = rng.uniform(lo, 1200.0, size=(len(paths), n_cells))
     return net, grid, flows
 
 
@@ -180,14 +178,14 @@ class TestInvariants:
         net = single_link(tau_min=5.0, cap_per_min=1.0)
         grid = TimeGrid(0.0, 30 * MIN, 6)
         base = [120.0, 120.0, 0.0, 0.0, 0.0, 0.0]
-        res_a = load(net, (Profile(grid, base),), grid)
+        res_a = load(net, [base], grid)
         t_probe = 5 * MIN
         exit_probe = res_a.exit_time(0, t_probe)
         # cell 5 starts at 25 min; make sure it is after the probe's exit
         assert grid.boundaries[5] > exit_probe
         perturbed = list(base)
         perturbed[5] = 500.0
-        res_b = load(net, (Profile(grid, perturbed),), grid)
+        res_b = load(net, [perturbed], grid)
         assert res_b.delay(0, t_probe) == pytest.approx(res_a.delay(0, t_probe), rel=1e-12)
 
     def test_fifo_rate_inequality(self):
@@ -202,7 +200,7 @@ class TestInvariants:
                 exits = [res.exit_time(p, t) for t in bounds]
                 for i in range(len(bounds) - 1):
                     for j in range(i + 1, len(bounds)):
-                        min_inflow = float(np.min(flows[p].values[i:j]))
+                        min_inflow = float(np.min(flows[p][i:j]))
                         lhs = (bounds[j] - bounds[i]) * min_inflow
                         rhs = m_max * (exits[j] - exits[i])
                         assert lhs <= rhs + 1e-6, f"seed {seed}"
@@ -213,7 +211,7 @@ class TestErrors:
         net = single_link(tau_min=5.0, cap_per_min=1.0)
         grid = TimeGrid(0.0, 10 * MIN, 2)
         with pytest.raises(HorizonOverflowError) as exc:
-            load(net, (Profile(grid, [6000.0, 6000.0]),), grid, horizon=0.02)
+            load(net, [[6000.0, 6000.0]], grid, horizon=0.02)
         assert exc.value.residual_volume > 0.0
         assert (exc.value.path_id, exc.value.link_id) == ("p", "a")
 
@@ -225,7 +223,7 @@ class TestErrors:
         net = Network(links=links, paths=(Path("p", ("a", "b"), "O", "D"),), arrival_target=0.5)
         grid = TimeGrid(0.0, 10 * MIN, 2)
         with pytest.raises(HorizonOverflowError) as exc:
-            load(net, (Profile(grid, [600.0, 600.0]),), grid, horizon=0.3)
+            load(net, [[600.0, 600.0]], grid, horizon=0.3)
         # 100 vehicles queue at b, which lets 1 veh/min out from 10 min on:
         # 18 have left by the horizon end at 28 min
         assert exc.value.residual_volume == pytest.approx(82.0, rel=1e-9)
@@ -236,7 +234,7 @@ class TestErrors:
         net = single_link()
         grid = TimeGrid(0.0, 10 * MIN, 2)
         with pytest.raises(ValueError):
-            load(net, (Profile(grid, [-1.0, 0.0]),), grid)
+            load(net, [[-1.0, 0.0]], grid)
 
 
 def ring_network():
@@ -296,7 +294,7 @@ def assert_loading_invariants(net, grid, flows, res):
     assert res.conservation_residual <= 1e-9
     for p, f in enumerate(flows):
         exits = np.array([res.exit_time(p, t) for t in grid.boundaries])
-        if np.all(f.values > 0.0):
+        if np.all(f > 0.0):
             assert np.all(np.diff(exits) > 0.0), f"path {p}"
         assert np.all(exits - grid.boundaries >= net.path_free_flow_time(p) - 1e-12)
     for link in net.links:
@@ -314,7 +312,7 @@ class TestCyclicSuccession:
         grid = TimeGrid(0.0, 1.0, 6)
         assert validate(net, grid) == []
         rng = np.random.default_rng(seed)
-        flows = tuple(Profile(grid, rng.uniform(0.0, 900.0, size=6)) for _ in net.paths)
+        flows = np.array([rng.uniform(0.0, 900.0, size=6) for _ in net.paths])
         res = load(net, flows, grid)
         for p, expected in enumerate(RING_EXITS[seed]):
             exits = [res.exit_time(p, t) for t in grid.boundaries]
@@ -349,8 +347,7 @@ def ring_loadings(draw):
              f"n{start}", f"n{(start + length) % m}")
         for k, (start, length) in enumerate(runs)
     )
-    flows = tuple(Profile(grid, draw(st.lists(rate, min_size=n_cells, max_size=n_cells)))
-                  for _ in paths)
+    flows = np.array([draw(st.lists(rate, min_size=n_cells, max_size=n_cells)) for _ in paths])
     return Network(links=links, paths=paths, arrival_target=0.5), grid, flows
 
 

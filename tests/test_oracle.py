@@ -65,7 +65,7 @@ class TestBruteForce:
             inst.network, zero_point(inst.network, inst.grid), inst.penalty,
             inst.inv_demand, inst.grid,
         )
-        v_min = float(costs0.psi[0].values.min())
+        v_min = float(costs0.psi[0].min())
         q_star = bisect_demand(
             theta0=1.0, theta1=0.01, v_min=v_min, q_hi=80.0
         )
@@ -74,7 +74,7 @@ class TestBruteForce:
     def test_symmetric_incumbent(self):
         inst = symmetric_tiny()
         res = brute_force_equilibrium(inst)
-        h = res.point.flow_matrix()
+        h = res.point.flows
         # symmetry within the finest lattice spacing of the refinement
         from edue.solver import lemma2_bound
 
@@ -88,9 +88,9 @@ class TestBruteForce:
         # concentrates on the cheaper cell.
         inst = uncongested_tiny(n=2)
         res = brute_force_equilibrium(inst)
-        h = res.point.flow_matrix()[0]
+        h = res.point.flows[0]
         costs = f_map(inst.network, res.point, inst.penalty, inst.inv_demand, inst.grid)
-        cheap = int(np.argmin(costs.psi[0].values))
+        cheap = int(np.argmin(costs.psi[0]))
         dear = 1 - cheap
         assert h[dear] <= 1e-6 * max(h[cheap], 1.0)
 

@@ -3,7 +3,7 @@ import pytest
 
 from edue.cost import CostField, SchedulePenalty
 from edue.demand import InverseDemand
-from edue.grid import ExtendedPoint, Profile, TimeGrid, is_feasible
+from edue.grid import ExtendedPoint, TimeGrid, is_feasible
 from edue.network import Link, Network, Path
 from edue.solver import (
     SolverConfig,
@@ -31,8 +31,8 @@ class TestFMap:
         assert costs.theta[0] == pytest.approx(inst["inv_demand"].intercept[0])
         # minimum free-flow effective delay is the 10-minute travel time,
         # attained at the cell whose exits straddle the arrival target
-        assert costs.psi[0].values.min() > 1 / 6 - 1e-12
-        assert costs.psi[0].values.min() < 1 / 6 + inst["penalty"].late * grid.dt
+        assert costs.psi[0].min() > 1 / 6 - 1e-12
+        assert costs.psi[0].min() < 1 / 6 + inst["penalty"].late * grid.dt
 
     def test_symmetric_flows_give_symmetric_costs(self, two_parallel_elastic):
         inst = two_parallel_elastic
@@ -40,7 +40,7 @@ class TestFMap:
         h = np.full((2, grid.n), 150.0)
         point = ExtendedPoint.from_matrix(grid, h, np.array([300.0 * (grid.tf - grid.t0)]))
         costs = f_map(inst["network"], point, inst["penalty"], inst["inv_demand"], grid)
-        assert np.allclose(costs.psi[0].values, costs.psi[1].values)
+        assert np.allclose(costs.psi[0], costs.psi[1])
 
     def test_bottleneck_costs_match_hand_composition(self):
         # inflow 120 veh/h on [0, 10] min against 60 veh/h: departure at the
@@ -55,20 +55,18 @@ class TestFMap:
         costs = f_map(net, point, SchedulePenalty(0.5, 2.0), dem, grid)
         # cell 1 endpoints: depart 5 min -> exit 15 min (psi = 10 + 15 = 25);
         # depart 10 min -> exit 25 min (psi = 15 + 10 = 25)
-        assert costs.psi[0].values[1] == pytest.approx(25 * MIN, rel=1e-9)
+        assert costs.psi[0][1] == pytest.approx(25 * MIN, rel=1e-9)
 
     def test_pinned_mode_theta_is_min_cell_cost(self, uncongested_elastic):
         inst = uncongested_elastic
         grid = grid_of(inst)
         point = zero_point(inst["network"], grid)
         costs = f_map(inst["network"], point, inst["penalty"], None, grid)
-        assert costs.theta[0] == pytest.approx(float(costs.psi[0].values.min()))
+        assert costs.theta[0] == pytest.approx(float(costs.psi[0].min()))
 
 
-def toy_costs(grid, psi_vals, theta):
-    return CostField(
-        psi=tuple(Profile(grid, v) for v in psi_vals), theta=np.asarray(theta, float)
-    )
+def toy_costs(psi_vals, theta):
+    return CostField(psi=psi_vals, theta=theta)
 
 
 def toy_network():
@@ -77,9 +75,8 @@ def toy_network():
 
 class TestReducedCostAndStep:
     def test_reduced_cost_arithmetic(self):
-        grid = TimeGrid(0.0, 1.0, 2)
         net = toy_network()
-        costs = toy_costs(grid, [[45 * MIN, 40 * MIN]], [40 * MIN])
+        costs = toy_costs([[45 * MIN, 40 * MIN]], [40 * MIN])
         rc = reduced_costs(costs, net)
         assert rc[0][0] == pytest.approx(5 * MIN)
         assert rc[0][1] == pytest.approx(0.0)
@@ -88,28 +85,28 @@ class TestReducedCostAndStep:
         grid = TimeGrid(0.0, 1.0, 1)
         net = toy_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[2.0]]), np.array([2.0]))
-        costs = toy_costs(grid, [[5.0 + 0.3]], [0.3])
+        costs = toy_costs([[5.0 + 0.3]], [0.3])
         new = fixed_point_step(point, costs, net, alpha=1.0, caps=np.array([100.0]))
-        assert new.flows[0].values[0] == 0.0
+        assert new.flows[0][0] == 0.0
         assert new.demands[0] == 0.0
 
     def test_step_interior_descent(self):
         grid = TimeGrid(0.0, 1.0, 1)
         net = toy_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[2.0]]), np.array([2.0]))
-        costs = toy_costs(grid, [[0.3 - 1.0]], [0.3])  # reduced cost -1
+        costs = toy_costs([[0.3 - 1.0]], [0.3])  # reduced cost -1
         new = fixed_point_step(point, costs, net, alpha=0.5, caps=np.array([100.0]))
-        assert new.flows[0].values[0] == pytest.approx(2.5)
+        assert new.flows[0][0] == pytest.approx(2.5)
         assert new.demands[0] == pytest.approx(2.5)  # dt = 1
 
     def test_step_rescales_onto_cap(self):
         grid = TimeGrid(0.0, 1.0, 1)
         net = toy_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[2.0]]), np.array([2.0]))
-        costs = toy_costs(grid, [[0.3 - 1.0]], [0.3])
+        costs = toy_costs([[0.3 - 1.0]], [0.3])
         new = fixed_point_step(point, costs, net, alpha=0.5, caps=np.array([2.2]))
         assert new.demands[0] == pytest.approx(2.2)
-        assert new.flows[0].values[0] == pytest.approx(2.2)
+        assert new.flows[0][0] == pytest.approx(2.2)
 
     def test_step_preserves_feasibility_on_random_points(self):
         rng = np.random.default_rng(3)
@@ -119,7 +116,7 @@ class TestReducedCostAndStep:
         for _ in range(25):
             h = rng.uniform(0.0, 80.0, size=(1, 4))
             point = ExtendedPoint.from_matrix(grid, h, np.array([h.sum() * grid.dt]))
-            costs = toy_costs(grid, [rng.uniform(-1.0, 1.0, size=4)], [0.0])
+            costs = toy_costs([rng.uniform(-1.0, 1.0, size=4)], [0.0])
             new = fixed_point_step(point, costs, net, alpha=rng.uniform(0.1, 5.0), caps=caps)
             assert is_feasible(new, net.od_paths)
             assert new.demands[0] <= caps[0] + 1e-12
@@ -130,7 +127,7 @@ class TestGap:
         grid = TimeGrid(0.0, 1.0, 2)
         net = toy_network()
         point = zero_point(net, grid)
-        costs = toy_costs(grid, [[0.5, 0.2]], [0.3])  # c = -0.1 at cell 1
+        costs = toy_costs([[0.5, 0.2]], [0.3])  # c = -0.1 at cell 1
         caps = np.array([40.0])
         assert compute_gap(point, costs, net, caps) == pytest.approx(0.1 * 40.0)
 
@@ -139,14 +136,14 @@ class TestGap:
         net = toy_network()
         # flow only on the zero-reduced-cost cell, demand consistent
         point = ExtendedPoint.from_matrix(grid, np.array([[0.0, 30.0]]), np.array([15.0]))
-        costs = toy_costs(grid, [[0.5, 0.3]], [0.3])
+        costs = toy_costs([[0.5, 0.3]], [0.3])
         assert compute_gap(point, costs, net, np.array([40.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_misplaced_flow_has_positive_gap(self):
         grid = TimeGrid(0.0, 1.0, 2)
         net = toy_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[30.0, 0.0]]), np.array([15.0]))
-        costs = toy_costs(grid, [[0.5, 0.3]], [0.3])
+        costs = toy_costs([[0.5, 0.3]], [0.3])
         assert compute_gap(point, costs, net, np.array([40.0])) > 0.0
 
     def test_matches_brute_force_sup_over_vertex_responses(self):
@@ -162,7 +159,7 @@ class TestGap:
             point = ExtendedPoint.from_matrix(grid, h[None, :], np.array([h.sum() * dt]))
             rc_vals = rng.uniform(-0.5, 0.5, size=3)
             theta = rng.uniform(0.1, 0.6)
-            costs = toy_costs(grid, [rc_vals + theta], [theta])
+            costs = toy_costs([rc_vals + theta], [theta])
             carried = float(np.dot(h, rc_vals)) * dt
             best = max(
                 carried,  # Y = 0 response
@@ -196,7 +193,7 @@ class TestFixedPointCharacterization:
         gap = compute_gap(point, costs, net, inst["inv_demand"].cap)
         stepped = fixed_point_step(point, costs, net, 1.0, caps=inst["inv_demand"].cap)
         move = max(
-            float(np.abs(stepped.flow_matrix() - point.flow_matrix()).max()),
+            float(np.abs(stepped.flows - point.flows).max()),
             float(np.abs(stepped.demands - point.demands).max()),
         )
         # near-zero gap goes with a near-fixed point and vice versa
@@ -241,7 +238,7 @@ class TestSolve:
         # cost at the solution equals the zero-flow minimum
         costs0 = f_map(inst["network"], zero_point(inst["network"], grid),
                        inst["penalty"], inst["inv_demand"], grid)
-        v_min = float(costs0.psi[0].values.min())
+        v_min = float(costs0.psi[0].min())
         q_star = bisect_demand(
             theta0=float(inst["inv_demand"].intercept[0]),
             theta1=float(inst["inv_demand"].slope[0]),
@@ -256,7 +253,7 @@ class TestSolve:
         report = solve(
             inst["network"], inst["penalty"], inst["inv_demand"], inst["config"], grid=grid
         )
-        h = report.point.flow_matrix()
+        h = report.point.flows
         assert np.abs(h[0] - h[1]).max() <= 1e-6 * max(h.max(), 1.0)
 
     def test_gap_history_starts_at_initial_gap(self, congested_bottleneck):
@@ -272,8 +269,7 @@ class TestSolve:
     def test_nonconvergence_reported_not_hidden(self, congested_bottleneck):
         inst = congested_bottleneck
         grid = grid_of(inst)
-        config = SolverConfig(n=grid.n, alpha=inst["config"].alpha, max_iters=1,
-                              gap_rtol=1e-6)
+        config = SolverConfig(alpha=inst["config"].alpha, max_iters=1, gap_rtol=1e-6)
         report = solve(inst["network"], inst["penalty"], inst["inv_demand"], config,
                        grid=grid)
         assert not report.converged
@@ -286,7 +282,7 @@ class TestSolve:
         report = solve(inst["network"], inst["penalty"], None, inst["config"],
                        grid=grid, pinned_demand=pinned)
         assert report.point.demands[0] == pytest.approx(200.0)
-        vol = float(report.point.flows[0].values.sum()) * grid.dt
+        vol = float(report.point.flows[0].sum()) * grid.dt
         assert vol == pytest.approx(200.0, rel=1e-9)
 
     def test_mode_arguments_are_exclusive(self, congested_bottleneck):

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from edue.cost import CostField
-from edue.grid import ExtendedPoint, Profile, TimeGrid
+from edue.grid import ExtendedPoint, TimeGrid
 from edue.solver import compute_gap, f_map, solve
 from edue.verify import best_response, due_residuals, random_probe, vi_lhs
 
 from conftest import grid_of, single_link_network
 
 
-def toy_costs(grid, psi_vals, theta):
-    return CostField(
-        psi=tuple(Profile(grid, v) for v in psi_vals), theta=np.asarray(theta, float)
-    )
+def toy_costs(psi_vals, theta):
+    return CostField(psi=psi_vals, theta=theta)
 
 
 class TestResiduals:
@@ -20,7 +18,7 @@ class TestResiduals:
         grid = TimeGrid(0.0, 1.0, 2)
         net = single_link_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[0.0, 30.0]]), np.array([15.0]))
-        costs = toy_costs(grid, [[0.5, 0.3]], [0.3])
+        costs = toy_costs([[0.5, 0.3]], [0.3])
         rep = due_residuals(point, costs, net)
         assert rep.max_r1() == 0.0
         assert rep.max_r2() == 0.0
@@ -31,7 +29,7 @@ class TestResiduals:
         grid = TimeGrid(0.0, 1.0, 2)
         net = single_link_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[10.0, 30.0]]), np.array([20.0]))
-        costs = toy_costs(grid, [[0.5, 0.3]], [0.3])
+        costs = toy_costs([[0.5, 0.3]], [0.3])
         rep = due_residuals(point, costs, net)
         # 10 veh/h * 0.2 h excess * 0.5 h cell width
         assert rep.r1[0] == pytest.approx(10.0 * 0.2 * 0.5)
@@ -41,7 +39,7 @@ class TestResiduals:
         grid = TimeGrid(0.0, 1.0, 2)
         net = single_link_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[0.0, 30.0]]), np.array([15.0]))
-        costs = toy_costs(grid, [[0.2, 0.3]], [0.3])
+        costs = toy_costs([[0.2, 0.3]], [0.3])
         rep = due_residuals(point, costs, net)
         assert rep.r2[0] == pytest.approx(0.1)
         assert not rep.is_equilibrium()
@@ -50,7 +48,7 @@ class TestResiduals:
         grid = TimeGrid(0.0, 1.0, 2)
         net = single_link_network()
         point = ExtendedPoint.from_matrix(grid, np.zeros((1, 2)), np.array([0.0]))
-        costs = toy_costs(grid, [[0.5, 0.3]], [0.3])
+        costs = toy_costs([[0.5, 0.3]], [0.3])
         rep = due_residuals(point, costs, net)
         assert rep.v[0] == pytest.approx(0.3)
         assert rep.max_r1() == 0.0
@@ -97,7 +95,7 @@ class TestViLhs:
         res = report.residuals
         q = float(x.demands[0])
         for a in (0.5, 2.0):
-            h = a * x.flow_matrix()
+            h = a * x.flows
             probe = ExtendedPoint.from_matrix(grid, h, np.array([a * q]))
             lhs = vi_lhs(x, probe, costs, net)
             predicted = (a - 1.0) * (res.v[0] - res.theta[0]) * q
@@ -116,7 +114,7 @@ class TestViLhs:
         probe = random_probe(rng, net, inst["inv_demand"].cap, grid)
         costs = f_map(net, x, inst["penalty"], inst["inv_demand"], grid)
         swap = lambda pt: ExtendedPoint.from_matrix(
-            grid, pt.flow_matrix()[::-1].copy(), pt.demands
+            grid, pt.flows[::-1].copy(), pt.demands
         )
         costs_sw = CostField(psi=(costs.psi[1], costs.psi[0]), theta=costs.theta)
         assert vi_lhs(swap(x), swap(probe), costs_sw, net) == pytest.approx(
@@ -128,19 +126,19 @@ class TestResponses:
     def test_best_response_concentrates_on_cheapest_cell(self):
         grid = TimeGrid(0.0, 1.0, 2)
         net = single_link_network()
-        costs = toy_costs(grid, [[0.5, 0.2]], [0.3])
+        costs = toy_costs([[0.5, 0.2]], [0.3])
         br = best_response(costs, net, np.array([40.0]), grid)
         assert br.demands[0] == 40.0
-        assert br.flows[0].values[1] == pytest.approx(80.0)
-        assert br.flows[0].values[0] == 0.0
+        assert br.flows[0][1] == pytest.approx(80.0)
+        assert br.flows[0][0] == 0.0
 
     def test_best_response_empty_when_overpriced(self):
         grid = TimeGrid(0.0, 1.0, 2)
         net = single_link_network()
-        costs = toy_costs(grid, [[0.5, 0.4]], [0.3])
+        costs = toy_costs([[0.5, 0.4]], [0.3])
         br = best_response(costs, net, np.array([40.0]), grid)
         assert br.demands[0] == 0.0
-        assert np.all(br.flows[0].values == 0.0)
+        assert np.all(br.flows[0] == 0.0)
 
     def test_random_probe_feasible(self, two_parallel_elastic):
         inst = two_parallel_elastic
@@ -149,6 +147,6 @@ class TestResponses:
         caps = inst["inv_demand"].cap
         for _ in range(50):
             probe = random_probe(rng, inst["network"], caps, grid)
-            vol = sum(float(f.values.sum()) for f in probe.flows) * grid.dt
+            vol = float(probe.flows.sum()) * grid.dt
             assert vol == pytest.approx(float(probe.demands[0]), rel=1e-9)
             assert probe.demands[0] <= caps[0]
