@@ -5,7 +5,7 @@ discretized equilibrium problem, verification against the equilibrium
 definition, and a brute-force oracle for tiny instances.
 """
 
-from .cost import A1ViolationError, CostField, SchedulePenalty, check_slope_bound, effective_delay, min_travel_cost
+from .cost import A1ViolationError, CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
 from .dnl import HorizonOverflowError, LoadingResult, load
 from .grid import ExtendedPoint, TimeGrid, essential_infimum, inner_product, integrate, is_feasible

@@ -74,14 +74,14 @@ class Scenario:
         self.network = Network(links=links, paths=paths, arrival_target=self.arrival_target)
 
         sol = _require(doc, "solver", dict)
-        self.n = int(_number(sol, "n"))  # grid cells
+        self.n = _integer(sol, "n")  # grid cells
         self.config = SolverConfig(
             alpha=_number(sol, "alpha"),
-            max_iters=int(_number(sol, "max_iters")),
+            max_iters=_integer(sol, "max_iters"),
             gap_tol=_number(sol, "gap_tol") if "gap_tol" in sol else 0.0,
             gap_rtol=_number(sol, "gap_rtol") if "gap_rtol" in sol else 1e-6,
             halve_on_stall=(
-                int(_number(sol, "halve_on_stall"))
+                _integer(sol, "halve_on_stall")
                 if sol.get("halve_on_stall") is not None else 40
             ),
         )
@@ -124,9 +124,6 @@ class Scenario:
     def grid(self) -> TimeGrid:
         return TimeGrid(self.t0, self.tf, self.n)
 
-    def validate(self) -> list[str]:
-        return net_mod.validate(self.network, self.grid())
-
 
 def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
@@ -148,6 +145,13 @@ def _number(doc: dict, key: str) -> float:
     return float(value)
 
 
+def _integer(doc: dict, key: str) -> int:
+    value = _number(doc, key)
+    if not value.is_integer():
+        raise ScenarioError(f"field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_scenario(path: Path) -> Scenario:
     try:
         doc = json.loads(path.read_text())
@@ -158,7 +162,7 @@ def load_scenario(path: Path) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be a JSON object")
     scenario = Scenario(doc)
-    violations = scenario.validate()
+    violations = net_mod.validate(scenario.network, scenario.grid())
     if violations:
         raise ScenarioError("invalid network: " + "; ".join(violations))
     return scenario
@@ -282,7 +286,7 @@ def write_curves_csv(path: Path, result: dnl.LoadingResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _cmd_solve(scenario: Scenario, out_dir: Path, seed: int | None) -> int:
+def _cmd_solve(scenario: Scenario, out_dir: Path) -> int:
     grid = scenario.grid()
     report = solver.solve(
         scenario.network,
@@ -296,8 +300,6 @@ def _cmd_solve(scenario: Scenario, out_dir: Path, seed: int | None) -> int:
     write_costs_csv(out_dir / "costs.csv", scenario.network, report.costs)
     write_gap_csv(out_dir / "gap.csv", report.gap_history)
     summary = report.summary_lines()
-    if seed is not None:
-        summary.append(f"seed (recorded, unused): {seed}")
     (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
     print("\n".join(summary))
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
@@ -365,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("flows", type=Path, help="flows.csv input file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--n", type=int, default=None, help="override grid resolution")
-        p.add_argument("--alpha", type=float, default=None, help="override step size")
-        p.add_argument("--max-iters", type=int, default=None, help="override iteration cap")
-        p.add_argument("--gap-tol", type=float, default=None, help="override absolute gap target")
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded in the report; no stochastic component uses it")
+        if name == "solve":
+            p.add_argument("--alpha", type=float, default=None, help="override step size")
+            p.add_argument("--max-iters", type=int, default=None, help="override iteration cap")
+            p.add_argument("--gap-tol", type=float, default=None,
+                           help="override absolute gap target")
     return parser
 
 
@@ -379,18 +381,18 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(args.scenario)
         if args.n is not None:
             scenario.n = args.n
-        overrides = {
-            name: value
-            for name, value in (("alpha", args.alpha), ("max_iters", args.max_iters),
-                                ("gap_tol", args.gap_tol))
-            if value is not None
-        }
-        if overrides:
+        if args.command == "solve":
+            overrides = {
+                name: value
+                for name, value in (("alpha", args.alpha), ("max_iters", args.max_iters),
+                                    ("gap_tol", args.gap_tol))
+                if value is not None
+            }
             scenario.config = dataclasses.replace(scenario.config, **overrides)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
-            return _cmd_solve(scenario, out_dir, args.seed)
+            return _cmd_solve(scenario, out_dir)
         if args.command == "load":
             return _cmd_load(scenario, args.flows, out_dir)
         if args.command == "check":

@@ -14,15 +14,12 @@ import numpy as np
 
 from .dnl import LoadingResult
 from .grid import ShapeError
-from .network import Network
 
 __all__ = [
     "A1ViolationError",
     "SchedulePenalty",
     "CostField",
-    "check_slope_bound",
     "effective_delay",
-    "min_travel_cost",
 ]
 
 
@@ -48,29 +45,22 @@ class SchedulePenalty:
                 raise ValueError(f"penalty {name} must be finite, got {value!r}")
         if self.early < 0.0 or self.late < 0.0:
             raise ValueError("penalty slopes must be nonnegative")
+        if self.early >= 1.0:
+            raise A1ViolationError(
+                f"early penalty slope {self.early} >= 1 makes the slope bound "
+                f"{-self.early} <= -1"
+            )
 
     def __call__(self, x):
         """The penalty at x, elementwise for an array."""
         return self.early * np.maximum(0.0, -x) + self.late * np.maximum(0.0, x)
 
     def slope_bound(self) -> float:
-        """The largest Delta with f(x2) - f(x1) >= Delta * (x2 - x1) for x1 < x2."""
-        return check_slope_bound(self)
+        """The largest Delta with f(x2) - f(x1) >= Delta * (x2 - x1) for x1 < x2.
 
-
-def check_slope_bound(penalty: SchedulePenalty) -> float:
-    """Return Delta = -early for the two-slope family; reject Delta <= -1.
-
-    For this family the bound is analytic: the steepest descent of f is the
-    early branch's slope.
-    """
-    delta = -penalty.early
-    if delta <= -1.0:
-        raise A1ViolationError(
-            f"early penalty slope {penalty.early} >= 1 makes the slope bound "
-            f"{delta} <= -1"
-        )
-    return delta
+        For this family the bound is analytic: the steepest descent of f is
+        the early branch's slope."""
+        return -self.early
 
 
 @dataclass(frozen=True)
@@ -105,7 +95,6 @@ def effective_delay(
     Each cell value averages the two endpoint evaluations of
     D(t) + f(t + D(t) - target), using the exact exit-time function.
     """
-    check_slope_bound(penalty)
     grid = result.grid
     exits = result.boundary_exits()
     psi_pts = (exits - grid.boundaries) + penalty(exits - arrival_target)
@@ -118,8 +107,3 @@ def effective_delay(
         )
     return vals
 
-
-def min_travel_cost(costs: CostField, network: Network, od_index: int) -> float:
-    """Discrete minimum travel cost of an OD pair: the least cell-averaged
-    effective delay over its paths and cells."""
-    return float(network.od_min(costs.psi)[od_index])

@@ -209,20 +209,6 @@ class LoadingResult:
         bounds = self.grid.boundaries
         return np.array([self.exit_times(p, bounds) for p in range(len(self.network.paths))])
 
-    def exit_time(self, path_index: int, t: float) -> float:
-        """Clock time at which a marginal traveler departing at t on the path
-        reaches the destination."""
-        return float(self.exit_times(path_index, t))
-
-    def delay(self, path_index: int, t: float) -> float:
-        return self.exit_time(path_index, t) - t
-
-    def delay_profiles(self) -> np.ndarray:
-        """Cell-averaged path delays, one row per path: average of the two
-        cell-endpoint values of the exact piecewise-linear delay function."""
-        d = self.boundary_exits() - self.grid.boundaries
-        return 0.5 * (d[:, :-1] + d[:, 1:])
-
 
 def load(
     network: Network,

@@ -64,12 +64,6 @@ class TimeGrid:
         b.setflags(write=False)
         return b
 
-    def cell_bounds(self, j: int) -> tuple[float, float]:
-        if not 0 <= j < self.n:
-            raise IndexError(f"cell index {j} out of range for n={self.n}")
-        b = self.boundaries
-        return float(b[j]), float(b[j + 1])
-
 
 def integrate(grid: TimeGrid, values) -> np.ndarray | float:
     """Exact integral of step functions on the grid: the sum of cell values

@@ -7,7 +7,7 @@ problem and the equilibrium model takes the set as given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,12 +53,16 @@ class Path:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable network: links, paths, OD pairs and the shared desired arrival time."""
+    """Immutable network: links, paths and the shared desired arrival time.
+
+    The OD pairs are those of the paths, in order of first appearance;
+    ``path_od`` holds each path's OD pair index (read-only)."""
 
     links: tuple[Link, ...]
     paths: tuple[Path, ...]
     arrival_target: float  # desired arrival time, hours
-    od_pairs: tuple[tuple[str, str], ...] = ()
+    od_pairs: tuple[tuple[str, str], ...] = field(init=False)
+    path_od: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         links = tuple(self.links)
@@ -67,35 +71,18 @@ class Network:
             raise StructureError("duplicate link ids")
         if len({p.id for p in paths}) != len(paths):
             raise StructureError("duplicate path ids")
-        od_pairs = tuple(self.od_pairs)
-        if not od_pairs:
-            seen: list[tuple[str, str]] = []
-            for p in paths:
-                od = (p.origin, p.destination)
-                if od not in seen:
-                    seen.append(od)
-            od_pairs = tuple(seen)
+        od_index: dict[tuple[str, str], int] = {}
+        path_od = np.array([od_index.setdefault((p.origin, p.destination), len(od_index))
+                            for p in paths], dtype=np.intp)
+        path_od.setflags(write=False)
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "od_pairs", od_pairs)
+        object.__setattr__(self, "od_pairs", tuple(od_index))
+        object.__setattr__(self, "path_od", path_od)
 
     @cached_property
     def link_by_id(self) -> dict[str, Link]:
         return {l.id: l for l in self.links}
-
-    def od_index(self, origin: str, destination: str) -> int:
-        try:
-            return self.od_pairs.index((origin, destination))
-        except ValueError:
-            raise StructureError(f"unknown OD pair {origin}->{destination}") from None
-
-    @cached_property
-    def path_od(self) -> np.ndarray:
-        """For each path index, the index of its OD pair (read-only)."""
-        out = np.array([self.od_index(p.origin, p.destination) for p in self.paths],
-                       dtype=np.intp)
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def od_paths(self) -> tuple[tuple[int, ...], ...]:
@@ -113,9 +100,6 @@ class Network:
         """(OD pairs, most paths of one pair) path indices, read-only: row w
         lists od_paths[w] and repeats its last path to fill the row. A
         reduction along a row meets the pair's paths in od_paths order."""
-        empty = [od for od, paths in zip(self.od_pairs, self.od_paths) if not paths]
-        if empty:
-            raise StructureError(f"OD pair {empty[0][0]}->{empty[0][1]} has no paths")
         width = max(len(paths) for paths in self.od_paths)
         rows = np.array([paths + paths[-1:] * (width - len(paths)) for paths in self.od_paths],
                         dtype=np.intp)
@@ -157,9 +141,6 @@ class Network:
     def path_links(self, path_index: int) -> tuple[Link, ...]:
         by_id = self.link_by_id
         return tuple(by_id[lid] for lid in self.paths[path_index].link_ids)
-
-    def path_free_flow_time(self, path_index: int) -> float:
-        return sum(l.free_flow_time for l in self.path_links(path_index))
 
     @cached_property
     def routes(self) -> tuple[tuple[Link, ...], ...]:
@@ -256,9 +237,6 @@ def validate(network: Network, grid: TimeGrid) -> list[str]:
                 violations.append(
                     f"path {path.id}: links {a.id} and {b.id} are not adjacent"
                 )
-    for od in network.od_pairs:
-        if not any((p.origin, p.destination) == od for p in network.paths):
-            violations.append(f"OD pair {od[0]}->{od[1]}: empty path set")
     if not network.arrival_target < grid.tf:
         violations.append("desired arrival time must precede the horizon end")
     return violations

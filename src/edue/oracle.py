@@ -26,6 +26,8 @@ __all__ = ["TinyInstance", "OracleResult", "brute_force_equilibrium"]
 
 MAX_DIMENSIONALITY = 20
 MAX_LATTICE_POINTS = 200_000
+RESOLUTION = 5  # lattice points per coordinate
+REFINE_ROUNDS = 6
 CERTIFY_REL = 1e-8
 
 
@@ -97,14 +99,13 @@ def _lattice_search(
     objective: _GapObjective,
     center: np.ndarray,
     half_width: float,
-    resolution: int,
     upper: float,
 ) -> tuple[np.ndarray, float]:
     axes = []
     for c in center:
         lo = max(0.0, c - half_width)
         hi = min(upper, c + half_width)
-        axes.append(np.linspace(lo, hi, resolution))
+        axes.append(np.linspace(lo, hi, RESOLUTION))
     best_x, best_gap = None, np.inf
     for combo in itertools.product(*axes):
         x = np.array(combo)
@@ -138,38 +139,32 @@ def _compass_search(
     return x, gap
 
 
-def brute_force_equilibrium(
-    inst: TinyInstance,
-    resolution: int = 5,
-    refine_rounds: int = 6,
-) -> OracleResult:
+def brute_force_equilibrium(inst: TinyInstance) -> OracleResult:
     """Search the flow lattice for the minimum-gap point.
 
     Returns the refined incumbent; ``certified`` marks whether its gap fell
     below 1e-8 of the problem scale. An uncertified point is still the best
     found, it simply carries no optimality evidence.
     """
-    if refine_rounds < 4:
-        raise ValueError("at least 4 refinement rounds are required")
     objective = _GapObjective(inst)
     dim = len(inst.network.paths) * inst.grid.n
-    if resolution**dim > MAX_LATTICE_POINTS:
+    if RESOLUTION**dim > MAX_LATTICE_POINTS:
         raise ValueError(
-            f"lattice of {resolution}^{dim} points exceeds the search budget"
+            f"lattice of {RESOLUTION}^{dim} points exceeds the search budget"
         )
     upper = lemma2_bound(inst.network, inst.penalty)
     center = np.full(dim, upper / 2.0)
-    x, gap = _lattice_search(objective, center, upper / 2.0, resolution, upper)
+    x, gap = _lattice_search(objective, center, upper / 2.0, upper)
 
     # local polish: compass search from the coarse incumbent
-    spacing = upper / (resolution - 1) if resolution > 1 else upper
+    spacing = upper / (RESOLUTION - 1)
     x, gap = _compass_search(objective, x, gap, spacing, upper, min_step=upper * 1e-14)
 
     # shrinking refinement lattices around the incumbent; the lattice rarely
     # contains the incumbent itself, so keep it unless the lattice improves
     half_width = spacing
-    for _ in range(refine_rounds):
-        x_cand, gap_cand = _lattice_search(objective, x, half_width, resolution, upper)
+    for _ in range(REFINE_ROUNDS):
+        x_cand, gap_cand = _lattice_search(objective, x, half_width, upper)
         if gap_cand < gap:
             x, gap = x_cand, gap_cand
         half_width /= 10.0

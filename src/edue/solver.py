@@ -14,13 +14,12 @@ non-convergence is reported honestly via the gap history and exit status.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dnl, verify
-from .cost import CostField, SchedulePenalty, check_slope_bound, effective_delay
+from .cost import CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
 from .grid import ExtendedPoint, TimeGrid
 from .network import Network, max_exit_capacity
@@ -52,6 +51,12 @@ class SolverConfig:
                 raise ValueError(f"solver {name} must be finite, got {value!r}")
         if self.alpha <= 0.0:
             raise ValueError("step size must be positive")
+        if not isinstance(self.max_iters, int):
+            raise ValueError(f"solver max_iters must be an integer, got {self.max_iters!r}")
+        if not (self.halve_on_stall is None or isinstance(self.halve_on_stall, int)):
+            raise ValueError(
+                f"solver halve_on_stall must be an integer or None, got {self.halve_on_stall!r}"
+            )
         if self.max_iters < 1:
             raise ValueError("at least one iteration is required")
         if self.gap_tol < 0.0 or self.gap_rtol < 0.0:
@@ -65,7 +70,6 @@ class SolveReport:
     gap_history: list[tuple[int, float, float, float, float]]  # iter, gap, max_r1, max_r2, alpha
     converged: bool
     iterations: int
-    wall_time: float
     residuals: "verify.ResidualReport"
     flow_bound: float  # 3 * M^max / (Delta + 1)
     max_cell_flow: float
@@ -174,8 +178,7 @@ def compute_gap(
 
 def lemma2_bound(network: Network, penalty: SchedulePenalty) -> float:
     """Upper bound 3 * M^max / (Delta + 1) on equilibrium cell flows (veh/h)."""
-    delta = check_slope_bound(penalty)
-    return 3.0 * max_exit_capacity(network) / (delta + 1.0)
+    return 3.0 * max_exit_capacity(network) / (penalty.slope_bound() + 1.0)
 
 
 def zero_point(network: Network, grid: TimeGrid) -> ExtendedPoint:
@@ -188,7 +191,7 @@ def solve(
     penalty: SchedulePenalty,
     inv_demand: InverseDemand | None,
     config: SolverConfig,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
     pinned_demand: np.ndarray | None = None,
     warm_start: ExtendedPoint | None = None,
 ) -> SolveReport:
@@ -200,10 +203,6 @@ def solve(
     """
     if (inv_demand is None) == (pinned_demand is None):
         raise ValueError("pass exactly one of inv_demand (elastic) or pinned_demand (fixed)")
-    check_slope_bound(penalty)
-    if grid is None:
-        raise ValueError("a time grid is required")
-    t_begin = time.perf_counter()
 
     if pinned_demand is not None:
         caps = np.asarray(pinned_demand, dtype=float)
@@ -227,6 +226,7 @@ def solve(
     best_gap = np.inf
     best_point = point
     best_costs: CostField | None = None
+    best_res: verify.ResidualReport | None = None
     stall = 0
     initial_gap = np.nan
     converged = False
@@ -240,7 +240,7 @@ def solve(
         if iteration == 0:
             initial_gap = gap
         if best_costs is None or gap < best_gap - 1e-15 * max(1.0, abs(best_gap)):
-            best_gap, best_point, best_costs = gap, point, costs
+            best_gap, best_point, best_costs, best_res = gap, point, costs, res
             stall = 0
         else:
             stall += 1
@@ -250,13 +250,12 @@ def solve(
         target = max(config.gap_tol, config.gap_rtol * max(initial_gap, 0.0))
         if gap <= target:
             converged = True
-            best_gap, best_point, best_costs = gap, point, costs
+            best_gap, best_point, best_costs, best_res = gap, point, costs, res
             break
         point = fixed_point_step(point, costs, network, alpha, caps=caps,
                                  pinned_demand=pinned_demand)
 
-    assert best_costs is not None
-    residuals = verify.due_residuals(best_point, best_costs, network)
+    assert best_costs is not None and best_res is not None
     bound = lemma2_bound(network, penalty)
     max_flow = float(best_point.flows.max())
     caps_active = (np.flatnonzero(best_point.demands >= caps * (1.0 - 1e-12)).tolist()
@@ -267,8 +266,7 @@ def solve(
         gap_history=history,
         converged=converged,
         iterations=len(history),
-        wall_time=time.perf_counter() - t_begin,
-        residuals=residuals,
+        residuals=best_res,
         flow_bound=bound,
         max_cell_flow=max_flow,
         flow_bound_ok=max_flow <= bound,

@@ -19,6 +19,10 @@ from .network import Network
 __all__ = ["ResidualReport", "due_residuals", "vi_lhs", "best_response", "random_probe"]
 
 DEFAULT_FLOW_THRESHOLD_REL = 1e-6  # of the max cell flow; defines "used" cells
+# tolerances of ResidualReport.is_equilibrium
+EPS_R1 = 1e-4  # r1 relative to demand * theta
+EPS_R2 = 1e-4  # r2 relative to theta
+EPS_DEMAND = 1e-3  # demand gap relative to theta
 
 
 @dataclass(frozen=True)
@@ -43,18 +47,13 @@ class ResidualReport:
     def max_r2(self) -> float:
         return float(self.r2.max())
 
-    def is_equilibrium(
-        self,
-        eps_r1: float = 1e-4,
-        eps_r2: float = 1e-4,
-        eps_demand: float = 1e-3,
-    ) -> bool:
+    def is_equilibrium(self) -> bool:
         """Relative test: r1 against demand * theta, r2 and the demand gap
         against theta, per OD pair."""
         scale1 = np.maximum(self.demand * self.theta, 1e-300)
-        ok1 = np.all(self.r1 <= eps_r1 * scale1)
-        ok2 = np.all(self.r2 <= eps_r2 * self.theta)
-        ok3 = np.all(self.demand_gap <= eps_demand * self.theta)
+        ok1 = np.all(self.r1 <= EPS_R1 * scale1)
+        ok2 = np.all(self.r2 <= EPS_R2 * self.theta)
+        ok3 = np.all(self.demand_gap <= EPS_DEMAND * self.theta)
         return bool(ok1 and ok2 and ok3)
 
     def summary_lines(self) -> list[str]:
@@ -67,19 +66,13 @@ class ResidualReport:
         return lines
 
 
-def due_residuals(
-    point: ExtendedPoint,
-    costs: CostField,
-    network: Network,
-    flow_threshold: float | None = None,
-) -> ResidualReport:
+def due_residuals(point: ExtendedPoint, costs: CostField, network: Network) -> ResidualReport:
     """Residuals of the equilibrium conditions at a feasible point.
 
-    ``flow_threshold`` gives "h > 0" a numerical meaning; it defaults to a
-    small fraction of the maximum cell flow.
+    A cell counts as used ("h > 0") when its flow exceeds
+    DEFAULT_FLOW_THRESHOLD_REL times the maximum cell flow.
     """
-    if flow_threshold is None:
-        flow_threshold = DEFAULT_FLOW_THRESHOLD_REL * float(point.flows.max())
+    flow_threshold = DEFAULT_FLOW_THRESHOLD_REL * float(point.flows.max())
     psi, theta = costs.psi, costs.theta
     excess = np.maximum(0.0, psi - theta[network.path_od, None])
     r1 = network.od_sum((point.flows * excess).sum(axis=1)) * point.grid.dt

@@ -216,8 +216,8 @@ def test_criterion_6_loading_invariants_battery():
         if res.conservation_residual > 1e-9:
             cons_viol += 1
         for p in range(len(net.paths)):
-            exits = [res.exit_time(p, t) for t in grid.boundaries]
-            if not all(b > a for a, b in zip(exits, exits[1:])):
+            exits = res.exit_times(p, grid.boundaries)
+            if not np.all(np.diff(exits) > 0.0):
                 fifo_viol += 1
         for link in net.links:
             samples = res.states[link.id].curve_samples()

@@ -145,6 +145,14 @@ class TestScenarioParsing:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert repr(field) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["n", "max_iters", "halve_on_stall"])
+    def test_non_integer_count_rejected_naming_the_field(self, tmp_path, capsys, field):
+        doc = congested_scenario()
+        doc["solver"][field] = 2.7
+        path = write_scenario(tmp_path, doc)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert f"field {field!r} must be an integer" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_solve_converges_and_writes_outputs(self, tmp_path):

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edue.cost import (
-    A1ViolationError,
-    CostField,
-    SchedulePenalty,
-    check_slope_bound,
-    effective_delay,
-    min_travel_cost,
-)
+from edue.cost import A1ViolationError, CostField, SchedulePenalty, effective_delay
 from edue.dnl import load
 from edue.grid import TimeGrid
 from edue.network import Link, Network, Path
@@ -57,14 +50,14 @@ class TestSchedulePenalty:
 
 class TestSlopeBound:
     def test_moderate_early_slope(self):
-        assert check_slope_bound(SchedulePenalty(0.4, 2.0)) == pytest.approx(-0.4)
+        assert SchedulePenalty(0.4, 2.0).slope_bound() == pytest.approx(-0.4)
 
     def test_zero_early_slope(self):
-        assert check_slope_bound(SchedulePenalty(0.0, 3.0)) == 0.0
+        assert SchedulePenalty(0.0, 3.0).slope_bound() == 0.0
 
     def test_unit_early_slope_rejected(self):
         with pytest.raises(A1ViolationError):
-            check_slope_bound(SchedulePenalty(1.0, 2.0))
+            SchedulePenalty(1.0, 2.0)
 
 
 def bottleneck_instance():
@@ -85,7 +78,7 @@ class TestEffectiveDelay:
         grid = TimeGrid(0.0, 10 * MIN, 2)
         res = load(net, [[0.0, 0.0]], grid)
         psi = effective_delay(res, SchedulePenalty(0.5, 2.0), net.arrival_target)
-        exits = res.exit_time(0, 0.0)
+        exits = res.exit_times(0, 0.0)
         assert exits == pytest.approx(5 * MIN)
         pt = (exits - 0.0) + 0.5 * (45 * MIN - exits)
         assert pt == pytest.approx(25 * MIN)
@@ -102,11 +95,11 @@ class TestEffectiveDelay:
         grid = TimeGrid(0.0, 50 * MIN, 5)
         res = load(net, [[120.0, 0.0, 0.0, 0.0, 0.0]], grid)
         penalty = SchedulePenalty(0.5, 2.0)
-        exits_10 = res.exit_time(0, 10 * MIN)
+        exits_10 = res.exit_times(0, 10 * MIN)
         assert exits_10 == pytest.approx(25 * MIN, rel=1e-9)
         psi_10 = (exits_10 - 10 * MIN) + penalty(exits_10 - net.arrival_target)
         assert psi_10 == pytest.approx(25 * MIN, rel=1e-9)
-        exits_50 = res.exit_time(0, 50 * MIN)
+        exits_50 = res.exit_times(0, 50 * MIN)
         assert exits_50 == pytest.approx(55 * MIN, rel=1e-9)
         psi_50 = (exits_50 - 50 * MIN) + penalty(exits_50 - net.arrival_target)
         assert psi_50 == pytest.approx(25 * MIN, rel=1e-9)
@@ -116,8 +109,8 @@ class TestEffectiveDelay:
         grid = TimeGrid(0.0, 10 * MIN, 4)
         res = load(net, [[120.0] * 4], grid)
         psi = effective_delay(res, SchedulePenalty(0.0, 0.0), net.arrival_target)
-        (dprof,) = res.delay_profiles()
-        assert np.allclose(psi[0], dprof)
+        d = res.exit_times(0, grid.boundaries) - grid.boundaries
+        assert np.allclose(psi[0], 0.5 * (d[:-1] + d[1:]))
 
     def test_invalid_penalty_rejected_before_evaluation(self):
         net = bottleneck_instance()
@@ -151,4 +144,4 @@ class TestMinTravelCost:
             psi=[[0.4, 0.3], [0.25, 0.6]],
             theta=np.array([0.0]),
         )
-        assert min_travel_cost(costs, net, 0) == pytest.approx(0.25)
+        assert net.od_min(costs.psi)[0] == pytest.approx(0.25)

@@ -11,6 +11,13 @@ from oracles import single_link_delay
 MIN = 1 / 60.0  # one minute in hours
 
 
+def cell_delays(res, p):
+    """Cell-averaged delays of path p: the mean of the two cell-endpoint
+    values of the exact piecewise-linear delay function."""
+    d = res.exit_times(p, res.grid.boundaries) - res.grid.boundaries
+    return 0.5 * (d[:-1] + d[1:])
+
+
 def single_link(tau_min=5.0, cap_per_min=1.0):
     link = Link("a", "O", "D", free_flow_time=tau_min * MIN, exit_capacity=cap_per_min * 60.0)
     return Network(links=(link,), paths=(Path("p", ("a",), "O", "D"),), arrival_target=0.5)
@@ -21,8 +28,8 @@ class TestFreeFlow:
         net = single_link()
         grid = TimeGrid(0.0, 10 * MIN, 2)
         res = load(net, [[0.0, 0.0]], grid)
-        for t in grid.boundaries:
-            assert res.delay(0, t) == pytest.approx(5 * MIN, abs=1e-12)
+        delays = res.exit_times(0, grid.boundaries) - grid.boundaries
+        assert delays == pytest.approx(5 * MIN, abs=1e-12)
 
     def test_two_links_huge_capacity(self):
         links = (
@@ -32,15 +39,14 @@ class TestFreeFlow:
         net = Network(links=links, paths=(Path("p", ("a", "b"), "O", "D"),), arrival_target=0.5)
         grid = TimeGrid(0.0, 10 * MIN, 4)
         res = load(net, [[300.0, 0.0, 120.0, 60.0]], grid)
-        for t in grid.boundaries:
-            assert res.delay(0, t) == pytest.approx(10 * MIN, rel=1e-12)
+        delays = res.exit_times(0, grid.boundaries) - grid.boundaries
+        assert delays == pytest.approx(10 * MIN, rel=1e-12)
 
     def test_delay_profiles_constant_at_free_flow(self):
         net = single_link()
         grid = TimeGrid(0.0, 10 * MIN, 4)
         res = load(net, [[0.1] * 4], grid)
-        (prof,) = res.delay_profiles()
-        assert np.allclose(prof, 5 * MIN)
+        assert np.allclose(cell_delays(res, 0), 5 * MIN)
 
 
 class TestBottleneck:
@@ -54,8 +60,8 @@ class TestBottleneck:
 
     def test_hand_computed_endpoints(self):
         _, _, res = self.make()
-        assert res.delay(0, 0.0) == pytest.approx(5 * MIN, abs=1e-12)
-        assert res.delay(0, 10 * MIN) == pytest.approx(15 * MIN, rel=1e-9)
+        assert res.exit_times(0, 0.0) == pytest.approx(5 * MIN, abs=1e-12)
+        assert res.exit_times(0, 10 * MIN) - 10 * MIN == pytest.approx(15 * MIN, rel=1e-9)
 
     def test_against_independent_simulator(self):
         _, _, res = self.make()
@@ -69,7 +75,7 @@ class TestBottleneck:
                 t_max=1.0,
                 dt=1e-5,
             )
-            assert res.delay(0, depart_min * MIN) == pytest.approx(
+            assert res.exit_times(0, depart_min * MIN) - depart_min * MIN == pytest.approx(
                 expected, abs=2e-5
             ), f"departure at {depart_min} min"
 
@@ -79,8 +85,7 @@ class TestBottleneck:
         net = single_link(tau_min=5.0, cap_per_min=1.0)
         grid = TimeGrid(0.0, 15 * MIN, 3)
         res = load(net, [[120.0, 120.0, 0.0]], grid)
-        (prof,) = res.delay_profiles()
-        assert prof[2] == pytest.approx(12.5 * MIN, rel=1e-9)
+        assert cell_delays(res, 0)[2] == pytest.approx(12.5 * MIN, rel=1e-9)
 
     def test_queue_episode_inside_one_cell(self):
         # A short burst well above capacity creates a queue that clears
@@ -89,7 +94,7 @@ class TestBottleneck:
         grid = TimeGrid(0.0, 40 * MIN, 4)
         vals = [0.0, 1200.0, 0.0, 0.0]  # 20 veh/min on [10, 20) min
         res = load(net, [vals], grid)
-        (prof,) = res.delay_profiles()
+        prof = cell_delays(res, 0)
         assert prof[1] > 5 * MIN
         assert prof[0] == pytest.approx(5 * MIN, abs=1e-12)
         assert prof[3] == pytest.approx(5 * MIN, abs=1e-12)
@@ -112,11 +117,11 @@ class TestSharedLink:
         grid = TimeGrid(0.0, 10 * MIN, 2)
         flows = [[60.0, 60.0], [60.0, 60.0]]
         res = load(net, flows, grid)
-        for t in grid.boundaries:
-            assert res.delay(0, t) == pytest.approx(res.delay(1, t), rel=1e-12)
+        exits = res.exit_times(0, grid.boundaries)
+        assert exits == pytest.approx(res.exit_times(1, grid.boundaries), rel=1e-12)
         # combined inflow is 2 veh/min against 1 veh/min capacity: same
         # queueing as the single-path bottleneck
-        assert res.delay(0, 10 * MIN) == pytest.approx(20 * MIN, rel=1e-9)
+        assert exits[-1] - 10 * MIN == pytest.approx(20 * MIN, rel=1e-9)
 
 
 def random_loading(seed, n_cells=6, positive=True):
@@ -148,8 +153,8 @@ class TestInvariants:
             net, grid, flows = random_loading(seed, positive=True)
             res = load(net, flows, grid)
             for p in range(2):
-                exits = [res.exit_time(p, t) for t in grid.boundaries]
-                assert all(b > a for a, b in zip(exits, exits[1:])), f"seed {seed}"
+                exits = res.exit_times(p, grid.boundaries)
+                assert np.all(np.diff(exits) > 0.0), f"seed {seed}"
 
     def test_capacity_respected_battery(self):
         for seed in range(30):
@@ -168,9 +173,9 @@ class TestInvariants:
             net, grid, flows = random_loading(seed)
             res = load(net, flows, grid)
             for p in range(2):
-                fft = net.path_free_flow_time(p)
-                for t in grid.boundaries:
-                    assert res.delay(p, t) >= fft - 1e-12
+                fft = sum(link.free_flow_time for link in net.routes[p])
+                delays = res.exit_times(p, grid.boundaries) - grid.boundaries
+                assert np.all(delays >= fft - 1e-12)
 
     def test_causality(self):
         # Delay for a departure is unchanged by flow in cells that start
@@ -180,13 +185,13 @@ class TestInvariants:
         base = [120.0, 120.0, 0.0, 0.0, 0.0, 0.0]
         res_a = load(net, [base], grid)
         t_probe = 5 * MIN
-        exit_probe = res_a.exit_time(0, t_probe)
+        exit_probe = res_a.exit_times(0, t_probe)
         # cell 5 starts at 25 min; make sure it is after the probe's exit
         assert grid.boundaries[5] > exit_probe
         perturbed = list(base)
         perturbed[5] = 500.0
         res_b = load(net, [perturbed], grid)
-        assert res_b.delay(0, t_probe) == pytest.approx(res_a.delay(0, t_probe), rel=1e-12)
+        assert res_b.exit_times(0, t_probe) == pytest.approx(exit_probe, rel=1e-12)
 
     def test_fifo_rate_inequality(self):
         # (t - s) * min inflow on [s, t] <= M^max * (exit(t) - exit(s)) on a
@@ -197,7 +202,7 @@ class TestInvariants:
             m_max = max(l.exit_capacity for l in net.links)
             for p in range(2):
                 bounds = grid.boundaries
-                exits = [res.exit_time(p, t) for t in bounds]
+                exits = res.exit_times(p, bounds)
                 for i in range(len(bounds) - 1):
                     for j in range(i + 1, len(bounds)):
                         min_inflow = float(np.min(flows[p][i:j]))
@@ -293,10 +298,11 @@ def assert_loading_invariants(net, grid, flows, res):
     quotient of two rounded differences is not accurate to 1e-9 veh/h."""
     assert res.conservation_residual <= 1e-9
     for p, f in enumerate(flows):
-        exits = np.array([res.exit_time(p, t) for t in grid.boundaries])
+        exits = res.exit_times(p, grid.boundaries)
         if np.all(f > 0.0):
             assert np.all(np.diff(exits) > 0.0), f"path {p}"
-        assert np.all(exits - grid.boundaries >= net.path_free_flow_time(p) - 1e-12)
+        fft = sum(link.free_flow_time for link in net.routes[p])
+        assert np.all(exits - grid.boundaries >= fft - 1e-12)
     for link in net.links:
         samples = res.states[link.id].curve_samples()
         if samples.shape[0] < 2:
@@ -315,7 +321,7 @@ class TestCyclicSuccession:
         flows = np.array([rng.uniform(0.0, 900.0, size=6) for _ in net.paths])
         res = load(net, flows, grid)
         for p, expected in enumerate(RING_EXITS[seed]):
-            exits = [res.exit_time(p, t) for t in grid.boundaries]
+            exits = res.exit_times(p, grid.boundaries)
             assert exits == pytest.approx(expected, abs=1e-9), f"path {p}"
         assert_loading_invariants(net, grid, flows, res)
 

@@ -51,10 +51,6 @@ class TestConstruction:
                 inv_demand=InverseDemand([1.0], [0.01], [10.0]),
             )
 
-    def test_minimum_refine_rounds(self):
-        with pytest.raises(ValueError):
-            brute_force_equilibrium(uncongested_tiny(), refine_rounds=3)
-
 
 class TestBruteForce:
     def test_uncongested_matches_bisection(self):
@@ -102,6 +98,9 @@ class TestBruteForce:
                 assert res.point.demands[w] <= cap + 1e-9
 
     def test_lattice_budget_enforced(self):
-        inst = symmetric_tiny()  # dim = 4
-        with pytest.raises(ValueError):
-            brute_force_equilibrium(inst, resolution=40)
+        # 2 paths x 4 cells: 5^8 = 390625 lattice points, over the budget,
+        # at dimensionality 9, within the tractable limit
+        sym = symmetric_tiny()
+        inst = TinyInstance(sym.network, TimeGrid(0.0, 1.0, 4), sym.penalty, sym.inv_demand)
+        with pytest.raises(ValueError, match="search budget"):
+            brute_force_equilibrium(inst)

@@ -308,3 +308,12 @@ class TestConfigValidation:
     def test_non_finite_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5),
+        ("max_iters", 3.0),
+        ("halve_on_stall", 3.7),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
