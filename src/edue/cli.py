@@ -75,16 +75,13 @@ class Scenario:
 
         sol = _require(doc, "solver", dict)
         self.n = _integer(sol, "n")  # grid cells
-        self.config = SolverConfig(
-            alpha=_number(sol, "alpha"),
-            max_iters=_integer(sol, "max_iters"),
-            gap_tol=_number(sol, "gap_tol") if "gap_tol" in sol else 0.0,
-            gap_rtol=_number(sol, "gap_rtol") if "gap_rtol" in sol else 1e-6,
-            halve_on_stall=(
-                _integer(sol, "halve_on_stall")
-                if sol.get("halve_on_stall") is not None else 40
-            ),
-        )
+        # SolverConfig's defaults stand for the keys the scenario leaves out;
+        # "halve_on_stall": null counts as left out
+        given = {"alpha": _number(sol, "alpha"), "max_iters": _integer(sol, "max_iters")}
+        given.update((key, _number(sol, key)) for key in ("gap_tol", "gap_rtol") if key in sol)
+        if sol.get("halve_on_stall") is not None:
+            given["halve_on_stall"] = _integer(sol, "halve_on_stall")
+        self.config = SolverConfig(**given)
 
         pen = _require(doc, "penalty", dict)
         self.penalty = SchedulePenalty(early=_number(pen, "early"), late=_number(pen, "late"))

@@ -18,7 +18,7 @@ DEFAULT_CAP_FRACTION = 0.95  # of the choke demand intercept/slope
 
 
 class DemandDomainError(ValueError):
-    """A demand or cost value falls outside the configured domain."""
+    """A demand value falls outside [0, cap]."""
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,3 @@ class InverseDemand:
                 f"demand outside [0, cap] for OD pair indices {np.flatnonzero(~inside).tolist()}"
             )
         return self.intercept - self.slope * demand
-
-    def theta_inverse(self, cost: np.ndarray) -> np.ndarray:
-        """Demand generated at the given cost vector, clamped to [0, cap]."""
-        cost = np.asarray(cost, dtype=float)
-        flat = self.slope == 0.0
-        (bad,) = np.nonzero(flat & (cost != self.intercept))
-        if bad.size:
-            w = int(bad[0])
-            raise DemandDomainError(
-                f"OD pair index {w}: zero-slope inverse demand is not invertible "
-                f"away from its intercept {self.intercept[w]}"
-            )
-        q = (self.intercept - cost) / np.where(flat, 1.0, self.slope)
-        return np.where(flat, 0.0, np.clip(q, 0.0, self.cap))

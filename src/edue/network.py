@@ -209,6 +209,8 @@ def validate(network: Network, grid: TimeGrid) -> list[str]:
     """Structural checks. Returns a list of human-readable violations;
     an empty list means the network is usable with the given grid."""
     violations: list[str] = []
+    if not network.paths:
+        violations.append("network has no paths")
     by_id = network.link_by_id
     for link in network.links:
         if link.exit_capacity <= 0.0:

@@ -69,15 +69,27 @@ class SolveReport:
     costs: CostField
     gap_history: list[tuple[int, float, float, float, float]]  # iter, gap, max_r1, max_r2, alpha
     converged: bool
-    iterations: int
     residuals: "verify.ResidualReport"
     flow_bound: float  # 3 * M^max / (Delta + 1)
-    max_cell_flow: float
-    flow_bound_ok: bool
     caps_active: list[int]
-    initial_gap: float
     final_gap: float
     mode: str
+
+    @property
+    def iterations(self) -> int:
+        return len(self.gap_history)
+
+    @property
+    def initial_gap(self) -> float:
+        return self.gap_history[0][1]
+
+    @property
+    def max_cell_flow(self) -> float:
+        return float(self.point.flows.max())
+
+    @property
+    def flow_bound_ok(self) -> bool:
+        return self.max_cell_flow <= self.flow_bound
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -128,12 +140,12 @@ def fixed_point_step(
     costs: CostField,
     network: Network,
     alpha: float,
-    caps: np.ndarray | None = None,
+    caps: np.ndarray,
     pinned_demand: np.ndarray | None = None,
 ) -> ExtendedPoint:
     """One projection step: clip flows against alpha-scaled reduced costs,
     re-induce demands, then rescale any OD that overruns its cap (elastic) or
-    misses its pinned demand (fixed mode)."""
+    misses its pinned demand (fixed mode, which ignores ``caps``)."""
     grid = point.grid
     h = np.maximum(0.0, point.flows - alpha * reduced_costs(costs, network))
     vol = network.od_sum(h.sum(axis=1)) * grid.dt
@@ -145,7 +157,7 @@ def fixed_point_step(
             # all of an OD's flow got clipped; restart it at its cheapest cell
             p, j = network.od_argmin(costs.psi)
             h[p[clipped], j[clipped]] = demands[clipped] / grid.dt
-    elif caps is not None and (vol > caps).any():
+    elif (vol > caps).any():
         h *= np.divide(caps, vol, out=np.ones_like(vol), where=vol > caps)[network.path_od, None]
         demands = np.minimum(vol, caps)
     else:
@@ -193,7 +205,6 @@ def solve(
     config: SolverConfig,
     grid: TimeGrid,
     pinned_demand: np.ndarray | None = None,
-    warm_start: ExtendedPoint | None = None,
 ) -> SolveReport:
     """Iterate the projection step from zero flow until the gap target is met
     or the iteration budget runs out.
@@ -207,18 +218,13 @@ def solve(
     if pinned_demand is not None:
         caps = np.asarray(pinned_demand, dtype=float)
         mode = "fixed"
-    else:
-        caps = inv_demand.cap
-        mode = "elastic"
-
-    if warm_start is not None:
-        point = warm_start
-    elif pinned_demand is not None:
         # zero flow is infeasible under pinned demand; start uniform
         per_cell = caps / (np.bincount(network.path_od, minlength=len(caps)) * grid.n * grid.dt)
         h = np.repeat(per_cell[network.path_od, None], grid.n, axis=1)
         point = ExtendedPoint.from_matrix(grid, h, caps)
     else:
+        caps = inv_demand.cap
+        mode = "elastic"
         point = zero_point(network, grid)
 
     alpha = config.alpha
@@ -252,12 +258,9 @@ def solve(
             converged = True
             best_gap, best_point, best_costs, best_res = gap, point, costs, res
             break
-        point = fixed_point_step(point, costs, network, alpha, caps=caps,
-                                 pinned_demand=pinned_demand)
+        point = fixed_point_step(point, costs, network, alpha, caps, pinned_demand)
 
     assert best_costs is not None and best_res is not None
-    bound = lemma2_bound(network, penalty)
-    max_flow = float(best_point.flows.max())
     caps_active = (np.flatnonzero(best_point.demands >= caps * (1.0 - 1e-12)).tolist()
                    if mode == "elastic" else [])
     return SolveReport(
@@ -265,13 +268,9 @@ def solve(
         costs=best_costs,
         gap_history=history,
         converged=converged,
-        iterations=len(history),
         residuals=best_res,
-        flow_bound=bound,
-        max_cell_flow=max_flow,
-        flow_bound_ok=max_flow <= bound,
+        flow_bound=lemma2_bound(network, penalty),
         caps_active=caps_active,
-        initial_gap=float(initial_gap),
         final_gap=float(best_gap),
         mode=mode,
     )

@@ -16,8 +16,9 @@ from .cost import CostField
 from .grid import ExtendedPoint, ShapeError
 from .network import Network
 
-__all__ = ["ResidualReport", "due_residuals", "vi_lhs", "best_response", "random_probe"]
+__all__ = ["ResidualReport", "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
 
+FEASIBILITY_RTOL = 1e-9  # per-OD conservation, relative to max(|demand|, 1)
 DEFAULT_FLOW_THRESHOLD_REL = 1e-6  # of the max cell flow; defines "used" cells
 # tolerances of ResidualReport.is_equilibrium
 EPS_R1 = 1e-4  # r1 relative to demand * theta
@@ -64,6 +65,18 @@ class ResidualReport:
                 f"r1={self.r1[w]!r} r2={self.r2[w]!r} demand_gap={self.demand_gap[w]!r}"
             )
         return lines
+
+
+def is_feasible(point: ExtendedPoint, network: Network) -> bool:
+    """Membership in the feasible set: nonnegative flows whose per-OD integrals
+    match the demand vector within FEASIBILITY_RTOL."""
+    if point.demands.shape != (len(network.od_pairs),):
+        raise ShapeError("the demand vector must have one entry per OD pair")
+    if (point.flows < 0.0).any() or (point.demands < 0.0).any():
+        return False
+    res = network.od_sum(point.flows.sum(axis=1)) * point.grid.dt - point.demands
+    scale = np.maximum(np.abs(point.demands), 1.0)
+    return bool(np.all(np.abs(res) <= FEASIBILITY_RTOL * scale))
 
 
 def due_residuals(point: ExtendedPoint, costs: CostField, network: Network) -> ResidualReport:

@@ -131,7 +131,7 @@ def compute_gap_loop(point, costs, network, caps, pinned_demand=None):
     return gap
 
 
-def fixed_point_step_loop(point, costs, network, alpha, caps=None, pinned_demand=None):
+def fixed_point_step_loop(point, costs, network, alpha, caps, pinned_demand=None):
     """The stepped (flows, demands)."""
     dt = point.grid.dt
     h_new = np.maximum(0.0, point.flows - alpha * reduced_costs_loop(costs, network))
@@ -148,7 +148,7 @@ def fixed_point_step_loop(point, costs, network, alpha, caps=None, pinned_demand
                     h_new[p] *= target / vol
             demands[w] = target
         else:
-            if caps is not None and vol > caps[w]:
+            if vol > caps[w]:
                 for p in paths:
                     h_new[p] *= caps[w] / vol
                 vol = float(caps[w])

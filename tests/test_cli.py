@@ -10,6 +10,7 @@ from edue.cli import (
     load_scenario,
     main,
 )
+from edue.solver import SolverConfig
 
 from oracles import bisect_demand
 
@@ -123,6 +124,24 @@ class TestScenarioParsing:
         doc["network"]["links"][0]["exit_capacity"] = 0.0
         path = write_scenario(tmp_path, doc)
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+
+    def test_empty_path_list_rejected(self, tmp_path, capsys):
+        doc = uncongested_scenario()
+        doc["network"]["paths"] = []
+        doc["demand"] = []
+        path = write_scenario(tmp_path, doc)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert "invalid network: network has no paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("halve_on_stall", ["absent", None])
+    def test_solver_defaults_come_from_solver_config(self, tmp_path, halve_on_stall):
+        doc = uncongested_scenario()
+        for key in ("gap_tol", "gap_rtol", "halve_on_stall"):
+            doc["solver"].pop(key, None)
+        if halve_on_stall is None:
+            doc["solver"]["halve_on_stall"] = None
+        sc = load_scenario(write_scenario(tmp_path, doc))
+        assert sc.config == SolverConfig(alpha=400.0, max_iters=4000)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("block, field", [

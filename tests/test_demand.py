@@ -53,27 +53,6 @@ class TestTheta:
         for q in np.linspace(0.0, 100.0, 11):
             assert d.theta(np.array([q]))[0] > 0.0
 
-
-class TestThetaInverse:
-    def test_linear_inverse(self):
-        d = InverseDemand(np.array([60.0]), np.array([0.5]), np.array([100.0]))
-        # (60 - 40) / 0.5 = 40, consistent with theta(40) = 40
-        assert d.theta_inverse(np.array([40.0]))[0] == pytest.approx(40.0)
-
-    def test_clamped_to_cap(self):
-        d = InverseDemand(np.array([60.0]), np.array([0.5]), np.array([100.0]))
-        assert d.theta_inverse(np.array([1.0]))[0] == 100.0
-
-    def test_clamped_to_zero(self):
-        d = InverseDemand(np.array([60.0]), np.array([0.5]), np.array([100.0]))
-        assert d.theta_inverse(np.array([80.0]))[0] == 0.0
-
-    @given(st.floats(10.1, 60.0))
-    def test_round_trip_inside_domain(self, v):
-        d = InverseDemand(np.array([60.0]), np.array([0.5]), np.array([100.0]))
-        q = d.theta_inverse(np.array([v]))
-        assert d.theta(q)[0] == pytest.approx(v, rel=1e-12)
-
     @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
     def test_theta_strictly_decreasing(self, q1, q2):
         d = InverseDemand(np.array([60.0]), np.array([0.5]), np.array([100.0]))

@@ -42,6 +42,10 @@ class TestValidate:
         report = validate(net, TimeGrid(0.0, 2.0, 4))
         assert any("unknown links" in v for v in report)
 
+    def test_no_paths(self):
+        net = make_net([Link("a", "i", "j", 0.1, 100.0)], [])
+        assert validate(net, TimeGrid(0.0, 2.0, 4)) == ["network has no paths"]
+
     def test_repeated_link(self):
         net = make_net(
             [Link("a", "i", "i", 0.1, 100.0)], [Path("p", ("a", "a"), "i", "i")]

@@ -3,10 +3,11 @@ import pytest
 
 from edue.cost import SchedulePenalty
 from edue.demand import InverseDemand
-from edue.grid import TimeGrid, is_feasible
+from edue.grid import TimeGrid
 from edue.network import Link, Network, Path
 from edue.oracle import TinyInstance, brute_force_equilibrium
 from edue.solver import f_map, zero_point
+from edue.verify import is_feasible
 
 from conftest import single_link_network
 from oracles import bisect_demand
@@ -93,7 +94,7 @@ class TestBruteForce:
     def test_feasibility_of_returned_point(self):
         for inst in (uncongested_tiny(), symmetric_tiny()):
             res = brute_force_equilibrium(inst)
-            assert is_feasible(res.point, inst.network.od_paths)
+            assert is_feasible(res.point, inst.network)
             for w, cap in enumerate(inst.inv_demand.cap):
                 assert res.point.demands[w] <= cap + 1e-9
 

@@ -83,10 +83,12 @@ def test_due_residuals_match_loop(problem):
        st.sampled_from([0.5, 20.0, 1e4]))
 def test_fixed_point_step_matches_loop(problem, mode, alpha):
     net, grid, h, psi, theta, caps = problem
-    caps_arg = pinned = None
-    if mode == "capped":
-        caps_arg = caps * 1e-3  # below every nonzero OD volume drawn
-    elif mode == "pinned":
+    pinned = None
+    if mode == "uncapped":
+        caps = np.full_like(caps, np.inf)  # no volume exceeds it
+    elif mode == "capped":
+        caps = caps * 1e-3  # below every nonzero OD volume drawn
+    else:
         # as in pinned mode, the demand value is the OD's least cost; the
         # first OD pair carries nothing, so its flow stays clipped and the
         # step restarts it at its cheapest cell
@@ -94,8 +96,8 @@ def test_fixed_point_step_matches_loop(problem, mode, alpha):
         h[list(net.od_paths[0])] = 0.0
         pinned = caps
     point, costs = point_of(net, grid, h), CostField(psi, theta)
-    new = fixed_point_step(point, costs, net, alpha, caps=caps_arg, pinned_demand=pinned)
-    h_ref, demands_ref = fixed_point_step_loop(point, costs, net, alpha, caps_arg, pinned)
+    new = fixed_point_step(point, costs, net, alpha, caps, pinned)
+    h_ref, demands_ref = fixed_point_step_loop(point, costs, net, alpha, caps, pinned)
     np.testing.assert_allclose(new.flows, h_ref, **TIGHT)
     np.testing.assert_allclose(new.demands, demands_ref, **TIGHT)
 

@@ -3,7 +3,7 @@ import pytest
 
 from edue.cost import CostField, SchedulePenalty
 from edue.demand import InverseDemand
-from edue.grid import ExtendedPoint, TimeGrid, is_feasible
+from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
 from edue.solver import (
     SolverConfig,
@@ -15,6 +15,7 @@ from edue.solver import (
     solve,
     zero_point,
 )
+from edue.verify import is_feasible
 
 from conftest import grid_of, single_link_network
 from oracles import bisect_demand
@@ -118,7 +119,7 @@ class TestReducedCostAndStep:
             point = ExtendedPoint.from_matrix(grid, h, np.array([h.sum() * grid.dt]))
             costs = toy_costs([rng.uniform(-1.0, 1.0, size=4)], [0.0])
             new = fixed_point_step(point, costs, net, alpha=rng.uniform(0.1, 5.0), caps=caps)
-            assert is_feasible(new, net.od_paths)
+            assert is_feasible(new, net)
             assert new.demands[0] <= caps[0] + 1e-12
 
 
