@@ -70,6 +70,8 @@ class ResidualReport:
 def is_feasible(point: ExtendedPoint, network: Network) -> bool:
     """Membership in the feasible set: nonnegative flows whose per-OD integrals
     match the demand vector within FEASIBILITY_RTOL."""
+    if point.flows.shape[0] != len(network.paths):
+        raise ShapeError(f"the flow matrix must have one row per path ({len(network.paths)})")
     if point.demands.shape != (len(network.od_pairs),):
         raise ShapeError("the demand vector must have one entry per OD pair")
     if (point.flows < 0.0).any() or (point.demands < 0.0).any():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edue.grid import ExtendedPoint, ShapeError, TimeGrid
+from edue.network import Link, Network, Path as NetPath
 from edue.verify import is_feasible
 
 from conftest import single_link_network
@@ -57,6 +58,44 @@ class TestFeasibility:
         x = _point(g, [[2.0, 2.0]], [2.0, 0.0])
         with pytest.raises(ShapeError, match="one entry per OD pair"):
             is_feasible(x, single_link_network())
+
+    def test_path_count_checked(self):
+        g = TimeGrid(0.0, 1.0, 2)
+        x = _point(g, [[1.0, 1.0], [1.0, 1.0]], [2.0])
+        with pytest.raises(ShapeError, match=r"one row per path \(1\)"):
+            is_feasible(x, single_link_network())
+
+    def test_conservation_tolerance_is_relative_to_demand(self):
+        g = TimeGrid(0.0, 1.0, 2)
+        net = single_link_network()
+        # the flows carry 200 vehicles; the tolerance is 1e-9 * 200
+        assert is_feasible(_point(g, [[200.0, 200.0]], [200.0 * (1.0 + 5e-10)]), net)
+        assert not is_feasible(_point(g, [[200.0, 200.0]], [200.0 * (1.0 + 5e-9)]), net)
+
+    def test_conservation_tolerance_floor_for_small_demands(self):
+        g = TimeGrid(0.0, 1.0, 2)
+        net = single_link_network()
+        # below one vehicle the tolerance stays at 1e-9 vehicles
+        assert is_feasible(_point(g, [[5e-10, 5e-10]], [0.0]), net)
+        assert not is_feasible(_point(g, [[5e-9, 5e-9]], [0.0]), net)
+
+    def test_each_od_pair_conserves_its_own_demand(self):
+        links = (
+            Link("a", "O1", "D", free_flow_time=0.1, exit_capacity=100.0),
+            Link("b", "O2", "D", free_flow_time=0.1, exit_capacity=100.0),
+        )
+        paths = (NetPath("p1", ("a",), "O1", "D"), NetPath("p2", ("b",), "O2", "D"))
+        net = Network(links=links, paths=paths, arrival_target=0.5)
+        g = TimeGrid(0.0, 1.0, 2)
+        rows = [[2.0, 2.0], [4.0, 4.0]]
+        assert is_feasible(_point(g, rows, [2.0, 4.0]), net)
+        # same total volume, split across the pairs the wrong way
+        assert not is_feasible(_point(g, rows, [4.0, 2.0]), net)
+
+    def test_negative_demand_is_infeasible(self):
+        g = TimeGrid(0.0, 1.0, 2)
+        x = _point(g, [[0.0, 0.0]], [-1e-12])
+        assert not is_feasible(x, single_link_network())
 
     def test_profile_length_checked(self):
         g = TimeGrid(0.0, 1.0, 3)

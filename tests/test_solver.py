@@ -123,6 +123,27 @@ class TestReducedCostAndStep:
             assert new.demands[0] <= caps[0] + 1e-12
 
 
+    def test_step_pinned_mode_rescales_onto_pinned_demand(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        net = toy_network()
+        point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 2.0]]), np.array([2.0]))
+        costs = toy_costs([[0.3, 0.3 - 2.0]], [0.3])  # cell 1 gains 1 veh/h
+        pinned = np.array([4.0])
+        new = fixed_point_step(point, costs, net, alpha=0.5, caps=pinned, pinned_demand=pinned)
+        # (2, 3) rescaled to carry 4 vehicles over cells of width 0.5
+        assert new.demands[0] == 4.0
+        assert new.flows[0] == pytest.approx([3.2, 4.8])
+
+    def test_step_pinned_mode_restarts_a_clipped_pair_at_its_cheapest_cell(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        net = toy_network()
+        point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 2.0]]), np.array([2.0]))
+        costs = toy_costs([[5.3, 4.3]], [0.3])  # both cells clip to zero
+        pinned = np.array([2.0])
+        new = fixed_point_step(point, costs, net, alpha=1.0, caps=pinned, pinned_demand=pinned)
+        assert new.demands[0] == 2.0
+        assert new.flows[0] == pytest.approx([0.0, 4.0])
+
 class TestGap:
     def test_zero_flow_gap_is_negative_parts_times_caps(self):
         grid = TimeGrid(0.0, 1.0, 2)
@@ -295,6 +316,29 @@ class TestSolve:
             solve(inst["network"], inst["penalty"], inst["inv_demand"], inst["config"],
                   grid=grid, pinned_demand=np.array([10.0]))
 
+
+class TestSolveReport:
+    def test_derived_fields_follow_stored_fields(self, congested_bottleneck):
+        inst = congested_bottleneck
+        report = solve(inst["network"], inst["penalty"], inst["inv_demand"], inst["config"],
+                       grid=grid_of(inst))
+        assert report.iterations == len(report.gap_history) > 1
+        assert report.initial_gap == report.gap_history[0][1]
+        assert report.max_cell_flow == float(report.point.flows.max())
+        lines = report.summary_lines()
+        assert f"iterations: {report.iterations}" in lines
+        assert f"initial gap: {report.initial_gap!r}" in lines
+
+    def test_flow_bound_ok_compares_max_cell_flow_with_bound(self, congested_bottleneck):
+        inst = congested_bottleneck
+        report = solve(inst["network"], inst["penalty"], inst["inv_demand"], inst["config"],
+                       grid=grid_of(inst))
+        assert report.flow_bound_ok
+        report.flow_bound = report.max_cell_flow
+        assert report.flow_bound_ok
+        report.flow_bound = 0.5 * report.max_cell_flow
+        assert not report.flow_bound_ok
+        assert "flow bound satisfied: False" in report.summary_lines()
 
 class TestConfigValidation:
     def test_bad_alpha(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from edue.cost import CostField
-from edue.grid import ExtendedPoint, TimeGrid
+from edue.grid import ExtendedPoint, ShapeError, TimeGrid
+from edue.network import Link, Network, Path as NetPath
 from edue.solver import compute_gap, f_map, solve
 from edue.verify import best_response, due_residuals, random_probe, vi_lhs
 
@@ -121,6 +122,62 @@ class TestViLhs:
             vi_lhs(x, probe, costs, net), rel=1e-12
         )
 
+
+class TestViLhsPairing:
+    """vi_lhs is the pairing <psi, h' - h> - <theta, Q' - Q> of the extended
+    space, with the flow part integrated exactly over the step functions."""
+
+    @staticmethod
+    def _setup():
+        links = (
+            Link("a", "O1", "D", free_flow_time=0.1, exit_capacity=100.0),
+            Link("b", "O1", "D", free_flow_time=0.1, exit_capacity=100.0),
+            Link("c", "O2", "D", free_flow_time=0.1, exit_capacity=100.0),
+        )
+        paths = (NetPath("p1", ("a",), "O1", "D"), NetPath("p2", ("b",), "O1", "D"),
+                 NetPath("p3", ("c",), "O2", "D"))
+        net = Network(links=links, paths=paths, arrival_target=0.5)
+        grid = TimeGrid(0.0, 2.0, 4)
+        rng = np.random.default_rng(5)
+        costs = CostField(psi=rng.uniform(0.1, 1.0, size=(3, 4)), theta=[0.4, 0.7])
+        points = [ExtendedPoint.from_matrix(grid, rng.uniform(0.0, 50.0, size=(3, 4)),
+                                            rng.uniform(0.0, 80.0, size=2)) for _ in range(3)]
+        return net, grid, costs, points
+
+    def test_matches_cellwise_sum(self):
+        net, grid, costs, (x, y, _) = self._setup()
+        expected = 0.0
+        for p in range(3):
+            for j in range(grid.n):
+                expected += costs.psi[p, j] * (y.flows[p, j] - x.flows[p, j]) * grid.dt
+        for w in range(2):
+            expected -= costs.theta[w] * (y.demands[w] - x.demands[w])
+        assert vi_lhs(x, y, costs, net) == pytest.approx(expected, rel=1e-12)
+
+    def test_affine_in_probe(self):
+        net, grid, costs, (x, y, z) = self._setup()
+        for a in (0.0, 0.3, 1.0, 2.5):
+            mix = ExtendedPoint.from_matrix(grid, a * y.flows + (1.0 - a) * z.flows,
+                                            a * y.demands + (1.0 - a) * z.demands)
+            assert vi_lhs(x, mix, costs, net) == pytest.approx(
+                a * vi_lhs(x, y, costs, net) + (1.0 - a) * vi_lhs(x, z, costs, net),
+                rel=1e-12, abs=1e-9)
+
+    def test_antisymmetric_in_solution_and_probe(self):
+        net, _, costs, (x, y, _) = self._setup()
+        assert vi_lhs(x, y, costs, net) == pytest.approx(-vi_lhs(y, x, costs, net), rel=1e-12)
+
+    def test_probe_on_another_grid_rejected(self):
+        net, grid, costs, (x, _, _) = self._setup()
+        other = ExtendedPoint.from_matrix(TimeGrid(0.0, 1.0, 4), x.flows, x.demands)
+        with pytest.raises(ShapeError, match="grid and path set"):
+            vi_lhs(x, other, costs, net)
+
+    def test_probe_with_another_od_set_rejected(self):
+        net, grid, costs, (x, _, _) = self._setup()
+        other = ExtendedPoint.from_matrix(grid, x.flows, np.append(x.demands, 1.0))
+        with pytest.raises(ShapeError, match="OD set"):
+            vi_lhs(x, other, costs, net)
 
 class TestResponses:
     def test_best_response_concentrates_on_cheapest_cell(self):
