@@ -10,15 +10,27 @@ rates are piecewise constant, so every curve is piecewise linear: the running
 minimum is exact at the breakpoints of A plus the instants where a queue
 empties inside a piece, and no time stepping enters.
 
-Links are loaded in topological order of the link-succession graph (link b
-succeeds link a when some path uses b right after a), each in one array step
-over the whole horizon: merge the users' cumulative inflow curves on the union
-of their breakpoints, take the queue from the running minimum of g, insert the
-emptying instants and a final drain point, and give each path its downstream
-curve (exit time, its own cumulative count), which is exact by FIFO. Links on
-a succession cycle (a ring road) run the same step in passes: nothing leaves
-a link sooner than tau after entering it, so each pass makes the cycle's
-curves exact for one more min-tau of time.
+Links are loaded depth by depth in the link-succession graph (link b succeeds
+link a when some path uses b right after a), each in one array step over the
+whole horizon: merge the users' cumulative inflow curves on the union of their
+breakpoints, take the queue from the running minimum of g, insert the emptying
+instants and a final drain point, and give each path its downstream curve
+(exit time, its own cumulative count), which is exact by FIFO.
+
+No link at a depth feeds another at it, so the links of a depth that have one
+live user (a path with nonzero flow) are loaded together when there are two
+or more of them: one step over their curves laid end to end, bit for bit the
+floats of the per-link step, whose cost is almost all fixed. On a 2-core Xeon
+host (least of 5 x 200 calls; 17 breakpoints a link, 65 for 64 links), 8
+links take 225 us one by one and 45 us in one batch, or 411 and 128 us when
+they queue; 64 links take 1918 and 186 us, or 4055 and 704 us. Three kinds of
+link keep the per-link step. A lone such link at its depth costs 23 us there
+and 29 us as a batch of one, or 43 and 112 us when it queues. A merge link
+with two or more live users first merges their curves on the union of their
+breakpoints, a sort of its own. The links of a succession cycle (a ring road)
+feed each other, so they run the per-link step in passes: nothing leaves a
+link sooner than tau after entering it, so each pass makes the cycle's curves
+exact for one more min-tau of time.
 
 A loading keeps, per link, its breakpoints s and waits w = q / M. Exit times
 of a path follow by s <- s + tau, then s <- s + w(s), link by link.
@@ -31,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import TimeGrid
-from .network import Link, Network
+from .network import Link, Network, Users
 
 __all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "load", "default_horizon"]
 
@@ -65,14 +77,16 @@ class LinkState:
     """Point-queue curves of one link, sampled at their breakpoints on the
     queue-arrival time axis (entry time plus free-flow time): cumulative
     arrivals ``cum_in`` and queue ``queue``, both linear between breakpoints
-    and constant outside them."""
+    and constant outside them, with the wait at the exit ``w`` = queue / M."""
 
-    def __init__(self, link: Link, s: np.ndarray, cum_in: np.ndarray, queue: np.ndarray):
+    def __init__(self, link: Link, s: np.ndarray, cum_in: np.ndarray, queue: np.ndarray,
+                 w: np.ndarray, queued: bool):
         self.link = link
         self.s = s
         self.cum_in = cum_in
         self.queue = queue
-        self.w = queue / link.exit_capacity  # wait at the exit
+        self.w = w
+        self.queued = queued  # whether a queue ever forms
 
     @property
     def segments(self) -> np.ndarray:
@@ -87,11 +101,17 @@ class LinkState:
 def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]]:
     """Load one link over the whole horizon: its users' inflow curves (entry
     times) in, its queue curves and the users' downstream curves (exit times)
-    out, in the order of ``inflows``."""
+    out, in the order of ``inflows``.
+
+    Its cost is almost all fixed, so links with one live user that share a
+    depth go through _batch_step together (see the module docstring for the
+    measured times). This step loads the rest: a lone link at its depth,
+    which it loads faster than a batch of one; merge links with two or more
+    live users; and the links of succession cycles, loaded in passes."""
     live = [c for c in inflows if c is not None]
     if not live:
         empty = np.empty(0)
-        return LinkState(link, empty, empty, empty), [None] * len(inflows)
+        return LinkState(link, empty, empty, empty, empty, False), [None] * len(inflows)
     cap = link.exit_capacity
     # sorted in Python: the first use of numpy's sort kernels adds about
     # 0.3 MB of resident memory, more than a few hundred breakpoints are worth
@@ -144,10 +164,107 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
         s, q, counts = s_all, q_all, counts_all
         a = counts.sum(axis=0)
 
-    state = LinkState(link, s, a, q)
-    exits = np.maximum.accumulate(s + state.w)
+    w = q / cap
+    state = LinkState(link, s, a, q, w, np.count_nonzero(q) > 0)
+    exits = np.maximum.accumulate(s + w)
     out = iter(counts)
     return state, [None if c is None else (exits, next(out)) for c in inflows]
+
+
+def _row_accumulate(ufunc: np.ufunc, x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate along each row of x, whose rows of the given sizes
+    lie end to end: on a (rows, longest row) array, padded after each row's
+    end, where the padding never reaches the row."""
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    padded = np.zeros(mask.shape)
+    padded[mask] = x
+    return ufunc.accumulate(padded, axis=1)[mask]
+
+
+def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[list[LinkState], list[Curve]]:
+    """_link_step of links that have one user each, that user's inflow curve
+    given per link: one array step over the links' curves laid end to end,
+    which gives each link bit for bit the floats its own _link_step gives.
+
+    The arithmetic runs elementwise on the flat arrays, with each link's
+    free-flow time and capacity repeated over its row. Where the inflow never
+    exceeds capacity, g falls along every row and no queue forms. Otherwise
+    only the running minimum of g and the running maximum of the exit times
+    must start afresh at each row; they run along the rows of a 2-d array.
+    The index b needs no padding: each row's first point sets that row's
+    minimum and has a higher flat index than every point of the rows before
+    it."""
+    sizes = np.array([len(t) for t, _ in inflows])
+    s = np.concatenate([t for t, _ in inflows]) + np.repeat(
+        [link.free_flow_time for link in links], sizes)
+    a = np.concatenate([n for _, n in inflows])
+    last = np.cumsum(sizes) - 1
+    keep = np.empty(len(s), dtype=bool)  # each cluster's last, and each row's last
+    keep[:-1] = s[1:] - s[:-1] > _MIN_PARCEL_LEN
+    keep[last] = True
+    if not keep.all():
+        s, a = s[keep], a[keep]
+        last = np.cumsum(keep)[last] - 1
+        sizes = np.diff(last, prepend=-1)
+    cap = np.repeat([link.exit_capacity for link in links], sizes)
+    g = a - cap * s
+    within = np.ones(len(s) - 1, dtype=bool)  # pieces that do not span two rows
+    within[last[:-1]] = False
+    if not ((g[1:] > g[:-1]) & within).any():
+        q = w = np.zeros(len(s))
+        queued = [False] * len(links)
+        exits = s + w
+    else:
+        s, a, q, cap, sizes = _batch_queues(s, a, g, cap, sizes, last, within)
+        w = q / cap
+        queued = np.logical_or.reduceat(q > 0.0, np.cumsum(sizes) - sizes).tolist()
+        exits = _row_accumulate(np.maximum, s + w, sizes)
+    bounds = np.cumsum(sizes).tolist()
+    states, outs = [], []
+    for link, lo, hi, queues in zip(links, [0] + bounds, bounds, queued):
+        states.append(LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], queues))
+        outs.append((exits[lo:hi], a[lo:hi]))
+    return states, outs
+
+
+def _batch_queues(s: np.ndarray, a: np.ndarray, g: np.ndarray, cap: np.ndarray,
+                  sizes: np.ndarray, last: np.ndarray, within: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The queue part of _batch_step: s, a and cap with each row's emptying
+    instants and drain point inserted, the queue q on them, and the new row
+    sizes."""
+    run_min = _row_accumulate(np.minimum, g, sizes)
+    b = np.maximum.accumulate(np.where(g == run_min, np.arange(len(g)), 0))
+    q = (a - a[b]) - cap * (s - s[b])
+    q[q < cap * _MIN_PARCEL_LEN] = 0.0
+
+    # as in _link_step; at most one point follows any breakpoint
+    (i,) = np.nonzero((q[:-1] > 0.0) & (g[1:] < run_min[:-1]) & within)
+    frac = q[i] / (g[i] - g[i + 1])
+    u = s[i] + frac * (s[i + 1] - s[i])
+    inside = (u > s[i] + _MIN_PARCEL_LEN) & (u < s[i + 1] - _MIN_PARCEL_LEN)
+    i, frac = i[inside], frac[inside]
+    drain = last[q[last] > 0.0]
+    if not (i.size or drain.size):
+        return s, a, q, cap, sizes
+    new_s, new_a = np.empty(len(s)), np.empty(len(s))
+    new_s[i], new_a[i] = u[inside], a[i] + frac * (a[i + 1] - a[i])
+    new_s[drain], new_a[drain] = s[drain] + q[drain] / cap[drain], a[drain]
+    marked = np.zeros(len(s), dtype=bool)
+    marked[i] = marked[drain] = True
+    after = np.flatnonzero(marked)
+    old_at = np.arange(len(s))
+    old_at[1:] += np.cumsum(marked[:-1])  # moved by the points before
+    new_at = old_at[after] + 1
+    size = len(s) + len(after)
+    s_all, a_all, q_all, cap_all = np.empty(size), np.empty(size), np.zeros(size), np.empty(size)
+    s_all[old_at], s_all[new_at] = s, new_s[after]
+    a_all[old_at], a_all[new_at] = a, new_a[after]
+    cap_all[old_at], cap_all[new_at] = cap, cap[after]
+    q_all[old_at] = q
+    sizes = sizes + np.add.reduceat(marked, np.cumsum(sizes) - sizes, dtype=np.intp)
+    return s_all, a_all, q_all, cap_all, sizes
 
 
 def _settle_time(curve: Curve) -> float:
@@ -184,8 +301,7 @@ class LoadingResult:
         self.total_out = total_out
         # per path, per link: free-flow time and the wait curve (None when the
         # link never queues)
-        waits = {lid: (st.s, st.w) if st.w.size and st.w.max() > 0.0 else None
-                 for lid, st in states.items()}
+        waits = {lid: (st.s, st.w) if st.queued else None for lid, st in states.items()}
         self._legs = tuple(tuple((link.free_flow_time, waits[link.id]) for link in route)
                            for route in network.routes)
 
@@ -247,40 +363,54 @@ def load(
 
     states: dict[str, LinkState] = {}
 
-    def step(link: Link, users: tuple[tuple[int, int], ...]) -> None:
+    def step(link: Link, users: Users) -> None:
         state, outs = _link_step(link, [curves[p][k] for p, k in users])
         states[link.id] = state
         for (p, k), out in zip(users, outs):
             curves[p][k + 1] = out
 
-    for component in network.loading_order:
-        ids = {link.id for link, _ in component}
-        inner = {(p, k) for _, users in component for p, k in users
-                 if k > 0 and network.routes[p][k - 1].id in ids}
-        if inner:
-            # Succession cycle. Before a pass, every curve the cycle produces
-            # is exact up to `exact_until`: at first the empty curves are,
-            # since nothing leaves a link sooner than min tau after the
-            # cycle's first entry. A pass of the per-link step moves that time
-            # on by min tau. The cycle is done once every curve it produces has
-            # reached its final count before that time.
-            width = min(link.free_flow_time for link, _ in component)
-            entries = [float(curves[p][k][0][0]) for _, users in component for p, k in users
-                       if (p, k) not in inner and curves[p][k] is not None]
-            produced = [(p, k + 1) for _, users in component for p, k in users
+    for depth in network.loading_depths:
+        # links with one live user (a path that carries flow) go through
+        # _batch_step together; the curves of their other users stay None
+        single: list[tuple[Link, Users, tuple[int, int]]] = []
+        for link, users in depth.links:
+            live_users = [(p, k) for p, k in users if curves[p][0] is not None]
+            if len(live_users) == 1:
+                single.append((link, users, live_users[0]))
+            else:
+                step(link, users)
+        if len(single) == 1:
+            link, users, _ = single[0]
+            step(link, users)
+        elif single:
+            batch, outs = _batch_step([link for link, _, _ in single],
+                                      [curves[p][k] for _, _, (p, k) in single])
+            for state, out, (_, _, (p, k)) in zip(batch, outs, single):
+                states[state.link.id] = state
+                curves[p][k + 1] = out
+
+        for cycle in depth.cycles:
+            # Before a pass, every curve the cycle produces is exact up to
+            # `exact_until`: at first the empty curves are, since nothing
+            # leaves a link sooner than min tau after the cycle's first entry.
+            # A pass of the per-link step moves that time on by min tau. The
+            # cycle is done once every curve it produces has reached its final
+            # count before that time.
+            width = min(link.free_flow_time for link, _ in cycle.links)
+            entries = [float(curves[p][k][0][0]) for _, users in cycle.links for p, k in users
+                       if (p, k) not in cycle.inner and curves[p][k] is not None]
+            produced = [(p, k + 1) for _, users in cycle.links for p, k in users
                         if curves[p][0] is not None]
             exact_until = min(entries, default=t_end) + width
-        while True:
-            for link, users in component:
-                step(link, users)
-            if not inner:
-                break
-            exact_until += width
-            if exact_until > t_end + width or all(
-                curves[p][k] is not None and _settle_time(curves[p][k]) < exact_until
-                for p, k in produced
-            ):
-                break
+            while True:
+                for link, users in cycle.links:
+                    step(link, users)
+                exact_until += width
+                if exact_until > t_end + width or all(
+                    curves[p][k] is not None and _settle_time(curves[p][k]) < exact_until
+                    for p, k in produced
+                ):
+                    break
 
     def count_at_end(curve: Curve) -> float:
         if curve is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,24 @@ class Path:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "link_ids", tuple(self.link_ids))
+
+
+# the users of a link: (path index, position on the path) of each path through it
+Users = tuple[tuple[int, int], ...]
+
+
+class Cycle(NamedTuple):
+    """A strong component of the succession graph that lies on a cycle."""
+
+    links: tuple[tuple[Link, Users], ...]
+    inner: frozenset[tuple[int, int]]  # the users that enter from a link of the cycle
+
+
+class Depth(NamedTuple):
+    """The links at one topological depth of the succession graph."""
+
+    links: tuple[tuple[Link, Users], ...]  # on no succession cycle
+    cycles: tuple[Cycle, ...]
 
 
 @dataclass(frozen=True)
@@ -148,13 +167,15 @@ class Network:
         return tuple(self.path_links(p) for p in range(len(self.paths)))
 
     @cached_property
-    def loading_order(self) -> tuple[tuple[tuple[Link, tuple[tuple[int, int], ...]], ...], ...]:
-        """Links grouped into the strong components of the succession graph
-        (link b succeeds link a when some path uses b right after a), in
-        topological order. Each link comes with its users: the (path index,
-        position on the path) of every path through it. A component of more
-        than one link, or a link that succeeds itself, lies on a succession
-        cycle."""
+    def loading_depths(self) -> tuple[Depth, ...]:
+        """Links grouped by topological depth in the succession graph (link b
+        succeeds link a when some path uses b right after a). The strong
+        components of that graph are taken as units: a component's depth is
+        one more than the deepest of its predecessors, 0 without one, so
+        nothing at a depth feeds anything else at it. Each link comes with its
+        users: the (path index, position on the path) of every path through
+        it. A component of more than one link, or a link that succeeds
+        itself, lies on a succession cycle."""
         users: dict[str, list[tuple[int, int]]] = {l.id: [] for l in self.links}
         succ: dict[str, dict[str, None]] = {l.id: {} for l in self.links}  # ordered sets
         pred: dict[str, dict[str, None]] = {l.id: {} for l in self.links}
@@ -184,7 +205,8 @@ class Network:
                     stack.pop()
                     finished.append(node)
         position = {lid: i for i, lid in enumerate(succ)}
-        components: list[list[str]] = []
+        depth_of: dict[str, int] = {}
+        depths: list[tuple[list, list]] = []  # per depth: acyclic links, cycles
         seen.clear()
         for root in reversed(finished):
             if root in seen:
@@ -198,11 +220,22 @@ class Network:
                     if a not in seen:
                         seen.add(a)
                         stack.append(a)
-            components.append(sorted(comp, key=position.__getitem__))
-        by_id = self.link_by_id
-        return tuple(
-            tuple((by_id[lid], tuple(users[lid])) for lid in comp) for comp in components
-        )
+            ids = set(comp)
+            # every outside predecessor belongs to an earlier component
+            depth = 1 + max((depth_of[a] for b in comp for a in pred[b] if a not in ids),
+                            default=-1)
+            depth_of.update(dict.fromkeys(comp, depth))
+            if depth == len(depths):
+                depths.append(([], []))
+            links = tuple((self.link_by_id[lid], tuple(users[lid]))
+                          for lid in sorted(comp, key=position.__getitem__))
+            inner = frozenset((p, k) for _, link_users in links for p, k in link_users
+                              if k > 0 and self.routes[p][k - 1].id in ids)
+            if inner:
+                depths[depth][1].append(Cycle(links, inner))
+            else:
+                depths[depth][0].extend(links)
+        return tuple(Depth(tuple(links), tuple(cycles)) for links, cycles in depths)
 
 
 def validate(network: Network, grid: TimeGrid) -> list[str]:

@@ -22,6 +22,25 @@ def single_link_network(tau=1 / 6, capacity=1e6, arrival_target=7 / 6):
     return Network(links=(link,), paths=(path,), arrival_target=arrival_target)
 
 
+def corridor_network(k):
+    """K OD pairs O{i} -> D{i}, each with two paths: a{i} runs feeder in{i},
+    the shared bottleneck bn and feeder out{i}; b{i} takes its own bypass
+    by{i}."""
+    links = [Link("bn", "A", "B", 0.1, 1500.0)]
+    paths = []
+    for i in range(k):
+        links += [
+            Link(f"in{i}", f"O{i}", "A", 0.01, 1e5),
+            Link(f"out{i}", "B", f"D{i}", 0.01, 1e5),
+            Link(f"by{i}", f"O{i}", f"D{i}", 0.3, 300.0),
+        ]
+        paths += [
+            NetPath(f"a{i}", (f"in{i}", "bn", f"out{i}"), f"O{i}", f"D{i}"),
+            NetPath(f"b{i}", (f"by{i}",), f"O{i}", f"D{i}"),
+        ]
+    return Network(links=tuple(links), paths=tuple(paths), arrival_target=0.8)
+
+
 @pytest.fixture
 def uncongested_elastic():
     """Single OD, one path, capacity far above demand. Free-flow effective

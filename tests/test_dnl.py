@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edue.dnl import HorizonOverflowError, load
+from edue.dnl import _MIN_PARCEL_LEN, HorizonOverflowError, _batch_step, _link_step, load
 from edue.grid import TimeGrid
 from edue.network import Link, Network, Path, validate
 
+from conftest import corridor_network
 from oracles import single_link_delay
 
 MIN = 1 / 60.0  # one minute in hours
@@ -235,6 +236,24 @@ class TestErrors:
         assert (exc.value.path_id, exc.value.link_id) == ("p", "b")
         assert "path p" in str(exc.value) and "link b" in str(exc.value)
 
+    def test_horizon_overflow_names_a_queued_link_loaded_in_a_batch(self):
+        # b1 and b2 each carry one path and share depth 1, so they are loaded
+        # in one _batch_step; b1 queues as b does above, p2 clears
+        links = (
+            Link("a1", "O", "M1", 5 * MIN, 1e9),
+            Link("a2", "O", "M2", 5 * MIN, 1e9),
+            Link("b1", "M1", "D", 5 * MIN, 60.0),
+            Link("b2", "M2", "D", 5 * MIN, 1e9),
+        )
+        paths = (Path("p1", ("a1", "b1"), "O", "D"), Path("p2", ("a2", "b2"), "O", "D"))
+        net = Network(links=links, paths=paths, arrival_target=0.5)
+        assert [len(d.links) for d in net.loading_depths] == [2, 2]
+        grid = TimeGrid(0.0, 10 * MIN, 2)
+        with pytest.raises(HorizonOverflowError) as exc:
+            load(net, [[600.0, 600.0], [60.0, 60.0]], grid, horizon=0.3)
+        assert exc.value.residual_volume == pytest.approx(82.0, rel=1e-9)
+        assert (exc.value.path_id, exc.value.link_id) == ("p1", "b1")
+
     def test_negative_flow_rejected(self):
         net = single_link()
         grid = TimeGrid(0.0, 10 * MIN, 2)
@@ -357,9 +376,142 @@ def ring_loadings(draw):
     return Network(links=links, paths=paths, arrival_target=0.5), grid, flows
 
 
+# Exit times at the cell boundaries, per seed and path, from the loader that
+# ran every link through its own _link_step, on corridor_network(3) with flows
+# uniform on [0, 900) veh/h drawn from default_rng(seed) on 6 cells of [0, 1.6]
+# h. The bypasses queue and are loaded together at depth 0.
+CORRIDOR_EXITS = {
+    0: (
+        (0.12, 0.4575601720624444, 0.6533333333333333, 0.9361875583181893, 1.1866666666666668,
+         1.5645852500316033, 1.9013334218387439),
+        (0.3, 0.7853086206137438, 1.3689058694009426, 1.803805862573281, 2.5518638016034956,
+         3.204546644900721, 3.2067374450368398),
+        (0.12, 0.4575601720624444, 0.6533333333333333, 0.9361875583181893, 1.1866666666666668,
+         1.5645852500316033, 1.9013334218387439),
+        (0.3, 0.5666666666666667, 0.9048164436247934, 1.1, 1.3666666666666667, 1.9031661984215709,
+         2.4209178076809708),
+        (0.12, 0.4575601720624444, 0.6533333333333333, 0.9361875583181893, 1.1866666666666668,
+         1.5645852500316033, 1.9013334218387439),
+        (0.3, 0.850757384456752, 1.161894523640035, 1.269971727657964, 1.8471623998132294,
+         2.26744585779381, 2.515639358240975),
+    ),
+    1: (
+        (0.12, 0.40851368557810175, 0.8027028600625614, 0.9608758676719555, 1.2295220341780781,
+         1.4533333333333334, 1.7407517091150673),
+        (0.3, 0.9621620750563533, 1.2895213841516824, 1.72919633429013, 1.7512436248845846,
+         2.3540541118244294, 2.7845687623998523),
+        (0.12, 0.40851368557810175, 0.8027028600625614, 0.9608758676719555, 1.2295220341780781,
+         1.4533333333333334, 1.7407517091150673),
+        (0.3, 0.5666666666666667, 0.8333333333333333, 1.4336250714373755, 1.6579520778262073,
+         2.0461048573715153, 2.8306946172125063),
+        (0.12, 0.40851368557810175, 0.8027028600625614, 0.9608758676719555, 1.2295220341780781,
+         1.4533333333333334, 1.7407517091150673),
+        (0.3, 0.7128548684383029, 0.8333333333333333, 1.3321251377633336, 1.9534716292371719,
+         2.443874270079604, 3.177712433912326),
+    ),
+    2: (
+        (0.12, 0.3866666666666667, 0.6893875208259415, 0.9626547687107679, 1.189672238088599,
+         1.4576312439946657, 1.7200000000000002),
+        (0.3, 0.5666666666666667, 0.8333333333333333, 1.1, 1.625946411900474, 2.0757589421248164,
+         2.1958087527690857),
+        (0.12, 0.3866666666666667, 0.6893875208259415, 0.9626547687107679, 1.189672238088599,
+         1.4576312439946657, 1.7200000000000002),
+        (0.3, 0.6132998664640209, 0.8333333333333333, 1.1101018657907198, 1.5189546446463815,
+         2.2319221722468447, 2.8523733262249964),
+        (0.12, 0.3866666666666667, 0.6893875208259415, 0.9626547687107679, 1.189672238088599,
+         1.4576312439946657, 1.7200000000000002),
+        (0.3, 0.5666666666666667, 1.2742264056173014, 1.8180755748049684, 2.497464633696516,
+         3.0130136490609303, 3.338247567201359),
+    ),
+}
+
+
+class TestBatchedDepths:
+    @pytest.mark.parametrize("seed", sorted(CORRIDOR_EXITS))
+    def test_corridor_matches_recorded_exit_times(self, seed):
+        net = corridor_network(3)
+        grid = TimeGrid(0.0, 1.6, 6)
+        assert validate(net, grid) == []
+        rng = np.random.default_rng(seed)
+        flows = rng.uniform(0.0, 900.0, size=(len(net.paths), grid.n))
+        res = load(net, flows, grid)
+        for p, expected in enumerate(CORRIDOR_EXITS[seed]):
+            exits = res.exit_times(p, grid.boundaries)
+            assert exits == pytest.approx(expected, abs=1e-9), f"path {p}"
+        assert all(res.states[f"by{i}"].queued for i in range(3))
+        assert_loading_invariants(net, grid, flows, res)
+
+
+@st.composite
+def single_user_links(draw):
+    """2-5 links, each with one inflow curve as the loader hands it on: times
+    nondecreasing, some pieces shorter than _MIN_PARCEL_LEN, some carrying
+    no flow, and rates on either side of the link's capacity, so that
+    queues form, empty inside a piece, and drain after the last breakpoint."""
+    links, curves = [], []
+    for r in range(draw(st.integers(2, 5))):
+        pieces = draw(st.integers(1, 8))
+        lengths = draw(st.lists(
+            st.one_of(st.floats(0.01 * _MIN_PARCEL_LEN, 0.5 * _MIN_PARCEL_LEN),
+                      st.floats(1e-3, 0.3)),
+            min_size=pieces, max_size=pieces))
+        rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(1.0, 2000.0)),
+                              min_size=pieces, max_size=pieces))
+        t = draw(st.floats(0.0, 1.0)) + np.concatenate(([0.0], np.cumsum(lengths)))
+        n = np.concatenate(([0.0], np.cumsum(np.multiply(rates, lengths))))
+        links.append(Link(f"l{r}", "O", "D", draw(st.floats(0.01, 0.3)),
+                          draw(st.floats(50.0, 1500.0))))
+        curves.append((t, n))
+    return links, curves
+
+
+@st.composite
+def layered_loadings(draw):
+    """2-4 depths of 1-4 parallel links each, between hub nodes h0, h1, ...:
+    each path runs one link of every depth from one hub to a later one, so
+    paths merge onto shared links and diverge after them."""
+    layers = [
+        [Link(f"l{d}_{j}", f"h{d}", f"h{d + 1}", draw(st.floats(0.02, 0.3)),
+              draw(st.floats(50.0, 1000.0)))
+         for j in range(draw(st.integers(1, 4)))]
+        for d in range(draw(st.integers(2, 4)))
+    ]
+    paths = []
+    for k in range(draw(st.integers(1, 6))):
+        first = draw(st.integers(0, len(layers) - 1))
+        end = draw(st.integers(first + 1, len(layers)))
+        route = tuple(draw(st.sampled_from(layers[d])).id for d in range(first, end))
+        paths.append(Path(f"p{k}", route, f"h{first}", f"h{end}"))
+    n_cells = draw(st.integers(1, 5))
+    rate = st.one_of(st.just(0.0), st.floats(1.0, 1500.0))
+    flows = np.array([draw(st.lists(rate, min_size=n_cells, max_size=n_cells)) for _ in paths])
+    links = tuple(link for layer in layers for link in layer)
+    return (Network(links=links, paths=tuple(paths), arrival_target=0.5),
+            TimeGrid(0.0, 1.0, n_cells), flows)
+
+
 class TestLoaderProperties:
     @settings(max_examples=60, deadline=None)
     @given(ring_loadings())
     def test_invariants_on_random_path_sets(self, case):
         net, grid, flows = case
         assert_loading_invariants(net, grid, flows, load(net, flows, grid))
+
+    @settings(max_examples=60, deadline=None)
+    @given(layered_loadings())
+    def test_invariants_on_layered_networks(self, case):
+        net, grid, flows = case
+        assert_loading_invariants(net, grid, flows, load(net, flows, grid))
+
+    @settings(max_examples=200, deadline=None)
+    @given(single_user_links())
+    def test_batch_step_equals_link_step_bit_for_bit(self, case):
+        links, curves = case
+        states, outs = _batch_step(links, curves)
+        for link, curve, state, out in zip(links, curves, states, outs):
+            ref, (ref_out,) = _link_step(link, [curve])
+            for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
+                              (state.queue, ref.queue), (state.w, ref.w),
+                              (out[0], ref_out[0]), (out[1], ref_out[1])):
+                assert np.array_equal(got, want), link.id
+            assert state.queued == ref.queued

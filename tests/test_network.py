@@ -3,6 +3,8 @@ import pytest
 from edue.grid import TimeGrid
 from edue.network import Link, Network, Path, StructureError, max_exit_capacity, validate
 
+from conftest import corridor_network
+
 
 def make_net(links, paths, target=1.5):
     return Network(links=tuple(links), paths=tuple(paths), arrival_target=target)
@@ -113,6 +115,26 @@ class TestStructure:
         assert [net.paths[i].id for i in od] == ["pA", "pB"]
 
 
+def depth_of(net):
+    """Per link id, the index of its depth in net.loading_depths."""
+    return {link.id: d for d, depth in enumerate(net.loading_depths)
+            for link, _ in depth.links + tuple(l for c in depth.cycles for l in c.links)}
+
+
+def assert_predecessors_shallower(net):
+    """Every link a path uses right before another lies at a lower depth,
+    unless both lie on one succession cycle."""
+    depth = depth_of(net)
+    assert sorted(depth) == sorted(link.id for link in net.links)
+    cycle_of = {link.id: c for d in net.loading_depths for c, cycle in enumerate(d.cycles)
+                for link, _ in cycle.links}
+    for route in net.routes:
+        for a, b in zip(route, route[1:]):
+            same_cycle = a.id in cycle_of and cycle_of.get(b.id) == cycle_of[a.id] \
+                and depth[a.id] == depth[b.id]
+            assert depth[a.id] < depth[b.id] or same_cycle, (a.id, b.id)
+
+
 class TestLoadingOrder:
     def test_components_in_succession_order(self):
         # f feeds a ring r1 -> r2 -> r3 -> r1 that x leaves; u is unused
@@ -130,10 +152,24 @@ class TestLoadingOrder:
             Path("b", ("r3", "r1"), "C", "B"),
             Path("out", ("r1", "r2", "x"), "A", "E"),
         ]
-        loading_order = make_net(links, paths).loading_order
-        order = [[link.id for link, _ in comp] for comp in loading_order]
-        assert sorted(order) == [["f"], ["r3", "r2", "r1"], ["u"], ["x"]]
-        assert order.index(["f"]) < order.index(["r3", "r2", "r1"]) < order.index(["x"])
-        users = {link.id: u for comp in loading_order for link, u in comp}
+        net = make_net(links, paths)
+        depths = [(sorted(link.id for link, _ in d.links),
+                   [[link.id for link, _ in c.links] for c in d.cycles])
+                  for d in net.loading_depths]
+        assert depths == [(["f", "u"], []), ([], [["r3", "r2", "r1"]]), (["x"], [])]
+        (ring,) = net.loading_depths[1].cycles
+        # the users fed from inside the ring: all but path "in" entering r1 from f
+        assert ring.inner == {(0, 2), (1, 1), (2, 1), (3, 1)}
+        users = {link.id: u for d in net.loading_depths
+                 for link, u in d.links + tuple(l for c in d.cycles for l in c.links)}
         assert users["r2"] == ((0, 2), (1, 0), (3, 1))
         assert users["u"] == ()
+        assert_predecessors_shallower(net)
+
+    def test_corridor_depths(self):
+        # feeders and bypasses, then the shared bottleneck, then the exits
+        net = corridor_network(4)
+        assert [len(d.links) for d in net.loading_depths] == [8, 1, 4]
+        assert all(not d.cycles for d in net.loading_depths)
+        assert [link.id for link, _ in net.loading_depths[1].links] == ["bn"]
+        assert_predecessors_shallower(net)
