@@ -18,19 +18,20 @@ instants and a final drain point, and give each path its downstream curve
 (exit time, its own cumulative count), which is exact by FIFO.
 
 No link at a depth feeds another at it, so the links of a depth that have one
-live user (a path with nonzero flow) are loaded together when there are two
-or more of them: one step over their curves laid end to end, bit for bit the
-floats of the per-link step, whose cost is almost all fixed. On a 2-core Xeon
-host (least of 5 x 200 calls; 17 breakpoints a link, 65 for 64 links), 8
-links take 225 us one by one and 45 us in one batch, or 411 and 128 us when
-they queue; 64 links take 1918 and 186 us, or 4055 and 704 us. Three kinds of
-link keep the per-link step. A lone such link at its depth costs 23 us there
-and 29 us as a batch of one, or 43 and 112 us when it queues. A merge link
-with two or more live users first merges their curves on the union of their
-breakpoints, a sort of its own. The links of a succession cycle (a ring road)
-feed each other, so they run the per-link step in passes: nothing leaves a
-link sooner than tau after entering it, so each pass makes the cycle's curves
-exact for one more min-tau of time.
+live user (a path whose inflow curve there carries flow) are loaded together
+when there are two or more of them: one step over their curves laid end to
+end, bit for bit the floats of the per-link step, whose cost is almost all
+fixed. On a 2-core Xeon host (least of 5 x 200 calls; 17 breakpoints a
+link, 65 for 64 links), 8 links take 225 us one by one and 45 us in one
+batch, or 411 and 128 us when they queue; 64 links take 1918 and 186 us, or
+4055 and 704 us. Three kinds of link keep the per-link step. A lone such
+link at its depth costs 23 us there and 29 us as a batch of one, or 43 and
+112 us when it queues. A merge link with two or more live users first
+merges their curves on the union of their breakpoints, a sort of its own.
+The links of a succession cycle (a ring road) feed each other, so they run
+the per-link step in passes: nothing leaves a link sooner than tau after
+entering it, so each pass makes the cycle's curves exact for one more min-tau
+of time.
 
 A loading keeps, per link, its breakpoints s and waits w = q / M. Exit times
 of a path follow by s <- s + tau, then s <- s + w(s), link by link.
@@ -189,12 +190,16 @@ def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
 
     The arithmetic runs elementwise on the flat arrays, with each link's
     free-flow time and capacity repeated over its row. Where the inflow never
-    exceeds capacity, g falls along every row and no queue forms. Otherwise
-    only the running minimum of g and the running maximum of the exit times
-    must start afresh at each row; they run along the rows of a 2-d array.
-    The index b needs no padding: each row's first point sets that row's
-    minimum and has a higher flat index than every point of the rows before
-    it."""
+    exceeds capacity, g falls along every row, no queue forms, and the queue
+    arithmetic, which would give the same zeros, is skipped. No batched link
+    of the benchmark workloads queues; run through the queue arithmetic,
+    op_rel rose 20% on corridor-k4-n16 and 3% on check-k32-n64 (medians of
+    10 alternating 25 s pairs, seed 1, higher in 10 of 10 pairs on each;
+    2-core Xeon host). Otherwise only the running minimum of g and the
+    running maximum of the exit times must start afresh at each row; they
+    run along the rows of a 2-d array. The index b needs no padding: each
+    row's first point sets that row's minimum and has a higher flat index
+    than every point of the rows before it."""
     sizes = np.array([len(t) for t, _ in inflows])
     s = np.concatenate([t for t, _ in inflows]) + np.repeat(
         [link.free_flow_time for link in links], sizes)
@@ -370,11 +375,13 @@ def load(
             curves[p][k + 1] = out
 
     for depth in network.loading_depths:
-        # links with one live user (a path that carries flow) go through
-        # _batch_step together; the curves of their other users stay None
+        # links with one live user (an inflow curve that is not None) go
+        # through _batch_step together; the curves of their other users stay
+        # None. Behind a cycle cut short at the horizon end, a path with flow
+        # can have no curve here; step() loads its link as one without users.
         single: list[tuple[Link, Users, tuple[int, int]]] = []
         for link, users in depth.links:
-            live_users = [(p, k) for p, k in users if curves[p][0] is not None]
+            live_users = [(p, k) for p, k in users if curves[p][k] is not None]
             if len(live_users) == 1:
                 single.append((link, users, live_users[0]))
             else:
