@@ -109,6 +109,10 @@ class Scenario:
             self.pinned_demand = np.array(
                 [_number(by_od[od], "fixed_demand") for od in self.network.od_pairs]
             )
+            for od, q in zip(self.network.od_pairs, self.pinned_demand.tolist()):
+                if q < 0.0:
+                    raise ScenarioError(f"field 'fixed_demand' of OD {od[0]}->{od[1]} must be "
+                                        f"nonnegative, got {q!r}")
         else:
             intercept, slope, cap = [], [], []
             for od in self.network.od_pairs:

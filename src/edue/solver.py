@@ -3,9 +3,10 @@
 The extended problem over (path flows, demands) is solved in the reduced
 parametrization: demands are induced from flows by conservation, which turns
 the step into componentwise clipping of flows against their reduced costs
-(cell cost minus the OD's inverse-demand value). Demand caps are enforced by
-per-OD rescaling; an active cap is flagged in the report since it is a
-technical device, not an equilibrium property.
+(cell cost minus the OD's inverse-demand value), then per-OD rescaling onto
+one bound vector: the demand caps, or in fixed mode the pinned demands. Only
+the step knows the mode. An active cap is flagged in the report since it is
+a technical device, not an equilibrium property.
 
 No convergence is guaranteed by theory (the delay operator is not monotone);
 non-convergence is reported honestly via the gap history and exit status.
@@ -21,7 +22,7 @@ import numpy as np
 from . import dnl, verify
 from .cost import CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
-from .grid import ExtendedPoint, TimeGrid
+from .grid import ExtendedPoint, ShapeError, TimeGrid
 from .network import Network, max_exit_capacity
 
 __all__ = [
@@ -141,27 +142,25 @@ def fixed_point_step(
     network: Network,
     alpha: float,
     caps: np.ndarray,
-    pinned_demand: np.ndarray | None = None,
+    pinned: bool = False,
 ) -> ExtendedPoint:
     """One projection step: clip flows against alpha-scaled reduced costs,
-    re-induce demands, then rescale any OD that overruns its cap (elastic) or
-    misses its pinned demand (fixed mode, which ignores ``caps``)."""
+    re-induce each OD's volume, then rescale every OD whose volume overruns
+    its cap, or with ``pinned`` misses its pinned demand in ``caps`` (an OD
+    whose flow was all clipped restarts at its cheapest cell)."""
+    verify.check_rows(network, point.flows, costs.psi)
     grid = point.grid
     h = np.maximum(0.0, point.flows - alpha * reduced_costs(costs, network))
     vol = network.od_sum(h.sum(axis=1)) * grid.dt
-    if pinned_demand is not None:
-        demands = np.asarray(pinned_demand, dtype=float)
-        clipped = vol <= 0.0
-        h *= np.divide(demands, vol, out=np.zeros_like(vol), where=~clipped)[network.path_od, None]
-        if clipped.any():
-            # all of an OD's flow got clipped; restart it at its cheapest cell
+    demands = caps if pinned else np.minimum(vol, caps)
+    off = demands != vol
+    if off.any():
+        empty = vol <= 0.0
+        h *= np.divide(demands, vol, out=np.ones_like(vol), where=off & ~empty)[network.path_od, None]
+        restart = off & empty
+        if restart.any():
             p, j = network.od_argmin(costs.psi)
-            h[p[clipped], j[clipped]] = demands[clipped] / grid.dt
-    elif (vol > caps).any():
-        h *= np.divide(caps, vol, out=np.ones_like(vol), where=vol > caps)[network.path_od, None]
-        demands = np.minimum(vol, caps)
-    else:
-        demands = vol
+            h[p[restart], j[restart]] = demands[restart] / grid.dt
     return ExtendedPoint.from_matrix(grid, h, demands)
 
 
@@ -170,21 +169,21 @@ def compute_gap(
     costs: CostField,
     network: Network,
     caps: np.ndarray,
-    pinned_demand: np.ndarray | None = None,
 ) -> float:
     """Closed-form equilibrium gap: the largest violation of the variational
     inequality over the feasible set, nonnegative and zero exactly at
     solutions.
 
     Per OD the best response concentrates on the cheapest (path, cell): the
-    cap volume there if its reduced cost is negative, nothing otherwise (with
-    pinned demand, always the pinned volume there).
+    cap volume there if its reduced cost is negative, nothing otherwise. In
+    fixed mode (``caps`` the pinned demands) ``f_map`` sets theta to each
+    OD's least cost, so that reduced cost is exactly 0.0 and the pinned
+    formula, carried - cheapest * pinned, gives the same float.
     """
+    verify.check_rows(network, point.flows, costs.psi)
     rc = reduced_costs(costs, network)
     carried = float(np.vdot(point.flows, rc)) * point.grid.dt
     cheapest = network.od_min(rc)  # the reduced cost at each OD's cheapest cell
-    if pinned_demand is not None:
-        return carried - float(np.dot(cheapest, pinned_demand))
     return carried - float(np.dot(np.minimum(0.0, cheapest), caps))
 
 
@@ -214,17 +213,23 @@ def solve(
     """
     if (inv_demand is None) == (pinned_demand is None):
         raise ValueError("pass exactly one of inv_demand (elastic) or pinned_demand (fixed)")
+    pinned = inv_demand is None
+    caps = np.asarray(pinned_demand if pinned else inv_demand.cap, dtype=float)
+    n_od = len(network.od_pairs)
+    if caps.shape != (n_od,):
+        raise ShapeError(f"{'pinned demands' if pinned else 'inv_demand.cap'} must hold one "
+                         f"entry per OD pair ({n_od}), got shape {caps.shape}")
+    bad = ~((caps >= 0.0) & (caps < np.inf))
+    if bad.any():
+        raise ValueError(f"pinned demands must be finite and nonnegative; OD pair indices "
+                         f"{np.flatnonzero(bad).tolist()} are not")
 
-    if pinned_demand is not None:
-        caps = np.asarray(pinned_demand, dtype=float)
-        mode = "fixed"
+    if pinned:
         # zero flow is infeasible under pinned demand; start uniform
-        per_cell = caps / (np.bincount(network.path_od, minlength=len(caps)) * grid.n * grid.dt)
+        per_cell = caps / (np.bincount(network.path_od, minlength=n_od) * grid.n * grid.dt)
         h = np.repeat(per_cell[network.path_od, None], grid.n, axis=1)
         point = ExtendedPoint.from_matrix(grid, h, caps)
     else:
-        caps = inv_demand.cap
-        mode = "elastic"
         point = zero_point(network, grid)
 
     alpha = config.alpha
@@ -240,7 +245,7 @@ def solve(
 
     for iteration in range(config.max_iters):
         costs = f_map(network, point, penalty, inv_demand, grid)
-        gap = compute_gap(point, costs, network, caps, pinned_demand)
+        gap = compute_gap(point, costs, network, caps)
         res = verify.due_residuals(point, costs, network)
         history.append((iteration, gap, res.max_r1(), res.max_r2(), alpha))
         if iteration == 0:
@@ -258,11 +263,11 @@ def solve(
             converged = True
             best_gap, best_point, best_costs, best_res = gap, point, costs, res
             break
-        point = fixed_point_step(point, costs, network, alpha, caps, pinned_demand)
+        point = fixed_point_step(point, costs, network, alpha, caps, pinned)
 
     assert best_costs is not None and best_res is not None
-    caps_active = (np.flatnonzero(best_point.demands >= caps * (1.0 - 1e-12)).tolist()
-                   if mode == "elastic" else [])
+    caps_active = [] if pinned else np.flatnonzero(
+        best_point.demands >= caps * (1.0 - 1e-12)).tolist()
     return SolveReport(
         point=best_point,
         costs=best_costs,
@@ -272,5 +277,5 @@ def solve(
         flow_bound=lemma2_bound(network, penalty),
         caps_active=caps_active,
         final_gap=float(best_gap),
-        mode=mode,
+        mode="fixed" if pinned else "elastic",
     )

@@ -16,7 +16,7 @@ from .cost import CostField
 from .grid import ExtendedPoint, ShapeError
 from .network import Network
 
-__all__ = ["ResidualReport", "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
+__all__ = ["ResidualReport", "check_rows", "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
 
 FEASIBILITY_RTOL = 1e-9  # per-OD conservation, relative to max(|demand|, 1)
 DEFAULT_FLOW_THRESHOLD_REL = 1e-6  # of the max cell flow; defines "used" cells
@@ -67,11 +67,21 @@ class ResidualReport:
         return lines
 
 
+def check_rows(network: Network, *arrays: np.ndarray) -> None:
+    """Raise ShapeError unless each (paths, n) flow or cost array has one row
+    per path of the network. Unchecked, one row broadcasts against the
+    per-path demand values into a result of the right shape."""
+    paths = len(network.paths)
+    for a in arrays:
+        if a.shape[0] != paths:
+            raise ShapeError(f"flows and costs must have one row per path ({paths}), "
+                             f"got {a.shape[0]}")
+
+
 def is_feasible(point: ExtendedPoint, network: Network) -> bool:
     """Membership in the feasible set: nonnegative flows whose per-OD integrals
     match the demand vector within FEASIBILITY_RTOL."""
-    if point.flows.shape[0] != len(network.paths):
-        raise ShapeError(f"the flow matrix must have one row per path ({len(network.paths)})")
+    check_rows(network, point.flows)
     if point.demands.shape != (len(network.od_pairs),):
         raise ShapeError("the demand vector must have one entry per OD pair")
     if (point.flows < 0.0).any() or (point.demands < 0.0).any():
@@ -87,6 +97,7 @@ def due_residuals(point: ExtendedPoint, costs: CostField, network: Network) -> R
     A cell counts as used ("h > 0") when its flow exceeds
     DEFAULT_FLOW_THRESHOLD_REL times the maximum cell flow.
     """
+    check_rows(network, point.flows, costs.psi)
     flow_threshold = DEFAULT_FLOW_THRESHOLD_REL * float(point.flows.max())
     psi, theta = costs.psi, costs.theta
     excess = np.maximum(0.0, psi - theta[network.path_od, None])

@@ -11,6 +11,7 @@ from edue.cli import (
     main,
 )
 from edue.solver import SolverConfig
+from edue.verify import FEASIBILITY_RTOL
 
 from oracles import bisect_demand
 
@@ -68,6 +69,23 @@ def tiny_scenario():
     return doc
 
 
+def fixed_scenario(demands):
+    """The congested scenario with a second OD pair O2->D on its own link,
+    each OD's demand pinned at the given volume."""
+    doc = congested_scenario()
+    doc["network"]["links"].append(
+        {"id": "b", "from": "O2", "to": "D", "free_flow_time": 0.1, "exit_capacity": 1000.0}
+    )
+    doc["network"]["paths"].append(
+        {"id": "p2", "links": ["b"], "origin": "O2", "destination": "D"}
+    )
+    doc["demand"] = [
+        {"origin": origin, "destination": "D", "fixed_demand": q}
+        for origin, q in zip(("O", "O2"), demands)
+    ]
+    return doc
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -118,6 +136,12 @@ class TestScenarioParsing:
         )
         path = write_scenario(tmp_path, doc)
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+
+    def test_negative_fixed_demand_rejected_naming_the_od_pair(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, fixed_scenario([200.0, -5.0]))
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert ("field 'fixed_demand' of OD O2->D must be nonnegative, got -5.0"
+                in capsys.readouterr().err)
 
     def test_invalid_network_rejected(self, tmp_path):
         doc = uncongested_scenario()
@@ -186,6 +210,20 @@ class TestSolveCommand:
                                q_hi=114.0)
         # loose agreement here; the tight tolerance lives in the acceptance suite
         assert q == pytest.approx(q_star, rel=0.02)
+
+    def test_fixed_mode_solve_carries_each_pinned_demand(self, tmp_path):
+        demands = {"p1": 200.0, "p2": 0.0}  # one path per OD pair
+        path = write_scenario(tmp_path, fixed_scenario(list(demands.values())))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "mode: fixed" in summary
+        assert "active demand caps (OD indices): []" in summary
+        rows = read_csv(out / "flows.csv")
+        dt = 1.0 / 4
+        for pid, q in demands.items():
+            vol = sum(float(r["flow"]) for r in rows if r["path_id"] == pid) * dt
+            assert abs(vol - q) <= FEASIBILITY_RTOL * max(q, 1.0)
 
     def test_forced_nonconvergence_exits_2_with_one_gap_row(self, tmp_path):
         path = write_scenario(tmp_path, congested_scenario())

@@ -63,9 +63,14 @@ def od_minima(net, psi):
 @given(problems(), st.booleans())
 def test_compute_gap_matches_loop(problem, pinned):
     net, grid, h, psi, theta, caps = problem
+    pinned_demand = None
+    if pinned:
+        # in pinned mode the demand value is the OD's least cost, and the
+        # mode-free gap must equal the loop's pinned formula
+        theta = od_minima(net, psi)
+        pinned_demand = caps
     point, costs = point_of(net, grid, h), CostField(psi, theta)
-    pinned_demand = caps if pinned else None
-    assert compute_gap(point, costs, net, caps, pinned_demand) == pytest.approx(
+    assert compute_gap(point, costs, net, caps) == pytest.approx(
         compute_gap_loop(point, costs, net, caps, pinned_demand), rel=1e-12, abs=1e-9)
 
 
@@ -96,7 +101,7 @@ def test_fixed_point_step_matches_loop(problem, mode, alpha):
         h[list(net.od_paths[0])] = 0.0
         pinned = caps
     point, costs = point_of(net, grid, h), CostField(psi, theta)
-    new = fixed_point_step(point, costs, net, alpha, caps, pinned)
+    new = fixed_point_step(point, costs, net, alpha, caps, pinned=pinned is not None)
     h_ref, demands_ref = fixed_point_step_loop(point, costs, net, alpha, caps, pinned)
     np.testing.assert_allclose(new.flows, h_ref, **TIGHT)
     np.testing.assert_allclose(new.demands, demands_ref, **TIGHT)

@@ -3,7 +3,7 @@ import pytest
 
 from edue.cost import CostField, SchedulePenalty
 from edue.demand import InverseDemand
-from edue.grid import ExtendedPoint, TimeGrid
+from edue.grid import ExtendedPoint, ShapeError, TimeGrid
 from edue.network import Link, Network, Path
 from edue.solver import (
     SolverConfig,
@@ -129,7 +129,7 @@ class TestReducedCostAndStep:
         point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 2.0]]), np.array([2.0]))
         costs = toy_costs([[0.3, 0.3 - 2.0]], [0.3])  # cell 1 gains 1 veh/h
         pinned = np.array([4.0])
-        new = fixed_point_step(point, costs, net, alpha=0.5, caps=pinned, pinned_demand=pinned)
+        new = fixed_point_step(point, costs, net, alpha=0.5, caps=pinned, pinned=True)
         # (2, 3) rescaled to carry 4 vehicles over cells of width 0.5
         assert new.demands[0] == 4.0
         assert new.flows[0] == pytest.approx([3.2, 4.8])
@@ -140,7 +140,7 @@ class TestReducedCostAndStep:
         point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 2.0]]), np.array([2.0]))
         costs = toy_costs([[5.3, 4.3]], [0.3])  # both cells clip to zero
         pinned = np.array([2.0])
-        new = fixed_point_step(point, costs, net, alpha=1.0, caps=pinned, pinned_demand=pinned)
+        new = fixed_point_step(point, costs, net, alpha=1.0, caps=pinned, pinned=True)
         assert new.demands[0] == 2.0
         assert new.flows[0] == pytest.approx([0.0, 4.0])
 
@@ -247,6 +247,16 @@ class TestLemma2Bound:
         assert lemma2_bound(net2, pen) == pytest.approx(2 * lemma2_bound(net1, pen))
 
 
+@pytest.fixture
+def two_od_bottlenecks(congested_bottleneck):
+    """Two OD pairs, each on its own copy of the congested bottleneck, with
+    the one-OD instance's penalty, demand and config."""
+    links = (Link("a", "O1", "D", 0.1, 1000.0), Link("b", "O2", "D", 0.1, 1000.0))
+    paths = (Path("p1", ("a",), "O1", "D"), Path("p2", ("b",), "O2", "D"))
+    net = Network(links=links, paths=paths, arrival_target=0.6)
+    return net, grid_of(congested_bottleneck), congested_bottleneck
+
+
 class TestSolve:
     def test_uncongested_demand_matches_bisection(self, uncongested_elastic):
         inst = uncongested_elastic
@@ -315,6 +325,25 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(inst["network"], inst["penalty"], inst["inv_demand"], inst["config"],
                   grid=grid, pinned_demand=np.array([10.0]))
+
+    @pytest.mark.parametrize("pinned", [[100.0], [100.0, 50.0, 20.0]])
+    def test_pinned_demand_length_names_the_od_count(self, two_od_bottlenecks, pinned):
+        net, grid, inst = two_od_bottlenecks
+        with pytest.raises(ShapeError, match=r"pinned demands .* per OD pair \(2\)"):
+            solve(net, inst["penalty"], None, inst["config"], grid=grid,
+                  pinned_demand=np.array(pinned))
+
+    def test_cap_length_names_the_od_count(self, two_od_bottlenecks):
+        net, grid, inst = two_od_bottlenecks
+        with pytest.raises(ShapeError, match=r"inv_demand.cap .* per OD pair \(2\)"):
+            solve(net, inst["penalty"], inst["inv_demand"], inst["config"], grid=grid)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_pinned_demand_must_be_finite_and_nonnegative(self, two_od_bottlenecks, bad):
+        net, grid, inst = two_od_bottlenecks
+        with pytest.raises(ValueError, match=r"finite and nonnegative; OD pair indices \[1\]"):
+            solve(net, inst["penalty"], None, inst["config"], grid=grid,
+                  pinned_demand=np.array([100.0, bad]))
 
 
 class TestSolveReport:

@@ -4,8 +4,8 @@ import pytest
 from edue.cost import CostField
 from edue.grid import ExtendedPoint, ShapeError, TimeGrid
 from edue.network import Link, Network, Path as NetPath
-from edue.solver import compute_gap, f_map, solve
-from edue.verify import best_response, due_residuals, random_probe, vi_lhs
+from edue.solver import compute_gap, f_map, fixed_point_step, solve
+from edue.verify import best_response, due_residuals, is_feasible, random_probe, vi_lhs
 
 from conftest import grid_of, single_link_network
 
@@ -207,3 +207,35 @@ class TestResponses:
             vol = float(probe.flows.sum()) * grid.dt
             assert vol == pytest.approx(float(probe.demands[0]), rel=1e-9)
             assert probe.demands[0] <= caps[0]
+
+
+# the functions that check their flow rows (and cost rows, given costs)
+ROW_CHECKED = {
+    "fixed_point_step": lambda x, c, net: fixed_point_step(x, c, net, 1.0, np.array([50.0])),
+    "compute_gap": lambda x, c, net: compute_gap(x, c, net, np.array([50.0])),
+    "due_residuals": due_residuals,
+    "is_feasible": lambda x, c, net: is_feasible(x, net),
+}
+
+
+class TestRowCount:
+    """A point or cost field whose row count is not the path count raises
+    ShapeError: one row would otherwise broadcast into a result of the right
+    shape, three into NumPy's broadcast error."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", list(ROW_CHECKED))
+    def test_flow_rows_checked(self, two_parallel_elastic, name, rows):
+        grid = TimeGrid(0.0, 1.0, 2)
+        point = ExtendedPoint.from_matrix(grid, np.full((rows, 2), 10.0), [10.0 * rows])
+        costs = toy_costs(np.full((rows, 2), 0.5), [0.5])
+        with pytest.raises(ShapeError, match=r"one row per path \(2\), got " + str(rows)):
+            ROW_CHECKED[name](point, costs, two_parallel_elastic["network"])
+
+    @pytest.mark.parametrize("name", ["fixed_point_step", "compute_gap", "due_residuals"])
+    def test_cost_rows_checked(self, two_parallel_elastic, name):
+        grid = TimeGrid(0.0, 1.0, 2)
+        point = ExtendedPoint.from_matrix(grid, np.full((2, 2), 10.0), [20.0])
+        costs = toy_costs(np.full((1, 2), 0.5), [0.5])
+        with pytest.raises(ShapeError, match=r"one row per path \(2\), got 1"):
+            ROW_CHECKED[name](point, costs, two_parallel_elastic["network"])
