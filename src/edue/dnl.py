@@ -23,11 +23,13 @@ when there are two or more of them: one step over their curves laid end to
 end, bit for bit the floats of the per-link step, whose cost is almost all
 fixed. On a 2-core Xeon host (least of 5 x 200 calls; 17 breakpoints a
 link, 65 for 64 links), 8 links take 225 us one by one and 45 us in one
-batch, or 411 and 128 us when they queue; 64 links take 1918 and 186 us, or
-4055 and 704 us. Three kinds of link keep the per-link step. A lone such
-link at its depth costs 23 us there and 29 us as a batch of one, or 43 and
-112 us when it queues. A merge link with two or more live users first
-merges their curves on the union of their breakpoints, a sort of its own.
+batch; 64 links take 1918 and 186 us. The batch computes no queue: a batched
+link whose inflow exceeds its capacity goes through the per-link step, as no
+benchmark workload queues on a batched link and a second copy of the queue
+arithmetic would serve no measured load. Three kinds of link keep the
+per-link step. A lone such link at its depth costs 23 us there and 29 us as
+a batch of one. A merge link with two or more live users first merges their
+curves on the union of their breakpoints, a sort of its own.
 The links of a succession cycle (a ring road) feed each other, so they run
 the per-link step in passes: nothing leaves a link sooner than tau after
 entering it, so each pass makes the cycle's curves exact for one more min-tau
@@ -108,7 +110,9 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
     depth go through _batch_step together (see the module docstring for the
     measured times). This step loads the rest: a lone link at its depth,
     which it loads faster than a batch of one; merge links with two or more
-    live users; and the links of succession cycles, loaded in passes."""
+    live users; the links of succession cycles, loaded in passes; and a
+    batched link whose inflow exceeds its capacity, which _batch_step hands
+    back here because no benchmark workload queues on a batched link."""
     live = [c for c in inflows if c is not None]
     if not live:
         empty = np.empty(0)
@@ -172,16 +176,6 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
     return state, [None if c is None else (exits, next(out)) for c in inflows]
 
 
-def _row_accumulate(ufunc: np.ufunc, x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """ufunc.accumulate along each row of x, whose rows of the given sizes
-    lie end to end: on a (rows, longest row) array, padded after each row's
-    end, where the padding never reaches the row."""
-    mask = np.arange(sizes.max()) < sizes[:, None]
-    padded = np.zeros(mask.shape)
-    padded[mask] = x
-    return ufunc.accumulate(padded, axis=1)[mask]
-
-
 def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
                 ) -> tuple[list[LinkState], list[Curve]]:
     """_link_step of links that have one user each, that user's inflow curve
@@ -190,16 +184,12 @@ def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
 
     The arithmetic runs elementwise on the flat arrays, with each link's
     free-flow time and capacity repeated over its row. Where the inflow never
-    exceeds capacity, g falls along every row, no queue forms, and the queue
-    arithmetic, which would give the same zeros, is skipped. No batched link
-    of the benchmark workloads queues; run through the queue arithmetic,
-    op_rel rose 20% on corridor-k4-n16 and 3% on check-k32-n64 (medians of
-    10 alternating 25 s pairs, seed 1, higher in 10 of 10 pairs on each;
-    2-core Xeon host). Otherwise only the running minimum of g and the
-    running maximum of the exit times must start afresh at each row; they
-    run along the rows of a 2-d array. The index b needs no padding: each
-    row's first point sets that row's minimum and has a higher flat index
-    than every point of the rows before it."""
+    exceeds capacity, g falls along the row and no queue forms. A row on
+    which g rises (the inflow exceeds capacity somewhere) goes through
+    _link_step on its own: no batched link of the benchmark workloads
+    queues, so a batched copy of the queue arithmetic would serve no measured
+    load. The whole-batch test comes first, so a batch without a queue pays
+    for nothing else."""
     sizes = np.array([len(t) for t, _ in inflows])
     s = np.concatenate([t for t, _ in inflows]) + np.repeat(
         [link.free_flow_time for link in links], sizes)
@@ -211,65 +201,22 @@ def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
     if not keep.all():
         s, a = s[keep], a[keep]
         last = np.cumsum(keep)[last] - 1
-        sizes = np.diff(last, prepend=-1)
-    cap = np.repeat([link.exit_capacity for link in links], sizes)
-    g = a - cap * s
-    within = np.ones(len(s) - 1, dtype=bool)  # pieces that do not span two rows
-    within[last[:-1]] = False
-    if not ((g[1:] > g[:-1]) & within).any():
-        q = w = np.zeros(len(s))
-        queued = [False] * len(links)
-        exits = s + w
-    else:
-        s, a, q, cap, sizes = _batch_queues(s, a, g, cap, sizes, last, within)
-        w = q / cap
-        queued = np.logical_or.reduceat(q > 0.0, np.cumsum(sizes) - sizes).tolist()
-        exits = _row_accumulate(np.maximum, s + w, sizes)
-    bounds = np.cumsum(sizes).tolist()
+    g = a - np.repeat([link.exit_capacity for link in links], np.diff(last, prepend=-1)) * s
+    rises = g[1:] > g[:-1]
+    rises[last[:-1]] = False  # pieces that span two rows
+    queues = set(np.searchsorted(last, np.flatnonzero(rises)).tolist()) if rises.any() else ()
+    q = w = np.zeros(len(s))
+    bounds = (last + 1).tolist()
     states, outs = [], []
-    for link, lo, hi, queues in zip(links, [0] + bounds, bounds, queued):
-        states.append(LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], queues))
-        outs.append((exits[lo:hi], a[lo:hi]))
+    for r, (link, inflow, lo, hi) in enumerate(zip(links, inflows, [0] + bounds, bounds)):
+        if r in queues:
+            state, (out,) = _link_step(link, [inflow])
+        else:
+            state = LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], False)
+            out = (s[lo:hi], a[lo:hi])
+        states.append(state)
+        outs.append(out)
     return states, outs
-
-
-def _batch_queues(s: np.ndarray, a: np.ndarray, g: np.ndarray, cap: np.ndarray,
-                  sizes: np.ndarray, last: np.ndarray, within: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The queue part of _batch_step: s, a and cap with each row's emptying
-    instants and drain point inserted, the queue q on them, and the new row
-    sizes."""
-    run_min = _row_accumulate(np.minimum, g, sizes)
-    b = np.maximum.accumulate(np.where(g == run_min, np.arange(len(g)), 0))
-    q = (a - a[b]) - cap * (s - s[b])
-    q[q < cap * _MIN_PARCEL_LEN] = 0.0
-
-    # as in _link_step; at most one point follows any breakpoint
-    (i,) = np.nonzero((q[:-1] > 0.0) & (g[1:] < run_min[:-1]) & within)
-    frac = q[i] / (g[i] - g[i + 1])
-    u = s[i] + frac * (s[i + 1] - s[i])
-    inside = (u > s[i] + _MIN_PARCEL_LEN) & (u < s[i + 1] - _MIN_PARCEL_LEN)
-    i, frac = i[inside], frac[inside]
-    drain = last[q[last] > 0.0]
-    if not (i.size or drain.size):
-        return s, a, q, cap, sizes
-    new_s, new_a = np.empty(len(s)), np.empty(len(s))
-    new_s[i], new_a[i] = u[inside], a[i] + frac * (a[i + 1] - a[i])
-    new_s[drain], new_a[drain] = s[drain] + q[drain] / cap[drain], a[drain]
-    marked = np.zeros(len(s), dtype=bool)
-    marked[i] = marked[drain] = True
-    after = np.flatnonzero(marked)
-    old_at = np.arange(len(s))
-    old_at[1:] += np.cumsum(marked[:-1])  # moved by the points before
-    new_at = old_at[after] + 1
-    size = len(s) + len(after)
-    s_all, a_all, q_all, cap_all = np.empty(size), np.empty(size), np.zeros(size), np.empty(size)
-    s_all[old_at], s_all[new_at] = s, new_s[after]
-    a_all[old_at], a_all[new_at] = a, new_a[after]
-    cap_all[old_at], cap_all[new_at] = cap, cap[after]
-    q_all[old_at] = q
-    sizes = sizes + np.add.reduceat(marked, np.cumsum(sizes) - sizes, dtype=np.intp)
-    return s_all, a_all, q_all, cap_all, sizes
 
 
 def _settle_time(curve: Curve) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import dnl, verify
 from .cost import CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
-from .grid import ExtendedPoint, ShapeError, TimeGrid
+from .grid import ExtendedPoint, TimeGrid
 from .network import Network, max_exit_capacity
 
 __all__ = [
@@ -149,6 +149,7 @@ def fixed_point_step(
     its cap, or with ``pinned`` misses its pinned demand in ``caps`` (an OD
     whose flow was all clipped restarts at its cheapest cell)."""
     verify.check_rows(network, point.flows, costs.psi)
+    caps = verify.check_caps(network, caps)
     grid = point.grid
     h = np.maximum(0.0, point.flows - alpha * reduced_costs(costs, network))
     vol = network.od_sum(h.sum(axis=1)) * grid.dt
@@ -181,6 +182,7 @@ def compute_gap(
     formula, carried - cheapest * pinned, gives the same float.
     """
     verify.check_rows(network, point.flows, costs.psi)
+    caps = verify.check_caps(network, caps)
     rc = reduced_costs(costs, network)
     carried = float(np.vdot(point.flows, rc)) * point.grid.dt
     cheapest = network.od_min(rc)  # the reduced cost at each OD's cheapest cell
@@ -214,11 +216,9 @@ def solve(
     if (inv_demand is None) == (pinned_demand is None):
         raise ValueError("pass exactly one of inv_demand (elastic) or pinned_demand (fixed)")
     pinned = inv_demand is None
-    caps = np.asarray(pinned_demand if pinned else inv_demand.cap, dtype=float)
+    caps = verify.check_caps(network, pinned_demand if pinned else inv_demand.cap,
+                             "pinned demands" if pinned else "inv_demand.cap")
     n_od = len(network.od_pairs)
-    if caps.shape != (n_od,):
-        raise ShapeError(f"{'pinned demands' if pinned else 'inv_demand.cap'} must hold one "
-                         f"entry per OD pair ({n_od}), got shape {caps.shape}")
     bad = ~((caps >= 0.0) & (caps < np.inf))
     if bad.any():
         raise ValueError(f"pinned demands must be finite and nonnegative; OD pair indices "

@@ -16,7 +16,7 @@ from .cost import CostField
 from .grid import ExtendedPoint, ShapeError
 from .network import Network
 
-__all__ = ["ResidualReport", "check_rows", "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
+__all__ = ["ResidualReport", "check_rows", "check_caps", "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
 
 FEASIBILITY_RTOL = 1e-9  # per-OD conservation, relative to max(|demand|, 1)
 DEFAULT_FLOW_THRESHOLD_REL = 1e-6  # of the max cell flow; defines "used" cells
@@ -76,6 +76,18 @@ def check_rows(network: Network, *arrays: np.ndarray) -> None:
         if a.shape[0] != paths:
             raise ShapeError(f"flows and costs must have one row per path ({paths}), "
                              f"got {a.shape[0]}")
+
+
+def check_caps(network: Network, caps, name: str = "caps") -> np.ndarray:
+    """The per-OD bound vector (demand caps, or pinned demands) as a float
+    array; raise ShapeError, naming it, unless it has one entry per OD pair.
+    Unchecked, one entry broadcasts over every OD pair."""
+    caps = np.asarray(caps, dtype=float)
+    n_od = len(network.od_pairs)
+    if caps.shape != (n_od,):
+        raise ShapeError(f"{name} must hold one entry per OD pair ({n_od}), "
+                         f"got shape {caps.shape}")
+    return caps
 
 
 def is_feasible(point: ExtendedPoint, network: Network) -> bool:
@@ -142,7 +154,7 @@ def best_response(
     """The feasible point minimizing the pairing with the given costs: per OD,
     the cap volume at the cheapest (path, cell) when its reduced cost is
     negative, nothing otherwise. Ties break to lowest path id, earliest cell."""
-    caps = np.asarray(caps, dtype=float)
+    caps = check_caps(network, caps)
     p, j = network.od_argmin(costs.psi)
     buy = costs.psi[p, j] - costs.theta < 0.0
     h = np.zeros((len(network.paths), grid.n))
@@ -158,6 +170,7 @@ def random_probe(
 ) -> ExtendedPoint:
     """A random feasible point: uniform cell flows per path, rescaled so each
     OD carries a uniform fraction of its cap."""
+    caps = check_caps(network, caps)
     # the draws, OD pair after OD pair: one per cell of each of its paths in
     # od_paths order, then one for its volume
     sizes = np.bincount(network.path_od, minlength=len(network.od_pairs)) * grid.n + 1

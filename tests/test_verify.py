@@ -7,7 +7,7 @@ from edue.network import Link, Network, Path as NetPath
 from edue.solver import compute_gap, f_map, fixed_point_step, solve
 from edue.verify import best_response, due_residuals, is_feasible, random_probe, vi_lhs
 
-from conftest import grid_of, single_link_network
+from conftest import corridor_network, grid_of, single_link_network
 
 
 def toy_costs(psi_vals, theta):
@@ -239,3 +239,26 @@ class TestRowCount:
         costs = toy_costs(np.full((1, 2), 0.5), [0.5])
         with pytest.raises(ShapeError, match=r"one row per path \(2\), got 1"):
             ROW_CHECKED[name](point, costs, two_parallel_elastic["network"])
+
+
+# the functions that take a per-OD bound vector (demand caps or pinned demands)
+CAPS_CHECKED = {
+    "fixed_point_step": lambda x, c, net, caps: fixed_point_step(x, c, net, 1.0, caps, pinned=True),
+    "compute_gap": compute_gap,
+    "best_response": lambda x, c, net, caps: best_response(c, net, caps, x.grid),
+    "random_probe": lambda x, c, net, caps: random_probe(np.random.default_rng(0), net, caps,
+                                                         x.grid),
+}
+
+
+@pytest.mark.parametrize("entries", [1, 3])
+@pytest.mark.parametrize("name", list(CAPS_CHECKED))
+def test_cap_length_names_the_od_count(name, entries):
+    """A bound vector whose length is not the OD count raises ShapeError: one
+    entry would otherwise broadcast over both OD pairs of the corridor."""
+    net = corridor_network(2)
+    grid = TimeGrid(0.0, 1.0, 2)
+    point = ExtendedPoint.from_matrix(grid, np.full((4, 2), 10.0), [20.0, 20.0])
+    costs = toy_costs(np.full((4, 2), 0.5), [0.6, 0.6])
+    with pytest.raises(ShapeError, match=r"one entry per OD pair \(2\), got shape \(" + str(entries)):
+        CAPS_CHECKED[name](point, costs, net, np.full(entries, 50.0))
