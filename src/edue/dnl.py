@@ -22,18 +22,21 @@ live user (a path whose inflow curve there carries flow) are loaded together
 when there are two or more of them: one step over their curves laid end to
 end, bit for bit the floats of the per-link step, whose cost is almost all
 fixed. On a 2-core Xeon host (least of 5 x 200 calls; 17 breakpoints a
-link, 65 for 64 links), 8 links take 225 us one by one and 45 us in one
-batch; 64 links take 1918 and 186 us. The batch computes no queue: a batched
+link, 65 for 64 links), 8 links take 133 us one by one and 68 us in one
+batch; 64 links take 1100 and 265 us. The batch computes no queue: a batched
 link whose inflow exceeds its capacity goes through the per-link step, as no
 benchmark workload queues on a batched link and a second copy of the queue
 arithmetic would serve no measured load. Three kinds of link keep the
-per-link step. A lone such link at its depth costs 23 us there and 29 us as
+per-link step. A lone such link at its depth costs 17 us there and 42 us as
 a batch of one. A merge link with two or more live users first merges their
-curves on the union of their breakpoints, a sort of its own.
-The links of a succession cycle (a ring road) feed each other, so they run
-the per-link step in passes: nothing leaves a link sooner than tau after
-entering it, so each pass makes the cycle's curves exact for one more min-tau
-of time.
+curves on the union of their breakpoints, a sort of its own. The links of a
+succession cycle (a ring road) feed each other, so they run the per-link
+step in passes: nothing leaves a link sooner than tau after entering it, so
+each pass makes the cycle's curves exact for one more min-tau of time.
+
+Both steps test first whether g ever rises. Where it does not, the inflow
+never exceeds capacity and the queue is exactly zero, so they skip the
+queue arithmetic and each user's exit times are the breakpoints s.
 
 A loading keeps, per link, its breakpoints s and waits w = q / M. Exit times
 of a path follow by s <- s + tau, then s <- s + w(s), link by link.
@@ -112,7 +115,9 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
     which it loads faster than a batch of one; merge links with two or more
     live users; the links of succession cycles, loaded in passes; and a
     batched link whose inflow exceeds its capacity, which _batch_step hands
-    back here because no benchmark workload queues on a batched link."""
+    back here because no benchmark workload queues on a batched link. Like
+    _batch_step, it returns at once, with a queue of exactly zero, when g
+    never rises."""
     live = [c for c in inflows if c is not None]
     if not live:
         empty = np.empty(0)
@@ -131,6 +136,13 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
         counts = np.array([np.interp(e, t, n) for t, n in live])
     a = counts.sum(axis=0)
     g = a - cap * s
+    if not (g[1:] > g[:-1]).any():
+        # g never rises, so the running minimum is g itself and q is 0.0
+        # exactly; s is strictly increasing, so the exit times are s
+        q = np.zeros(len(s))
+        out = iter(counts)
+        return LinkState(link, s, a, q, q, False), [
+            None if c is None else (s, next(out)) for c in inflows]
     run_min = np.minimum.accumulate(g)
     # q = g - run_min, taken from the breakpoint b where the running minimum
     # was set (the start of the busy period) so that no large g cancels
@@ -288,7 +300,8 @@ def load(
     (paths, n) array with one row per path.
 
     Raises HorizonOverflowError if vehicles remain in the network past
-    tf + horizon (horizon defaults to a clearance-guaranteeing bound).
+    tf + horizon (horizon defaults to a clearance-guaranteeing bound; a given
+    one must be finite and nonnegative).
     """
     flows = np.asarray(flows, dtype=float)
     if flows.shape != (len(network.paths), grid.n):
@@ -298,6 +311,8 @@ def load(
         )
     if not (np.isfinite(flows).all() and (flows >= 0.0).all()):
         raise ValueError("path flows must be finite and nonnegative")
+    if horizon is not None and not (np.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
     # curves[p][k]: path p's curve at the entry of its k-th link; the last
     # one is its arrival curve at the destination

@@ -54,10 +54,10 @@ class SolverConfig:
             raise ValueError("step size must be positive")
         if not isinstance(self.max_iters, int):
             raise ValueError(f"solver max_iters must be an integer, got {self.max_iters!r}")
-        if not (self.halve_on_stall is None or isinstance(self.halve_on_stall, int)):
-            raise ValueError(
-                f"solver halve_on_stall must be an integer or None, got {self.halve_on_stall!r}"
-            )
+        if not (self.halve_on_stall is None
+                or isinstance(self.halve_on_stall, int) and self.halve_on_stall >= 1):
+            raise ValueError(f"solver halve_on_stall must be an integer >= 1 or None, "
+                             f"got {self.halve_on_stall!r}")
         if self.max_iters < 1:
             raise ValueError("at least one iteration is required")
         if self.gap_tol < 0.0 or self.gap_rtol < 0.0:

@@ -188,13 +188,21 @@ class TestScenarioParsing:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert repr(field) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["n", "max_iters", "halve_on_stall"])
-    def test_non_integer_count_rejected_naming_the_field(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param(field, 2.7, f"field {field!r} must be an integer", id=field)
+        for field in ("n", "max_iters", "halve_on_stall")
+    ] + [
+        pytest.param("halve_on_stall", value, "halve_on_stall must be an integer >= 1",
+                     id=f"halve_on_stall={value}")
+        for value in (0, -3)
+    ])
+    def test_non_integer_count_rejected_naming_the_field(self, tmp_path, capsys, field, value,
+                                                         message):
         doc = congested_scenario()
-        doc["solver"][field] = 2.7
+        doc["solver"][field] = value
         path = write_scenario(tmp_path, doc)
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
-        assert f"field {field!r} must be an integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestSolveCommand:

@@ -280,6 +280,13 @@ class TestErrors:
             load(net, np.full((4, 2), 100.0), grid, horizon=0.01)
         assert exc.value.residual_volume == pytest.approx(40.0, rel=1e-9)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -5.0])
+    def test_bad_horizon_rejected(self, horizon):
+        net = single_link(tau_min=5.0, cap_per_min=50 / 60)
+        grid = TimeGrid(0.0, 10 * MIN, 2)
+        with pytest.raises(ValueError, match="horizon"):
+            load(net, [[600.0, 600.0]], grid, horizon=horizon)
+
     def test_negative_flow_rejected(self):
         net = single_link()
         grid = TimeGrid(0.0, 10 * MIN, 2)
@@ -491,6 +498,34 @@ def single_user_links(draw):
 
 
 @st.composite
+def under_capacity_users(draw):
+    """One link and 1-4 users whose summed inflow rate never exceeds its
+    capacity, each user on breakpoints of its own: every user has a share of
+    the capacity, the shares sum to it, and each piece carries nothing, the
+    user's full share (so the link runs exactly at capacity where all users
+    do) or part of it; some pieces are shorter than _MIN_PARCEL_LEN. A user
+    without a curve (None) may sit among them."""
+    link = Link("a", "O", "D", draw(st.floats(0.01, 0.3)), draw(st.floats(50.0, 1500.0)))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    curves = []
+    for weight in weights:
+        share = link.exit_capacity * weight / sum(weights)
+        pieces = draw(st.integers(1, 8))
+        lengths = draw(st.lists(
+            st.one_of(st.floats(0.01 * _MIN_PARCEL_LEN, 0.5 * _MIN_PARCEL_LEN),
+                      st.floats(1e-3, 0.3)),
+            min_size=pieces, max_size=pieces))
+        rates = draw(st.lists(
+            st.one_of(st.just(0.0), st.just(share), st.floats(0.0, 1.0).map(share.__mul__)),
+            min_size=pieces, max_size=pieces))
+        t = draw(st.floats(0.0, 1.0)) + np.concatenate(([0.0], np.cumsum(lengths)))
+        curves.append((t, np.concatenate(([0.0], np.cumsum(np.multiply(rates, lengths))))))
+    if draw(st.booleans()):
+        curves.insert(draw(st.integers(0, len(curves))), None)
+    return link, curves
+
+
+@st.composite
 def layered_loadings(draw):
     """2-4 depths of 1-4 parallel links each, between hub nodes h0, h1, ...:
     each path runs one link of every depth from one hub to a later one, so
@@ -540,3 +575,33 @@ class TestLoaderProperties:
                               (out[0], ref_out[0]), (out[1], ref_out[1])):
                 assert np.array_equal(got, want), link.id
             assert state.queued == ref.queued
+
+    @settings(max_examples=200, deadline=None)
+    @given(under_capacity_users())
+    def test_link_under_capacity_never_queues(self, case):
+        link, curves = case
+        state, outs = _link_step(link, curves)
+        assert not state.queued
+        assert np.array_equal(state.queue, np.zeros(len(state.s)))
+        assert np.array_equal(state.w, np.zeros(len(state.s)))
+        # the users' breakpoints merged as the loader merges them
+        e = np.unique(np.concatenate([c[0] for c in curves if c is not None]))
+        s = e + link.free_flow_time
+        keep = np.append(s[1:] - s[:-1] > _MIN_PARCEL_LEN, True)
+        for curve, out in zip(curves, outs):
+            if curve is None:
+                assert out is None
+                continue
+            assert np.array_equal(out[0], s[keep])
+            assert np.array_equal(out[1], np.interp(e[keep], *curve))
+
+    def test_one_piece_over_capacity_queues(self):
+        # at capacity, then 1e-9 above it for 0.1 h, then at half of it
+        link = Link("a", "O", "D", 0.1, 1500.0)
+        lengths = np.full(3, 0.1)
+        rates = link.exit_capacity * np.array([1.0, 1.0 + 1e-9, 0.5])
+        curve = (np.arange(4) * 0.1, np.concatenate(([0.0], np.cumsum(rates * lengths))))
+        state, (out,) = _link_step(link, [curve])
+        assert state.queued
+        assert state.queue.max() == pytest.approx(1500.0 * 1e-10, rel=1e-3)
+        assert (out[0] > state.s).any()

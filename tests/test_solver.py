@@ -387,6 +387,8 @@ class TestConfigValidation:
         ("max_iters", 2.5),
         ("max_iters", 3.0),
         ("halve_on_stall", 3.7),
+        ("halve_on_stall", 0),
+        ("halve_on_stall", -3),
     ])
     def test_non_integer_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
