@@ -21,18 +21,21 @@ No link at a depth feeds another at it, so the links of a depth that have one
 live user (a path whose inflow curve there carries flow) are loaded together
 when there are two or more of them: one step over their curves laid end to
 end, bit for bit the floats of the per-link step, whose cost is almost all
-fixed. On a 2-core Xeon host (least of 5 x 200 calls; 17 breakpoints a
-link, 65 for 64 links), 8 links take 133 us one by one and 68 us in one
-batch; 64 links take 1100 and 265 us. The batch computes no queue: a batched
-link whose inflow exceeds its capacity goes through the per-link step, as no
-benchmark workload queues on a batched link and a second copy of the queue
-arithmetic would serve no measured load. Three kinds of link keep the
-per-link step. A lone such link at its depth costs 17 us there and 42 us as
-a batch of one. A merge link with two or more live users first merges their
-curves on the union of their breakpoints, a sort of its own. The links of a
-succession cycle (a ring road) feed each other, so they run the per-link
-step in passes: nothing leaves a link sooner than tau after entering it, so
-each pass makes the cycle's curves exact for one more min-tau of time.
+fixed. The queue arithmetic (busy periods, emptying instants, drain points)
+is one routine over rows laid end to end; the per-link step hands it its one
+row. Batched links do queue: the oracle scores the copies of its congested
+instance in batches (oracle-tiny). On a 2-core Xeon host (least of
+15 interleaved runs of 200 calls; k identical links of 17 breakpoints), k
+links take one by one / in one batch: without a queue 35 / 32 us for k = 2,
+52 / 35 us for 3, 68 / 40 us for 4 and 131 / 54 us for 8; with a queue 133 /
+89, 193 / 88, 256 / 93 and 491 / 109 us. Three kinds of link keep the
+per-link step. A lone such link at its depth costs 17 us there and 28 us as
+a batch of one (67 and 82 us with a queue). A merge link with two or more
+live users first merges their curves on the union of their breakpoints, a
+sort of its own. The links of a succession cycle (a ring road) feed each
+other, so they run the per-link step in passes: nothing leaves a link sooner
+than tau after entering it, so each pass makes the cycle's curves exact for
+one more min-tau of time.
 
 Both steps test first whether g ever rises. Where it does not, the inflow
 never exceeds capacity and the queue is exactly zero, so they skip the
@@ -104,6 +107,81 @@ class LinkState:
         return np.column_stack((self.s, self.cum_in, self.cum_in - self.queue, self.queue))
 
 
+def _row_accumulate(ufunc: np.ufunc, x: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate along each row of x, whose rows lie end to end with
+    the last point of each at the indices ``last``: on a (rows, longest row)
+    array, padded after each row's end where rows differ in length, so that
+    the padding never reaches a row."""
+    if len(last) == 1:
+        return ufunc.accumulate(x)
+    sizes = last.copy()
+    sizes[1:] -= last[:-1]
+    sizes[0] += 1
+    width = sizes.max()
+    if width * len(sizes) == len(x):  # rows of one length
+        return ufunc.accumulate(x.reshape(len(sizes), width), axis=1).ravel()
+    mask = np.arange(width) < sizes[:, None]
+    padded = np.zeros(mask.shape)
+    padded[mask] = x
+    return ufunc.accumulate(padded, axis=1)[mask]
+
+
+def _queue(s: np.ndarray, a: np.ndarray, g: np.ndarray, counts: np.ndarray, cap,
+           last: np.ndarray):
+    """The point queue of links whose rows of breakpoints lie end to end, the
+    last point of each row at the indices ``last``: queue-arrival times s,
+    cumulative arrivals a, g = a - cap * s, the users' cumulative counts (one
+    row per user, summing to a) and the exit capacity, a float or repeated
+    over each row.
+
+    Returns s, a, the queue q, the wait w = q / cap, the counts and the exit
+    times, each with every row's emptying instants and drain point inserted
+    (q = 0 there), and the new ``last``."""
+    run_min = _row_accumulate(np.minimum, g, last)
+    # q = g - run_min, taken from the breakpoint b where the running minimum
+    # was set (the start of the busy period) so that no large g cancels. b
+    # needs no restart per row: each row's first point sets that row's
+    # minimum and has a higher index than every point of the rows before it.
+    b = np.maximum.accumulate(np.where(g == run_min, np.arange(len(g)), 0))
+    q = (a - a[b]) - cap * (s - s[b])
+    q[q < cap * _MIN_PARCEL_LEN] = 0.0
+    w = q / cap
+
+    # The queue empties strictly inside piece i when g falls below the running
+    # minimum there, and what is left at a row's end drains at capacity. Add
+    # those instants (q = 0) after breakpoint i, so that q is linear on every
+    # piece; at most one point follows any breakpoint.
+    empties = (q[:-1] > 0.0) & (g[1:] < run_min[:-1])
+    empties[last[:-1]] = False  # pieces that span two rows
+    (i,) = empties.nonzero()
+    if i.size:
+        frac = q[i] / (g[i] - g[i + 1])
+        u = s[i] + frac * (s[i + 1] - s[i])
+        inside = (u > s[i] + _MIN_PARCEL_LEN) & (u < s[i + 1] - _MIN_PARCEL_LEN)
+        i, frac, u = i[inside], frac[inside], u[inside]
+    drain = last[q[last] > 0.0]
+    if i.size or drain.size:
+        # double each breakpoint that a new point follows and make the second
+        # copy the new point: at an emptying instant the users' counts are
+        # interpolated, at a drain point they are those of the row's end
+        marked = np.zeros(len(s), dtype=bool)
+        marked[i] = marked[drain] = True
+        at = np.arange(len(s)) + marked.cumsum()  # index of each breakpoint's last copy
+        rep = marked + 1
+        drained = s[drain] + w[drain]
+        if i.size:
+            emptied = counts[:, i] + frac * (counts[:, i + 1] - counts[:, i])
+        s, q, w, counts = s.repeat(rep), q.repeat(rep), w.repeat(rep), counts.repeat(rep, axis=1)
+        new_at = at[marked]
+        q[new_at] = w[new_at] = 0.0
+        s[at[drain]] = drained
+        if i.size:
+            s[at[i]], counts[:, at[i]] = u, emptied
+        last = at[last]
+        a = counts.sum(axis=0)
+    return s, a, q, w, counts, _row_accumulate(np.maximum, s + w, last), last
+
+
 def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]]:
     """Load one link over the whole horizon: its users' inflow curves (entry
     times) in, its queue curves and the users' downstream curves (exit times)
@@ -113,11 +191,10 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
     depth go through _batch_step together (see the module docstring for the
     measured times). This step loads the rest: a lone link at its depth,
     which it loads faster than a batch of one; merge links with two or more
-    live users; the links of succession cycles, loaded in passes; and a
-    batched link whose inflow exceeds its capacity, which _batch_step hands
-    back here because no benchmark workload queues on a batched link. Like
+    live users; and the links of succession cycles, loaded in passes. Like
     _batch_step, it returns at once, with a queue of exactly zero, when g
-    never rises."""
+    never rises; otherwise its one row goes through _queue, as the rows of a
+    batch do."""
     live = [c for c in inflows if c is not None]
     if not live:
         empty = np.empty(0)
@@ -143,47 +220,8 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
         out = iter(counts)
         return LinkState(link, s, a, q, q, False), [
             None if c is None else (s, next(out)) for c in inflows]
-    run_min = np.minimum.accumulate(g)
-    # q = g - run_min, taken from the breakpoint b where the running minimum
-    # was set (the start of the busy period) so that no large g cancels
-    b = np.maximum.accumulate(np.where(g == run_min, np.arange(len(g)), 0))
-    q = (a - a[b]) - cap * (s - s[b])
-    q[q < cap * _MIN_PARCEL_LEN] = 0.0
-
-    # The queue empties strictly inside piece i when g falls below the running
-    # minimum there, and what is left at the end drains at capacity. Add those
-    # instants (q = 0) after breakpoint i, so that q is linear on every piece.
-    after, new_s, new_counts = [], [], []
-    (i,) = np.nonzero((q[:-1] > 0.0) & (g[1:] < run_min[:-1]))
-    if i.size:
-        frac = q[i] / (g[i] - g[i + 1])
-        u = s[i] + frac * (s[i + 1] - s[i])
-        inside = (u > s[i] + _MIN_PARCEL_LEN) & (u < s[i + 1] - _MIN_PARCEL_LEN)
-        i, frac = i[inside], frac[inside]
-        after.append(i)
-        new_s.append(u[inside])
-        new_counts.append(counts[:, i] + frac * (counts[:, i + 1] - counts[:, i]))
-    if q[-1] > 0.0:
-        after.append([len(s) - 1])
-        new_s.append([s[-1] + q[-1] / cap])
-        new_counts.append(counts[:, -1:])
-    if after:
-        after = np.concatenate(after)
-        shift = np.zeros(len(s) + 1, dtype=np.intp)
-        shift[after + 1] = 1
-        old_at = np.arange(len(s)) + np.cumsum(shift[:-1])  # moved by the points before
-        new_at = after + np.arange(1, len(after) + 1)
-        size = len(s) + len(after)
-        s_all, q_all = np.empty(size), np.zeros(size)
-        s_all[old_at], s_all[new_at], q_all[old_at] = s, np.concatenate(new_s), q
-        counts_all = np.empty((len(counts), size))
-        counts_all[:, old_at], counts_all[:, new_at] = counts, np.concatenate(new_counts, axis=1)
-        s, q, counts = s_all, q_all, counts_all
-        a = counts.sum(axis=0)
-
-    w = q / cap
+    s, a, q, w, counts, exits, _ = _queue(s, a, g, counts, cap, np.array([len(s) - 1]))
     state = LinkState(link, s, a, q, w, np.count_nonzero(q) > 0)
-    exits = np.maximum.accumulate(s + w)
     out = iter(counts)
     return state, [None if c is None else (exits, next(out)) for c in inflows]
 
@@ -196,38 +234,38 @@ def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
 
     The arithmetic runs elementwise on the flat arrays, with each link's
     free-flow time and capacity repeated over its row. Where the inflow never
-    exceeds capacity, g falls along the row and no queue forms. A row on
-    which g rises (the inflow exceeds capacity somewhere) goes through
-    _link_step on its own: no batched link of the benchmark workloads
-    queues, so a batched copy of the queue arithmetic would serve no measured
-    load. The whole-batch test comes first, so a batch without a queue pays
-    for nothing else."""
+    exceeds capacity, g falls along every row and no queue forms; this test
+    comes first, so a batch without a queue pays for nothing else. Otherwise
+    the whole batch goes through _queue, the routine that loads the one row
+    of _link_step: on a row where g never rises it gives a queue of exactly
+    zero and exit times equal to s."""
     sizes = np.array([len(t) for t, _ in inflows])
-    s = np.concatenate([t for t, _ in inflows]) + np.repeat(
-        [link.free_flow_time for link in links], sizes)
+    tau, cap = np.array([(link.free_flow_time, link.exit_capacity) for link in links]).T
+    s = np.concatenate([t for t, _ in inflows]) + tau.repeat(sizes)
     a = np.concatenate([n for _, n in inflows])
-    last = np.cumsum(sizes) - 1
+    last = sizes.cumsum() - 1
     keep = np.empty(len(s), dtype=bool)  # each cluster's last, and each row's last
     keep[:-1] = s[1:] - s[:-1] > _MIN_PARCEL_LEN
     keep[last] = True
     if not keep.all():
         s, a = s[keep], a[keep]
-        last = np.cumsum(keep)[last] - 1
-    g = a - np.repeat([link.exit_capacity for link in links], np.diff(last, prepend=-1)) * s
+        last = keep.cumsum()[last] - 1
+        sizes = np.diff(last, prepend=-1)
+    cap = cap.repeat(sizes)
+    g = a - cap * s
     rises = g[1:] > g[:-1]
     rises[last[:-1]] = False  # pieces that span two rows
-    queues = set(np.searchsorted(last, np.flatnonzero(rises)).tolist()) if rises.any() else ()
-    q = w = np.zeros(len(s))
+    if rises.any():
+        s, a, q, w, _, exits, last = _queue(s, a, g, a[None], cap, last)
+        queued = np.logical_or.reduceat(q > 0.0, np.concatenate(([0], last[:-1] + 1))).tolist()
+    else:
+        q = w = np.zeros(len(s))
+        exits, queued = s, [False] * len(links)
     bounds = (last + 1).tolist()
     states, outs = [], []
-    for r, (link, inflow, lo, hi) in enumerate(zip(links, inflows, [0] + bounds, bounds)):
-        if r in queues:
-            state, (out,) = _link_step(link, [inflow])
-        else:
-            state = LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], False)
-            out = (s[lo:hi], a[lo:hi])
-        states.append(state)
-        outs.append(out)
+    for link, lo, hi, queues in zip(links, [0] + bounds, bounds, queued):
+        states.append(LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], queues))
+        outs.append((exits[lo:hi], a[lo:hi]))
     return states, outs
 
 
@@ -387,17 +425,16 @@ def load(
         t, n = curve
         return float(n[-1]) if t[-1] <= t_end else float(np.interp(t_end, t, n))
 
-    total_out = 0.0
-    worst = (0.0, -1)  # (vehicles still on the path at t_end, path index)
-    for p, path_curves in enumerate(curves):
-        arrived = count_at_end(path_curves[-1])
-        total_out += arrived
-        worst = max(worst, (count_at_end(path_curves[0]) - arrived, p))
-    if worst[0] > 0.0:
-        p = worst[1]
-        held = [count_at_end(c_in) - count_at_end(c_out)
-                for c_in, c_out in zip(curves[p], curves[p][1:])]
-        link = network.routes[p][int(np.argmax(held))]
+    # per path, the vehicles that entered it and that reached its destination
+    # by t_end; total_out adds them in path order, as total_in does
+    arrived = np.array([count_at_end(path_curves[-1]) for path_curves in curves])
+    total_out = float(arrived.cumsum()[-1])
+    held = cum[:, -1] - arrived
+    if max(held.tolist()) > 0.0:
+        p = len(held) - 1 - int(held[::-1].argmax())  # the last of the paths holding most
+        on_link = [count_at_end(c_in) - count_at_end(c_out)
+                   for c_in, c_out in zip(curves[p], curves[p][1:])]
+        link = network.routes[p][int(np.argmax(on_link))]
         raise HorizonOverflowError(total_in - total_out, t_end, network.paths[p].id, link.id)
 
     return LoadingResult(network, grid, states, total_in, total_out)

@@ -166,6 +166,25 @@ class Network:
         """Per path index, its links in travel order."""
         return tuple(self.path_links(p) for p in range(len(self.paths)))
 
+    def copies(self, b: int) -> "Network":
+        """b disjoint copies of the network, laid copy after copy: copy k
+        holds every link, node and path with its id prefixed by "k#", so path
+        p of copy k is path k * len(paths) + p and OD pair w of copy k is OD
+        pair k * len(od_pairs) + w. The prefix keeps each OD pair's paths in
+        their od_paths order; a suffix would not ("p!#0" sorts before "p#0").
+
+        The copies share no link, so loading them with their flows stacked
+        gives each copy bit for bit the curves of its own loading. The
+        stack's default horizon exceeds any one copy's, which changes
+        nothing: the default horizon already guarantees that each copy
+        clears, ring roads included, so no count is cut at its end."""
+        links = tuple(Link(f"{k}#{l.id}", f"{k}#{l.tail}", f"{k}#{l.head}", l.free_flow_time,
+                           l.exit_capacity) for k in range(b) for l in self.links)
+        paths = tuple(Path(f"{k}#{p.id}", tuple(f"{k}#{lid}" for lid in p.link_ids),
+                           f"{k}#{p.origin}", f"{k}#{p.destination}")
+                      for k in range(b) for p in self.paths)
+        return Network(links, paths, self.arrival_target)
+
     @cached_property
     def loading_depths(self) -> tuple[Depth, ...]:
         """Links grouped by topological depth in the succession graph (link b

@@ -7,6 +7,9 @@ between the two is evidence rather than tautology. Search box per coordinate:
 
 Stages: coarse Cartesian lattice, compass (pattern) search from the
 incumbent, then shrinking refinement lattices (box shrunk tenfold per round).
+Points are scored in batches, a lattice chunk or the rest of a compass sweep
+at a time, each batch as disjoint copies of the network in one cost mapping;
+the search visits and compares exactly the points it would one by one.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class OracleResult:
     point: ExtendedPoint
     gap: float
     certified: bool
+    # the feasible points the search compared; trials scored ahead of an
+    # accepted compass move are discarded and not counted
     evaluations: int
 
 
@@ -62,37 +67,51 @@ def _problem_scale(inst: TinyInstance) -> float:
 
 
 class _GapObjective:
+    """The equilibrium gap at candidate flow points, scored in batches: the
+    feasible points of a batch are stacked as disjoint copies of the network
+    and go through one cost mapping."""
+
     def __init__(self, inst: TinyInstance):
         self.inst = inst
         self.shape = (len(inst.network.paths), inst.grid.n)
-        self.dt = inst.grid.dt
         self.evaluations = 0
+        # per number of copies: the network copies and their inverse demand
+        self._stacks: dict[int, tuple[Network, InverseDemand]] = {}
 
-    def demands_of(self, h: np.ndarray) -> np.ndarray | None:
-        demands = self.inst.network.od_sum(h.sum(axis=1)) * self.dt
-        if (demands > self.inst.inv_demand.cap).any():
-            return None  # outside the feasible set
-        return demands
+    def _stack(self, b: int) -> tuple[Network, InverseDemand]:
+        if b not in self._stacks:
+            inv = self.inst.inv_demand
+            self._stacks[b] = (self.inst.network.copies(b), InverseDemand(
+                np.tile(inv.intercept, b), np.tile(inv.slope, b), np.tile(inv.cap, b)))
+        return self._stacks[b]
 
-    def __call__(self, flat: np.ndarray) -> float:
-        h = flat.reshape(self.shape)
-        if np.any(h < 0.0):
-            return np.inf
-        demands = self.demands_of(h)
-        if demands is None:
-            return np.inf
-        point = ExtendedPoint.from_matrix(self.inst.grid, h, demands)
-        costs = f_map(
-            self.inst.network, point, self.inst.penalty, self.inst.inv_demand, self.inst.grid
-        )
-        self.evaluations += 1
-        return compute_gap(point, costs, self.inst.network, self.inst.inv_demand.cap)
+    def demands_of(self, xs: np.ndarray) -> np.ndarray:
+        """Per point (row of xs), the demand of each OD pair."""
+        h = xs.reshape(len(xs), *self.shape)
+        network, _ = self._stack(len(xs))
+        return network.od_sum(h.sum(axis=2).ravel()).reshape(len(xs), -1) * self.inst.grid.dt
 
-    def point_of(self, flat: np.ndarray) -> ExtendedPoint:
-        h = flat.reshape(self.shape)
-        demands = self.demands_of(h)
-        assert demands is not None
-        return ExtendedPoint.from_matrix(self.inst.grid, h, demands)
+    def gaps(self, xs: np.ndarray) -> np.ndarray:
+        """The gap at each point (row of xs); inf outside the feasible set."""
+        demands = self.demands_of(xs)
+        feasible = ~((xs < 0.0).any(axis=1) | (demands > self.inst.inv_demand.cap).any(axis=1))
+        gaps = np.full(len(xs), np.inf)
+        b = int(np.count_nonzero(feasible))
+        if b:
+            network, inv_demand = self._stack(b)
+            point = ExtendedPoint.from_matrix(
+                self.inst.grid, xs[feasible].reshape(-1, self.inst.grid.n), demands[feasible].ravel())
+            costs = f_map(network, point, self.inst.penalty, inv_demand, self.inst.grid)
+            gaps[feasible] = compute_gap(point, costs, network, inv_demand.cap, copies=b)
+        return gaps
+
+    def compare(self, gaps: np.ndarray) -> None:
+        """Count the scored points among those the search compares."""
+        self.evaluations += int(np.count_nonzero(gaps < np.inf))
+
+    def point_of(self, x: np.ndarray) -> ExtendedPoint:
+        return ExtendedPoint.from_matrix(self.inst.grid, x.reshape(self.shape),
+                                         self.demands_of(x[None])[0])
 
 
 def _lattice_search(
@@ -107,11 +126,15 @@ def _lattice_search(
         hi = min(upper, c + half_width)
         axes.append(np.linspace(lo, hi, RESOLUTION))
     best_x, best_gap = None, np.inf
-    for combo in itertools.product(*axes):
-        x = np.array(combo)
-        g = objective(x)
-        if g < best_gap:  # strict: first minimizer wins, lexicographic order
-            best_gap, best_x = g, x
+    # scored in chunks of RESOLUTION^2 points, the whole lattice when dim <= 2
+    points = itertools.product(*axes)
+    while chunk := list(itertools.islice(points, RESOLUTION**2)):
+        xs = np.array(chunk)
+        gaps = objective.gaps(xs)
+        objective.compare(gaps)
+        for x, g in zip(xs, gaps.tolist()):
+            if g < best_gap:  # strict: first minimizer wins, lexicographic order
+                best_gap, best_x = g, x
     assert best_x is not None
     return best_x, best_gap
 
@@ -124,16 +147,26 @@ def _compass_search(
     upper: float,
     min_step: float,
 ) -> tuple[np.ndarray, float]:
-    dim = x.shape[0]
+    """Sweeps over the 2 * dim moves of +-step along each coordinate, in
+    order, each from the incumbent of its turn: a move that lowers the gap
+    becomes the incumbent, and the step halves after a sweep without one.
+    The moves left in a sweep are scored as one batch; when one improves,
+    the trials after it are discarded and scored again from it."""
+    moves = [(i, sign) for i in range(x.shape[0]) for sign in (1.0, -1.0)]
     while step > min_step:
         improved = False
-        for i in range(dim):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
+        done = 0
+        while done < len(moves):
+            trials = np.repeat(x[None], len(moves) - done, axis=0)
+            for trial, (i, sign) in zip(trials, moves[done:]):
                 trial[i] = min(max(trial[i] + sign * step, 0.0), upper)
-                g = objective(trial)
-                if g < gap:
-                    x, gap, improved = trial, g, True
+            gaps = objective.gaps(trials)
+            better = np.flatnonzero(gaps < gap)
+            compared = better[0] + 1 if better.size else len(trials)
+            objective.compare(gaps[:compared])
+            if better.size:
+                x, gap, improved = trials[better[0]], float(gaps[better[0]]), True
+            done += compared
         if not improved:
             step *= 0.5
     return x, gap

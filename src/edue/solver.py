@@ -170,7 +170,8 @@ def compute_gap(
     costs: CostField,
     network: Network,
     caps: np.ndarray,
-) -> float:
+    copies: int | None = None,
+) -> float | np.ndarray:
     """Closed-form equilibrium gap: the largest violation of the variational
     inequality over the feasible set, nonnegative and zero exactly at
     solutions.
@@ -180,13 +181,30 @@ def compute_gap(
     fixed mode (``caps`` the pinned demands) ``f_map`` sets theta to each
     OD's least cost, so that reduced cost is exactly 0.0 and the pinned
     formula, carried - cheapest * pinned, gives the same float.
+
+    With ``copies`` = b, ``network`` is ``Network.copies(b)`` of a base
+    network, and the result is an array of the b copies' gaps, each the float
+    this function gives for that copy alone.
     """
     verify.check_rows(network, point.flows, costs.psi)
     caps = verify.check_caps(network, caps)
     rc = reduced_costs(costs, network)
-    carried = float(np.vdot(point.flows, rc)) * point.grid.dt
-    cheapest = network.od_min(rc)  # the reduced cost at each OD's cheapest cell
-    return carried - float(np.dot(np.minimum(0.0, cheapest), caps))
+    cheapest = np.minimum(0.0, network.od_min(rc))  # at each OD's cheapest cell, if negative
+    dt = point.grid.dt
+    if copies is None:
+        return _gap(point.flows, rc, cheapest, caps, dt)
+    rows, ods = len(network.paths) // copies, len(network.od_pairs) // copies
+    return np.array([_gap(point.flows[k * rows:(k + 1) * rows], rc[k * rows:(k + 1) * rows],
+                          cheapest[k * ods:(k + 1) * ods], caps[k * ods:(k + 1) * ods], dt)
+                     for k in range(copies)])
+
+
+def _gap(flows: np.ndarray, rc: np.ndarray, cheapest: np.ndarray, caps: np.ndarray,
+         dt: float) -> float:
+    """The gap formula: the flow carried at its reduced costs, less the best
+    response's, the cap volume at each OD's cheapest cell where that cell's
+    reduced cost (``cheapest``, clipped at 0) is negative."""
+    return float(np.vdot(flows, rc)) * dt - float(np.dot(cheapest, caps))
 
 
 def lemma2_bound(network: Network, penalty: SchedulePenalty) -> float:

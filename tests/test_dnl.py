@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edue.cost import CostField, SchedulePenalty, effective_delay
+from edue.demand import InverseDemand
 from edue.dnl import _MIN_PARCEL_LEN, HorizonOverflowError, _batch_step, _link_step, load
-from edue.grid import TimeGrid
+from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path, validate
+from edue.solver import compute_gap
 
 from conftest import corridor_network
 from oracles import single_link_delay
@@ -279,6 +282,15 @@ class TestErrors:
         with pytest.raises(HorizonOverflowError) as exc:
             load(net, np.full((4, 2), 100.0), grid, horizon=0.01)
         assert exc.value.residual_volume == pytest.approx(40.0, rel=1e-9)
+
+    def test_horizon_overflow_tie_names_the_last_path(self):
+        # two copies of one link carry the same flows, so both hold the same
+        # volume at the horizon end; the error names the later path
+        net = single_link(tau_min=5.0, cap_per_min=1.0).copies(2)
+        grid = TimeGrid(0.0, 10 * MIN, 2)
+        with pytest.raises(HorizonOverflowError) as exc:
+            load(net, np.full((2, 2), 600.0), grid, horizon=0.02)
+        assert (exc.value.path_id, exc.value.link_id) == ("1#p", "1#a")
 
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -5.0])
     def test_bad_horizon_rejected(self, horizon):
@@ -605,3 +617,55 @@ class TestLoaderProperties:
         assert state.queued
         assert state.queue.max() == pytest.approx(1500.0 * 1e-10, rel=1e-3)
         assert (out[0] > state.s).any()
+
+
+@st.composite
+def stacked_loadings(draw):
+    """A ring or layered loading and 2-3 copies of its network, each with
+    flows of its own (the first copy's are the drawn loading's)."""
+    net, grid, flows = draw(st.one_of(ring_loadings(), layered_loadings()))
+    rate = st.one_of(st.just(0.0), st.floats(1.0, 1500.0))
+    stack = [flows] + [
+        np.array([draw(st.lists(rate, min_size=grid.n, max_size=grid.n)) for _ in net.paths])
+        for _ in range(draw(st.integers(1, 2)))]
+    return net, grid, stack
+
+
+class TestStackedCopies:
+    """Loading disjoint copies of a network with their flows stacked gives
+    each copy bit for bit what loading it alone gives, up to its gap: the
+    identity that lets the oracle score many points with one cost mapping."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stacked_loadings())
+    def test_stacked_load_equals_separate_loads(self, case):
+        net, grid, stack = case
+        b, paths = len(stack), len(net.paths)
+        copies = net.copies(b)
+        penalty = SchedulePenalty(0.5, 2.0)
+        demands = [net.od_sum(h.sum(axis=1)) * grid.dt for h in stack]
+        # an inverse demand per copy, each with caps of its own
+        invs = [InverseDemand(0.01 * d + 2.0 + k, np.full(len(d), 0.01), d + 1.0 + k)
+                for k, d in enumerate(demands)]
+        stacked = InverseDemand(*(np.concatenate([getattr(inv, name) for inv in invs])
+                                  for name in ("intercept", "slope", "cap")))
+        point = ExtendedPoint.from_matrix(grid, np.concatenate(stack), np.concatenate(demands))
+        res = load(copies, point.flows, grid)
+        # the cost mapping f_map, on the loading at hand
+        psi = effective_delay(res, penalty, net.arrival_target)
+        costs = CostField(psi, stacked.theta(point.demands))
+        gaps = compute_gap(point, costs, copies, stacked.cap, copies=b)
+        for k, (h, d, inv) in enumerate(zip(stack, demands, invs)):
+            alone = load(net, h, grid)
+            rows = slice(k * paths, (k + 1) * paths)
+            assert np.array_equal(res.boundary_exits()[rows], alone.boundary_exits())
+            for link in net.links:
+                got, want = res.states[f"{k}#{link.id}"], alone.states[link.id]
+                for x, y in ((got.s, want.s), (got.cum_in, want.cum_in),
+                             (got.queue, want.queue), (got.w, want.w)):
+                    assert np.array_equal(x, y), link.id
+                assert got.queued == want.queued
+            own_psi = effective_delay(alone, penalty, net.arrival_target)
+            assert np.array_equal(psi[rows], own_psi)
+            own = ExtendedPoint.from_matrix(grid, h, d)
+            assert gaps[k] == compute_gap(own, CostField(own_psi, inv.theta(d)), net, inv.cap)

@@ -114,6 +114,26 @@ class TestStructure:
         (od,) = net.od_paths
         assert [net.paths[i].id for i in od] == ["pA", "pB"]
 
+    def test_copies_repeat_the_od_structure(self):
+        # "p" sorts before "p!", but "p!#0" would sort before "p#0": the
+        # copies' prefixed ids keep each OD pair's path order
+        links = (Link("a", "O", "D", 1.0, 10.0), Link("b", "O", "D", 1.0, 10.0),
+                 Link("c", "X", "D", 1.0, 10.0))
+        paths = (Path("p!", ("b",), "O", "D"), Path("q", ("c",), "X", "D"),
+                 Path("p", ("a",), "O", "D"))
+        net = Network(links=links, paths=paths, arrival_target=0.5)
+        copies = net.copies(3)
+        assert validate(copies, TimeGrid(0.0, 1.0, 2)) == []
+        n_paths, n_ods = len(net.paths), len(net.od_pairs)
+        assert len(copies.paths) == 3 * n_paths and len(copies.od_pairs) == 3 * n_ods
+        for k in range(3):
+            assert copies.od_pairs[k * n_ods:(k + 1) * n_ods] == tuple(
+                (f"{k}#{o}", f"{k}#{d}") for o, d in net.od_pairs)
+            assert (copies.path_od[k * n_paths:(k + 1) * n_paths] == net.path_od + k * n_ods).all()
+            assert copies.od_paths[k * n_ods:(k + 1) * n_ods] == tuple(
+                tuple(p + k * n_paths for p in od) for od in net.od_paths)
+        assert net.od_paths[0] == (2, 0)
+
 
 def depth_of(net):
     """Per link id, the index of its depth in net.loading_depths."""
