@@ -54,7 +54,7 @@ class Scenario:
         net = _require(doc, "network", dict)
         links = tuple(
             Link(
-                id=str(_require(l, "id", (str, int))),
+                id=_csv_id(l, "link"),
                 tail=str(_require(l, "from", (str, int))),
                 head=str(_require(l, "to", (str, int))),
                 free_flow_time=_number(l, "free_flow_time"),
@@ -64,7 +64,7 @@ class Scenario:
         )
         paths = tuple(
             NetPath(
-                id=str(_require(p, "id", (str, int))),
+                id=_csv_id(p, "path"),
                 link_ids=tuple(str(x) for x in _require(p, "links", list)),
                 origin=str(_require(p, "origin", (str, int))),
                 destination=str(_require(p, "destination", (str, int))),
@@ -132,6 +132,17 @@ def _require(doc: dict, key: str, kind) -> object:
     value = doc[key]
     if not isinstance(value, kind):
         raise ScenarioError(f"field {key!r} has wrong type {type(value).__name__}")
+    return value
+
+
+def _csv_id(doc: dict, kind: str) -> str:
+    """The "id" field of a link or path. The CSV outputs write it as one
+    field of one line, and read_flows_csv splits lines with str.splitlines,
+    so it may hold no comma and nothing that splitlines breaks at."""
+    value = str(_require(doc, "id", (str, int)))
+    if "," in value or value.splitlines() not in ([value], []):
+        raise ScenarioError(f"field 'id' of a {kind} must not contain a comma or a line "
+                            f"break, got {value!r}")
     return value
 
 
@@ -263,7 +274,7 @@ def read_flows_csv(path: Path, network: Network, grid: TimeGrid) -> ExtendedPoin
 
 
 def write_costs_csv(path: Path, network: Network, costs) -> None:
-    rc = solver.reduced_costs(costs, network)
+    rc = verify.reduced_costs(costs, network)
     lines = ["path_id,cell_index,eff_delay,reduced_cost"] + [
         f"{p.id},{j},{_fmt(psi)},{_fmt(r)}"
         for p, psi_row, rc_row in zip(network.paths, costs.psi.tolist(), rc.tolist())

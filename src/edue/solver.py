@@ -8,6 +8,9 @@ one bound vector: the demand caps, or in fixed mode the pinned demands. Only
 the step knows the mode. An active cap is flagged in the report since it is
 a technical device, not an equilibrium property.
 
+Reduced costs and residuals come from ``verify``: an iteration records the
+largest residuals only, and the report's are computed once, at the best point.
+
 No convergence is guaranteed by theory (the delay operator is not monotone);
 non-convergence is reported honestly via the gap history and exit status.
 """
@@ -24,6 +27,7 @@ from .cost import CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
 from .grid import ExtendedPoint, TimeGrid
 from .network import Network, max_exit_capacity
+from .verify import reduced_costs
 
 __all__ = [
     "SolverConfig",
@@ -131,11 +135,6 @@ def f_map(
     return CostField(psi=psi, theta=theta)
 
 
-def reduced_costs(costs: CostField, network: Network) -> np.ndarray:
-    """Per-path-per-cell margin: cell cost minus the OD's demand value."""
-    return costs.psi - costs.theta[network.path_od, None]
-
-
 def fixed_point_step(
     point: ExtendedPoint,
     costs: CostField,
@@ -236,15 +235,13 @@ def solve(
     pinned = inv_demand is None
     caps = verify.check_caps(network, pinned_demand if pinned else inv_demand.cap,
                              "pinned demands" if pinned else "inv_demand.cap")
-    n_od = len(network.od_pairs)
-    bad = ~((caps >= 0.0) & (caps < np.inf))
-    if bad.any():
-        raise ValueError(f"pinned demands must be finite and nonnegative; OD pair indices "
-                         f"{np.flatnonzero(bad).tolist()} are not")
-
     if pinned:
+        bad = ~((caps >= 0.0) & (caps < np.inf))
+        if bad.any():
+            raise ValueError(f"pinned demands must be finite and nonnegative; OD pair indices "
+                             f"{np.flatnonzero(bad).tolist()} are not")
         # zero flow is infeasible under pinned demand; start uniform
-        per_cell = caps / (np.bincount(network.path_od, minlength=n_od) * grid.n * grid.dt)
+        per_cell = caps / (np.bincount(network.path_od, minlength=len(caps)) * grid.n * grid.dt)
         h = np.repeat(per_cell[network.path_od, None], grid.n, axis=1)
         point = ExtendedPoint.from_matrix(grid, h, caps)
     else:
@@ -255,35 +252,27 @@ def solve(
     best_gap = np.inf
     best_point = point
     best_costs: CostField | None = None
-    best_res: verify.ResidualReport | None = None
     stall = 0
-    initial_gap = np.nan
-    converged = False
-    iteration = 0
 
     for iteration in range(config.max_iters):
         costs = f_map(network, point, penalty, inv_demand, grid)
         gap = compute_gap(point, costs, network, caps)
-        res = verify.due_residuals(point, costs, network)
-        history.append((iteration, gap, res.max_r1(), res.max_r2(), alpha))
-        if iteration == 0:
-            initial_gap = gap
-        if best_costs is None or gap < best_gap - 1e-15 * max(1.0, abs(best_gap)):
-            best_gap, best_point, best_costs, best_res = gap, point, costs, res
+        r1, r2 = verify.od_residuals(point.flows, reduced_costs(costs, network), network, grid.dt)
+        history.append((iteration, gap, float(r1.max()), float(r2.max()), alpha))
+        converged = gap <= max(config.gap_tol, config.gap_rtol * max(history[0][1], 0.0))
+        if converged or best_costs is None or gap < best_gap - 1e-15 * max(1.0, abs(best_gap)):
+            best_gap, best_point, best_costs = gap, point, costs
             stall = 0
         else:
             stall += 1
             if config.halve_on_stall is not None and stall >= config.halve_on_stall:
                 alpha *= 0.5
                 stall = 0
-        target = max(config.gap_tol, config.gap_rtol * max(initial_gap, 0.0))
-        if gap <= target:
-            converged = True
-            best_gap, best_point, best_costs, best_res = gap, point, costs, res
+        if converged:
             break
         point = fixed_point_step(point, costs, network, alpha, caps, pinned)
 
-    assert best_costs is not None and best_res is not None
+    assert best_costs is not None
     caps_active = [] if pinned else np.flatnonzero(
         best_point.demands >= caps * (1.0 - 1e-12)).tolist()
     return SolveReport(
@@ -291,7 +280,7 @@ def solve(
         costs=best_costs,
         gap_history=history,
         converged=converged,
-        residuals=best_res,
+        residuals=verify.due_residuals(best_point, best_costs, network),
         flow_bound=lemma2_bound(network, penalty),
         caps_active=caps_active,
         final_gap=float(best_gap),

@@ -3,7 +3,9 @@
 Checks a (flows, demands) point against the complementarity conditions:
 used departure cells cost exactly the OD's demand value, no cell costs less.
 The fixed-demand conditions are the special case where the demand value is
-the OD's own minimum cost.
+the OD's own minimum cost. Both conditions, and the solver's gap, are
+functions of the reduced costs (cell cost minus the OD's demand value),
+which are formed here and only here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from .cost import CostField
 from .grid import ExtendedPoint, ShapeError
 from .network import Network
 
-__all__ = ["ResidualReport", "check_rows", "check_caps", "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
+__all__ = ["ResidualReport", "check_rows", "check_caps", "reduced_costs", "od_residuals",
+           "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
 
 FEASIBILITY_RTOL = 1e-9  # per-OD conservation, relative to max(|demand|, 1)
 DEFAULT_FLOW_THRESHOLD_REL = 1e-6  # of the max cell flow; defines "used" cells
@@ -90,12 +93,30 @@ def check_caps(network: Network, caps, name: str = "caps") -> np.ndarray:
     return caps
 
 
+def reduced_costs(costs: CostField, network: Network) -> np.ndarray:
+    """Per-path-per-cell margin: cell cost minus the OD's demand value;
+    ShapeError unless there is one demand value per OD pair."""
+    theta = check_caps(network, costs.theta, "demand values")
+    return costs.psi - theta[network.path_od, None]
+
+
+def od_residuals(
+    flows: np.ndarray, rc: np.ndarray, network: Network, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per OD pair, r1 and r2 of ResidualReport from the flows and their
+    reduced costs ``rc``."""
+    r1 = network.od_sum((flows * np.maximum(0.0, rc)).sum(axis=1)) * dt
+    # 0.0 - m, not -m: where the least reduced cost m is +0.0, -m is -0.0, but
+    # theta - min(psi) reads +0.0
+    r2 = np.maximum(0.0, 0.0 - network.od_min(rc))
+    return r1, r2
+
+
 def is_feasible(point: ExtendedPoint, network: Network) -> bool:
     """Membership in the feasible set: nonnegative flows whose per-OD integrals
     match the demand vector within FEASIBILITY_RTOL."""
     check_rows(network, point.flows)
-    if point.demands.shape != (len(network.od_pairs),):
-        raise ShapeError("the demand vector must have one entry per OD pair")
+    check_caps(network, point.demands, "demands")
     if (point.flows < 0.0).any() or (point.demands < 0.0).any():
         return False
     res = network.od_sum(point.flows.sum(axis=1)) * point.grid.dt - point.demands
@@ -110,22 +131,21 @@ def due_residuals(point: ExtendedPoint, costs: CostField, network: Network) -> R
     DEFAULT_FLOW_THRESHOLD_REL times the maximum cell flow.
     """
     check_rows(network, point.flows, costs.psi)
+    check_caps(network, point.demands, "demands")
+    r1, r2 = od_residuals(point.flows, reduced_costs(costs, network), network, point.grid.dt)
     flow_threshold = DEFAULT_FLOW_THRESHOLD_REL * float(point.flows.max())
-    psi, theta = costs.psi, costs.theta
-    excess = np.maximum(0.0, psi - theta[network.path_od, None])
-    r1 = network.od_sum((point.flows * excess).sum(axis=1)) * point.grid.dt
     by_od = network.by_od
-    psi_od = by_od(psi)
+    psi_od = by_od(costs.psi)
     overall_min = psi_od.min(axis=1)
     used_min = psi_od.min(axis=1, initial=np.inf, where=by_od(point.flows > flow_threshold))
     v = np.where(used_min < np.inf, used_min, overall_min)
     # costs and point are read-only, so the report can share their arrays
     return ResidualReport(
         v=v,
-        theta=theta,
+        theta=costs.theta,
         r1=r1,
-        r2=np.maximum(0.0, theta - overall_min),
-        demand_gap=np.abs(v - theta),
+        r2=r2,
+        demand_gap=np.abs(v - costs.theta),
         demand=point.demands,
     )
 
@@ -156,7 +176,7 @@ def best_response(
     negative, nothing otherwise. Ties break to lowest path id, earliest cell."""
     caps = check_caps(network, caps)
     p, j = network.od_argmin(costs.psi)
-    buy = costs.psi[p, j] - costs.theta < 0.0
+    buy = reduced_costs(costs, network)[p, j] < 0.0
     h = np.zeros((len(network.paths), grid.n))
     h[p[buy], j[buy]] = caps[buy] / grid.dt
     return ExtendedPoint.from_matrix(grid, h, np.where(buy, caps, 0.0))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -204,6 +205,21 @@ class TestScenarioParsing:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [",", "\n", "\u2028"], ids=["comma", "newline", "u2028"])
+    @pytest.mark.parametrize("kind", ["path", "link"])
+    def test_id_that_would_split_a_csv_row_rejected(self, tmp_path, capsys, kind, bad):
+        doc = congested_scenario()
+        value = f"x{bad}1"
+        if kind == "path":
+            doc["network"]["paths"][0]["id"] = value
+        else:
+            doc["network"]["links"][0]["id"] = value
+            doc["network"]["paths"][0]["links"] = [value]
+        path = write_scenario(tmp_path, doc)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert (f"field 'id' of a {kind} must not contain a comma or a line break, "
+                f"got {value!r}" in capsys.readouterr().err)
+
 
 class TestSolveCommand:
     def test_solve_converges_and_writes_outputs(self, tmp_path):
@@ -232,6 +248,20 @@ class TestSolveCommand:
         for pid, q in demands.items():
             vol = sum(float(r["flow"]) for r in rows if r["path_id"] == pid) * dt
             assert abs(vol - q) <= FEASIBILITY_RTOL * max(q, 1.0)
+
+    def test_fixed_mode_residuals_read_positive_zero(self, tmp_path):
+        """In fixed mode theta is each OD's least cost, so r2 is an exact
+        tie: it reads 0.0, as theta - min(psi) gives, never -0.0."""
+        path = write_scenario(tmp_path, fixed_scenario([300.0, 200.0]))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text()
+        # the summary writes the repr of NumPy scalars: 0.0, or np.float64(0.0)
+        number = r"=(?:np\.float64\()?([^\s)]+)"
+        values = re.findall(r"\b(?:r1|r2|demand_gap)" + number, summary)
+        assert len(values) == 6 and "-0.0" not in values
+        assert re.findall(r"\br2" + number, summary) == ["0.0", "0.0"]
+        assert {r["max_r2"] for r in read_csv(out / "gap.csv")} == {"0.0"}
 
     def test_forced_nonconvergence_exits_2_with_one_gap_row(self, tmp_path):
         path = write_scenario(tmp_path, congested_scenario())

@@ -10,7 +10,8 @@ from edue.cost import CostField
 from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
 from edue.solver import compute_gap, fixed_point_step
-from edue.verify import DEFAULT_FLOW_THRESHOLD_REL, best_response, due_residuals, random_probe
+from edue.verify import (DEFAULT_FLOW_THRESHOLD_REL, best_response, due_residuals, od_residuals,
+                         random_probe, reduced_costs)
 
 from oracles import (
     best_response_loop,
@@ -82,6 +83,25 @@ def test_due_residuals_match_loop(problem):
     ref = due_residuals_loop(point, costs, net, DEFAULT_FLOW_THRESHOLD_REL * h.max())
     got = np.column_stack((rep.v, rep.r1, rep.r2, rep.demand_gap))
     np.testing.assert_allclose(got, ref, **TIGHT)
+
+
+@given(problems(), st.booleans(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_od_residuals_equal_the_formulas_over_psi_and_theta(problem, tie, seed):
+    """r1 and r2 from the reduced costs equal, bit for bit and in the sign of
+    zero, the formulas over psi and theta that due_residuals used before;
+    with tie, theta is each OD's least cost, as in fixed mode. With a seed
+    the costs are scaled off the drawn values, so that differences round."""
+    net, grid, h, psi, theta, _ = problem
+    if seed is not None:
+        psi = psi * np.random.default_rng(seed).uniform(0.5, 2.0, size=psi.shape)
+    if tie:
+        theta = od_minima(net, psi)
+    r1, r2 = od_residuals(h, reduced_costs(CostField(psi, theta), net), net, grid.dt)
+    excess = np.maximum(0.0, psi - theta[net.path_od, None])
+    want_r1 = net.od_sum((h * excess).sum(axis=1)) * grid.dt
+    want_r2 = np.maximum(0.0, theta - net.od_min(psi))
+    for got, want in ((r1, want_r1), (r2, want_r2)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @given(problems(), st.sampled_from(["uncapped", "capped", "pinned"]),

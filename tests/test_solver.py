@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from edue import verify
 from edue.cost import CostField, SchedulePenalty
 from edue.demand import InverseDemand
 from edue.grid import ExtendedPoint, ShapeError, TimeGrid
@@ -368,6 +371,25 @@ class TestSolveReport:
         report.flow_bound = 0.5 * report.max_cell_flow
         assert not report.flow_bound_ok
         assert "flow bound satisfied: False" in report.summary_lines()
+
+    @pytest.mark.parametrize("pinned", [None, [200.0]])
+    def test_residuals_built_once_at_the_best_point(self, congested_bottleneck, monkeypatch,
+                                                    pinned):
+        """The report's residuals are due_residuals at the report's point and
+        costs, built once per solve, not once per iteration."""
+        inst = congested_bottleneck
+        calls = []
+        real = verify.due_residuals
+        monkeypatch.setattr(verify, "due_residuals", lambda *args: calls.append(args) or real(*args))
+        report = solve(inst["network"], inst["penalty"], None if pinned else inst["inv_demand"],
+                       inst["config"], grid=grid_of(inst),
+                       pinned_demand=None if pinned is None else np.array(pinned))
+        assert report.iterations > 1 and len(calls) == 1
+        ref = real(report.point, report.costs, inst["network"])
+        for field in dataclasses.fields(ref):
+            got, want = getattr(report.residuals, field.name), getattr(ref, field.name)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestConfigValidation:
     def test_bad_alpha(self):

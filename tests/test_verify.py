@@ -1,11 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from edue.cli import write_costs_csv
 from edue.cost import CostField
 from edue.grid import ExtendedPoint, ShapeError, TimeGrid
 from edue.network import Link, Network, Path as NetPath
 from edue.solver import compute_gap, f_map, fixed_point_step, solve
-from edue.verify import best_response, due_residuals, is_feasible, random_probe, vi_lhs
+from edue.verify import (best_response, due_residuals, is_feasible, random_probe, reduced_costs,
+                         vi_lhs)
 
 from conftest import corridor_network, grid_of, single_link_network
 
@@ -262,3 +267,44 @@ def test_cap_length_names_the_od_count(name, entries):
     costs = toy_costs(np.full((4, 2), 0.5), [0.6, 0.6])
     with pytest.raises(ShapeError, match=r"one entry per OD pair \(2\), got shape \(" + str(entries)):
         CAPS_CHECKED[name](point, costs, net, np.full(entries, 50.0))
+
+
+# the functions that read a cost field's demand values (theta)
+THETA_CHECKED = {
+    "reduced_costs": lambda x, c, net: reduced_costs(c, net),
+    "fixed_point_step": lambda x, c, net: fixed_point_step(x, c, net, 1.0, np.full(2, 50.0)),
+    "compute_gap": lambda x, c, net: compute_gap(x, c, net, np.full(2, 50.0)),
+    "due_residuals": due_residuals,
+    "best_response": lambda x, c, net: best_response(c, net, np.full(2, 50.0), x.grid),
+    "write_costs_csv": lambda x, c, net: write_costs_csv(Path(os.devnull), net, c),
+}
+
+
+@pytest.mark.parametrize("entries", [1, 3])
+@pytest.mark.parametrize("name", list(THETA_CHECKED))
+def test_theta_length_names_the_od_count(name, entries):
+    """Demand values whose length is not the OD count raise ShapeError: one
+    entry would otherwise broadcast over both OD pairs, and three give a
+    number without complaint."""
+    net = corridor_network(2)
+    grid = TimeGrid(0.0, 1.0, 2)
+    point = ExtendedPoint.from_matrix(grid, np.full((4, 2), 10.0), [20.0, 20.0])
+    costs = toy_costs(np.full((4, 2), 0.5), np.full(entries, 0.6))
+    with pytest.raises(ShapeError, match=r"demand values must hold one entry per OD pair \(2\), "
+                                         r"got shape \(" + str(entries)):
+        THETA_CHECKED[name](point, costs, net)
+
+
+@pytest.mark.parametrize("entries", [1, 3])
+@pytest.mark.parametrize("name", ["due_residuals", "is_feasible"])
+def test_demand_length_names_the_od_count(name, entries):
+    """A point whose demand vector is not one entry per OD pair raises
+    ShapeError: is_equilibrium would otherwise broadcast one demand over
+    both OD pairs."""
+    net = corridor_network(2)
+    grid = TimeGrid(0.0, 1.0, 2)
+    point = ExtendedPoint.from_matrix(grid, np.full((4, 2), 10.0), np.full(entries, 20.0))
+    costs = toy_costs(np.full((4, 2), 0.5), [0.6, 0.6])
+    with pytest.raises(ShapeError, match=r"demands must hold one entry per OD pair \(2\), "
+                                         r"got shape \(" + str(entries)):
+        ROW_CHECKED[name](point, costs, net)
