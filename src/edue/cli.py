@@ -185,7 +185,9 @@ def _fmt(x: float) -> str:
 
 
 FLOWS_HEADER = "path_id,cell_index,t_start,t_end,flow"
-FLOWS_CHUNK = 1024  # flow file lines parsed at once; bounds the parser's scratch memory
+# flow file lines parsed at once, joined with a ",\n," marker and split once
+# (see _parse_flow_lines); bounds the parser's scratch memory
+FLOWS_CHUNK = 1024
 
 
 def write_flows_csv(path: Path, network: Network, point: ExtendedPoint) -> None:
@@ -207,38 +209,47 @@ def _parse_flow_lines(
     lines: list[str], first_ln: int, path_ids: dict[str, int], n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Path indices, cell indices and flows of flows.csv body lines, the
-    first being file line first_ln. Each check runs over all the lines at
-    once and names the first line that fails it."""
+    first being file line first_ln. The lines are joined with a ",\n,"
+    marker and split once: no line holds a "\n", so every line has 5 columns
+    exactly when the split has 6m - 1 fields and every 6th is the marker.
+    Each check runs over all the lines at once; only when one fails does a
+    per-line scan name the first line that fails it."""
     m = len(lines)
-    bad = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=m) != 4
-    if bad.any():
+    fields = ",\n,".join(lines).split(",")
+    if len(fields) != 6 * m - 1 or fields[5::6].count("\n") != m - 1:
+        bad = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=m) != 4
         raise _flow_file_error(first_ln + int(np.argmax(bad)), "expected 5 columns")
-    fields = ",".join(lines).split(",")
-    pids, cell_strs, flow_strs = fields[0::5], fields[1::5], fields[4::5]
+    pids, cell_strs, flow_strs = fields[0::6], fields[1::6], fields[4::6]
     rows = np.fromiter(map(path_ids.get, pids, repeat(-1)), dtype=np.intp, count=m)
     if (rows < 0).any():
         i = int(np.argmax(rows < 0))
         raise _flow_file_error(first_ln + i, f"unknown path id {pids[i]!r}")
     try:
-        cells = list(map(int, cell_strs))
-        values = np.fromiter(map(float, flow_strs), dtype=float, count=m)
-    except ValueError:
+        # NumPy converts a str element with int() and float(): same values,
+        # same rejections, except that an int beyond intp overflows
+        cells = np.array(cell_strs, dtype=np.intp)
+        values = np.array(flow_strs, dtype=float)
+    except (ValueError, OverflowError):
+        # name the line that int() or float() rejects; a cell index clipped to
+        # [-1, n] stays out of range without overflowing intp
+        cell_list, value_list = [], []
         for i, (j_str, flow) in enumerate(zip(cell_strs, flow_strs)):
             try:
-                int(j_str)
-                float(flow)
+                cell_list.append(min(max(int(j_str), -1), n))
+                value_list.append(float(flow))
             except ValueError as exc:
                 raise _flow_file_error(first_ln + i, str(exc)) from exc
-        raise
+        cells, values = np.array(cell_list, dtype=np.intp), np.array(value_list)
     bad = ~((values >= 0.0) & (values < math.inf))
     if bad.any():
         i = int(np.argmax(bad))
         raise _flow_file_error(first_ln + i, f"flow must be finite and nonnegative, "
                                              f"got {flow_strs[i]!r}")
-    if not 0 <= min(cells) <= max(cells) < n:
-        i = next(i for i, j in enumerate(cells) if not 0 <= j < n)
-        raise _flow_file_error(first_ln + i, f"cell index {cells[i]} out of range")
-    return rows, np.array(cells, dtype=np.intp), values
+    bad = (cells < 0) | (cells >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _flow_file_error(first_ln + i, f"cell index {int(cell_strs[i])} out of range")
+    return rows, cells, values
 
 
 def read_flows_csv(path: Path, network: Network, grid: TimeGrid) -> ExtendedPoint:

@@ -61,13 +61,11 @@ class ResidualReport:
         return bool(ok1 and ok2 and ok3)
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for w in range(self.v.shape[0]):
-            lines.append(
-                f"od {w}: v={self.v[w]!r} theta={self.theta[w]!r} "
-                f"r1={self.r1[w]!r} r2={self.r2[w]!r} demand_gap={self.demand_gap[w]!r}"
-            )
-        return lines
+        # Python floats, whose repr reads the same under every NumPy version
+        fields = zip(*(a.tolist() for a in (self.v, self.theta, self.r1, self.r2,
+                                            self.demand_gap)))
+        return [f"od {w}: v={v!r} theta={theta!r} r1={r1!r} r2={r2!r} demand_gap={gap!r}"
+                for w, (v, theta, r1, r2, gap) in enumerate(fields)]
 
 
 def check_rows(network: Network, *arrays: np.ndarray) -> None:

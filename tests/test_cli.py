@@ -1,16 +1,23 @@
 import csv
 import json
+import random
 import re
 
+import numpy as np
 import pytest
 
+from edue import cli
 from edue.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    ScenarioError,
     load_scenario,
     main,
+    read_flows_csv,
+    write_flows_csv,
 )
+from edue.grid import ExtendedPoint
 from edue.solver import SolverConfig
 from edue.verify import FEASIBILITY_RTOL
 
@@ -256,8 +263,7 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
         summary = (out / "summary.txt").read_text()
-        # the summary writes the repr of NumPy scalars: 0.0, or np.float64(0.0)
-        number = r"=(?:np\.float64\()?([^\s)]+)"
+        number = r"=(\S+)"
         values = re.findall(r"\b(?:r1|r2|demand_gap)" + number, summary)
         assert len(values) == 6 and "-0.0" not in values
         assert re.findall(r"\br2" + number, summary) == ["0.0", "0.0"]
@@ -349,6 +355,57 @@ class TestCheckAndLoad:
         assert code == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
 
+    def test_column_check_is_exact_per_line(self, tmp_path, capsys):
+        """Line 4 gets a sixth field and line 5 loses one, so the file's
+        field count is right; the reader names line 4 all the same."""
+        path = write_scenario(tmp_path, congested_scenario())
+        out = tmp_path / "out"
+        main(["solve", str(path), "--out", str(out)])
+        lines = (out / "flows.csv").read_text().splitlines()
+        lines[3] += ",0.0"
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        (out / "bad_flows.csv").write_text("\n".join(lines) + "\n")
+        code = main(["check", str(path), str(out / "bad_flows.csv"), "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert "line 4: expected 5 columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk", [cli.FLOWS_CHUNK, 3])
+    def test_rows_in_any_order_read_the_same_point(self, tmp_path, monkeypatch, chunk):
+        """Shuffled body rows with \\r\\n line endings, read in one chunk or
+        in several, give the same point bit for bit."""
+        path = write_scenario(tmp_path, fixed_scenario([300.0, 200.0]))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        scenario = load_scenario(path)
+        original = read_flows_csv(out / "flows.csv", scenario.network, scenario.grid())
+        header, *body = (out / "flows.csv").read_text().splitlines()
+        shuffled = random.Random(0).sample(body, len(body))
+        assert shuffled != body
+        shuffled_file = tmp_path / "shuffled.csv"
+        shuffled_file.write_bytes("".join(f"{line}\r\n" for line in [header] + shuffled).encode())
+        monkeypatch.setattr(cli, "FLOWS_CHUNK", chunk)
+        point = read_flows_csv(shuffled_file, scenario.network, scenario.grid())
+        assert point.flows.tobytes() == original.flows.tobytes()
+        assert point.demands.tobytes() == original.demands.tobytes()
+
+    @pytest.mark.parametrize("scenario", [congested_scenario(), fixed_scenario([300.0, 200.0])],
+                             ids=["elastic", "fixed"])
+    def test_reports_print_plain_floats(self, tmp_path, scenario):
+        """summary.txt and check.txt read the same under every NumPy version:
+        each number is a Python float's repr, never np.float64(...)."""
+        path = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["check", str(path), str(out / "flows.csv"), "--out", str(out)]) == EXIT_OK
+        for name in ("summary.txt", "check.txt"):
+            text = (out / name).read_text()
+            assert "np." not in text
+            values = re.findall(r"=(\S+)", text) + re.findall(
+                r"^(?:initial gap|final gap|flow bound 3\S+|max cell flow): (\S+)$", text, re.M)
+            assert len(values) >= 5 * len(scenario["demand"])
+            for value in values:
+                assert repr(float(value)) == value
+
     def test_load_writes_cumulative_curves(self, tmp_path):
         path = write_scenario(tmp_path, congested_scenario())
         out = tmp_path / "out"
@@ -360,6 +417,76 @@ class TestCheckAndLoad:
         for r in rows:
             assert float(r["queue"]) >= 0.0
             assert float(r["cum_out"]) <= float(r["cum_in"]) + 1e-9
+
+
+# cell and flow fields that int() and float() treat in every way they can:
+# accept with a value, reject, or accept a value the reader must refuse
+EDGE_FIELDS = [" 3", "+3", "3_0", "１２", " 1.5 ", "infinity", "0x10", "1d5", "",
+               "-0", "٣", "1e400", "-2", "9" * 30]
+
+
+class TestFlowFieldConversion:
+    """The reader accepts a cell or flow field exactly when int() or float()
+    does, with the value it gives; a rejection names the line."""
+
+    @pytest.fixture
+    def flow_file(self, tmp_path):
+        scenario = load_scenario(write_scenario(tmp_path, uncongested_scenario(n=64)))
+        grid = scenario.grid()
+        h = np.random.default_rng(0).uniform(0.0, 100.0, size=(1, grid.n))
+        point = ExtendedPoint.from_matrix(grid, h, scenario.network.od_sum(h.sum(axis=1)) * grid.dt)
+        path = tmp_path / "flows.csv"
+        write_flows_csv(path, scenario.network, point)
+        return scenario, path, h
+
+    @staticmethod
+    def edit(path, cell, column, text):
+        """Set one field of the line of the given cell; return its line number."""
+        lines = path.read_text().splitlines()
+        fields = lines[cell + 1].split(",")
+        fields[column] = text
+        lines[cell + 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return cell + 2
+
+    @pytest.mark.parametrize("text", EDGE_FIELDS)
+    def test_cell_field_reads_as_int_does(self, flow_file, text):
+        scenario, path, h = flow_file
+        try:
+            value, error = int(text), None
+        except ValueError as exc:
+            value, error = None, str(exc)
+        in_range = value is not None and 0 <= value < scenario.n
+        ln = self.edit(path, value if in_range else 5, 1, text)
+        if in_range:
+            point = read_flows_csv(path, scenario.network, scenario.grid())
+            assert point.flows.tobytes() == h.tobytes()
+            return
+        if error is None:
+            error = f"cell index {value} out of range"
+        with pytest.raises(ScenarioError) as info:
+            read_flows_csv(path, scenario.network, scenario.grid())
+        assert str(info.value) == f"flow file line {ln}: {error}"
+
+    @pytest.mark.parametrize("text", EDGE_FIELDS)
+    def test_flow_field_reads_as_float_does(self, flow_file, text):
+        scenario, path, h = flow_file
+        try:
+            value, error = float(text), None
+        except ValueError as exc:
+            value, error = None, str(exc)
+        ln = self.edit(path, 5, 4, text)
+        if value is not None and 0.0 <= value < float("inf"):
+            point = read_flows_csv(path, scenario.network, scenario.grid())
+            expected = h.copy()
+            expected[0, 5] = value
+            assert point.flows.tobytes() == expected.tobytes()
+            return
+        if error is None:
+            error = f"flow must be finite and nonnegative, got {text!r}"
+        with pytest.raises(ScenarioError) as info:
+            read_flows_csv(path, scenario.network, scenario.grid())
+        assert str(info.value) == f"flow file line {ln}: {error}"
 
 
 class TestOracleCommand:
