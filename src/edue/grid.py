@@ -9,6 +9,7 @@ equilibrium tolerances used downstream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,20 @@ __all__ = ["ShapeError", "TimeGrid", "ExtendedPoint"]
 
 class ShapeError(ValueError):
     """Two objects that must share grid / path / OD structure do not."""
+
+
+def positive_int(value: object, name: str) -> int:
+    """value as an int, if it is an integer (any type operator.index takes,
+    bool excepted) of at least 1; else ValueError naming the field."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= 1:
+                return count
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +49,7 @@ class TimeGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"cell count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", positive_int(self.n, "cell count"))
         for name in ("t0", "tf"):
             value = getattr(self, name)
             if not math.isfinite(value):

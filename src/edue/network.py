@@ -7,24 +7,26 @@ problem and the equilibrium model takes the set as given.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import TimeGrid
-
-__all__ = ["Link", "Path", "Network", "StructureError", "validate", "max_exit_capacity"]
+__all__ = ["Link", "Path", "Network", "StructureError"]
 
 
 class StructureError(ValueError):
-    """The network object is structurally unusable (duplicate ids, empty sets)."""
+    """The network is structurally unusable: no paths, duplicate ids, or a
+    path that is not a chain of its network's links from its origin to its
+    destination."""
 
 
 @dataclass(frozen=True)
 class Link:
-    """Directed link with free-flow traversal time and a finite exit capacity."""
+    """Directed link with a positive free-flow traversal time and a positive,
+    finite exit capacity: the point queue's delay is continuous only then."""
 
     id: str
     tail: str
@@ -35,8 +37,9 @@ class Link:
     def __post_init__(self) -> None:
         for name in ("free_flow_time", "exit_capacity"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"link {self.id}: {name} must be finite, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"link {self.id}: {name} must be finite and positive, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,8 @@ class Network:
     """Immutable network: links, paths and the shared desired arrival time.
 
     The OD pairs are those of the paths, in order of first appearance;
-    ``path_od`` holds each path's OD pair index (read-only)."""
+    ``path_od`` holds each path's OD pair index (read-only). Construction
+    raises one StructureError that lists every structural violation."""
 
     links: tuple[Link, ...]
     paths: tuple[Path, ...]
@@ -86,10 +90,14 @@ class Network:
     def __post_init__(self) -> None:
         links = tuple(self.links)
         paths = tuple(self.paths)
-        if len({l.id for l in links}) != len(links):
-            raise StructureError("duplicate link ids")
-        if len({p.id for p in paths}) != len(paths):
-            raise StructureError("duplicate path ids")
+        violations = [] if paths else ["network has no paths"]
+        for kind, ids in (("link", [l.id for l in links]), ("path", [p.id for p in paths])):
+            violations += [f"{kind} {i}: duplicate id" for i, k in Counter(ids).items() if k > 1]
+        by_id = {l.id: l for l in links}
+        for path in paths:
+            violations += _path_violations(path, by_id)
+        if violations:
+            raise StructureError("; ".join(violations))
         od_index: dict[tuple[str, str], int] = {}
         path_od = np.array([od_index.setdefault((p.origin, p.destination), len(od_index))
                             for p in paths], dtype=np.intp)
@@ -257,47 +265,23 @@ class Network:
         return tuple(Depth(tuple(links), tuple(cycles)) for links, cycles in depths)
 
 
-def validate(network: Network, grid: TimeGrid) -> list[str]:
-    """Structural checks. Returns a list of human-readable violations;
-    an empty list means the network is usable with the given grid."""
-    violations: list[str] = []
-    if not network.paths:
-        violations.append("network has no paths")
-    by_id = network.link_by_id
-    for link in network.links:
-        if link.exit_capacity <= 0.0:
-            violations.append(f"link {link.id}: nonpositive capacity")
-        if link.free_flow_time <= 0.0:
-            violations.append(f"link {link.id}: nonpositive free-flow time")
-    for path in network.paths:
-        if not path.link_ids:
-            violations.append(f"path {path.id}: empty link sequence")
-            continue
-        missing = [lid for lid in path.link_ids if lid not in by_id]
-        if missing:
-            violations.append(f"path {path.id}: unknown links {missing}")
-            continue
-        if len(set(path.link_ids)) != len(path.link_ids):
-            violations.append(f"path {path.id}: repeated link")
-        links = [by_id[lid] for lid in path.link_ids]
-        if links[0].tail != path.origin:
-            violations.append(f"path {path.id}: does not start at origin {path.origin}")
-        if links[-1].head != path.destination:
-            violations.append(
-                f"path {path.id}: does not end at destination {path.destination}"
-            )
-        for a, b in zip(links, links[1:]):
-            if a.head != b.tail:
-                violations.append(
-                    f"path {path.id}: links {a.id} and {b.id} are not adjacent"
-                )
-    if not network.arrival_target < grid.tf:
-        violations.append("desired arrival time must precede the horizon end")
+
+def _path_violations(path: Path, by_id: dict[str, Link]) -> list[str]:
+    """What keeps a path from being a chain of the given links that runs from
+    its origin to its destination, each link once."""
+    if not path.link_ids:
+        return [f"path {path.id}: empty link sequence"]
+    missing = [lid for lid in path.link_ids if lid not in by_id]
+    if missing:
+        return [f"path {path.id}: unknown links {missing}"]
+    violations = []
+    if len(set(path.link_ids)) != len(path.link_ids):
+        violations.append(f"path {path.id}: repeated link")
+    links = [by_id[lid] for lid in path.link_ids]
+    if links[0].tail != path.origin:
+        violations.append(f"path {path.id}: does not start at origin {path.origin}")
+    if links[-1].head != path.destination:
+        violations.append(f"path {path.id}: does not end at destination {path.destination}")
+    violations += [f"path {path.id}: links {a.id} and {b.id} are not adjacent"
+                   for a, b in zip(links, links[1:]) if a.head != b.tail]
     return violations
-
-
-def max_exit_capacity(network: Network) -> float:
-    """Largest link exit capacity in the network."""
-    if not network.links:
-        raise StructureError("network has no links")
-    return max(l.exit_capacity for l in network.links)

@@ -92,9 +92,11 @@ class _GapObjective:
         return network.od_sum(h.sum(axis=2).ravel()).reshape(len(xs), -1) * self.inst.grid.dt
 
     def gaps(self, xs: np.ndarray) -> np.ndarray:
-        """The gap at each point (row of xs); inf outside the feasible set."""
+        """The gap at each point (row of xs); inf where a demand exceeds its
+        cap. The search never makes a negative flow (every lattice axis and
+        compass trial is clipped at 0), so only the caps can fail."""
         demands = self.demands_of(xs)
-        feasible = ~((xs < 0.0).any(axis=1) | (demands > self.inst.inv_demand.cap).any(axis=1))
+        feasible = ~(demands > self.inst.inv_demand.cap).any(axis=1)
         gaps = np.full(len(xs), np.inf)
         b = int(np.count_nonzero(feasible))
         if b:

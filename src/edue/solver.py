@@ -25,8 +25,8 @@ import numpy as np
 from . import dnl, verify
 from .cost import CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
-from .grid import ExtendedPoint, TimeGrid
-from .network import Network, max_exit_capacity
+from .grid import ExtendedPoint, TimeGrid, positive_int
+from .network import Network
 from .verify import reduced_costs
 
 __all__ = [
@@ -56,14 +56,10 @@ class SolverConfig:
                 raise ValueError(f"solver {name} must be finite, got {value!r}")
         if self.alpha <= 0.0:
             raise ValueError("step size must be positive")
-        if not isinstance(self.max_iters, int):
-            raise ValueError(f"solver max_iters must be an integer, got {self.max_iters!r}")
-        if not (self.halve_on_stall is None
-                or isinstance(self.halve_on_stall, int) and self.halve_on_stall >= 1):
-            raise ValueError(f"solver halve_on_stall must be an integer >= 1 or None, "
-                             f"got {self.halve_on_stall!r}")
-        if self.max_iters < 1:
-            raise ValueError("at least one iteration is required")
+        object.__setattr__(self, "max_iters", positive_int(self.max_iters, "solver max_iters"))
+        if self.halve_on_stall is not None:
+            object.__setattr__(self, "halve_on_stall",
+                               positive_int(self.halve_on_stall, "solver halve_on_stall"))
         if self.gap_tol < 0.0 or self.gap_rtol < 0.0:
             raise ValueError("gap tolerances must be nonnegative")
 
@@ -208,7 +204,7 @@ def _gap(flows: np.ndarray, rc: np.ndarray, cheapest: np.ndarray, caps: np.ndarr
 
 def lemma2_bound(network: Network, penalty: SchedulePenalty) -> float:
     """Upper bound 3 * M^max / (Delta + 1) on equilibrium cell flows (veh/h)."""
-    return 3.0 * max_exit_capacity(network) / (penalty.slope_bound() + 1.0)
+    return 3.0 * max(l.exit_capacity for l in network.links) / (penalty.slope_bound() + 1.0)
 
 
 def zero_point(network: Network, grid: TimeGrid) -> ExtendedPoint:

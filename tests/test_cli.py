@@ -165,6 +165,14 @@ class TestScenarioParsing:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert "invalid network: network has no paths" in capsys.readouterr().err
 
+    def test_arrival_target_at_horizon_end_rejected(self, tmp_path, capsys):
+        doc = uncongested_scenario()
+        doc["horizon"]["arrival_target"] = 2.0
+        path = write_scenario(tmp_path, doc)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert ("horizon.arrival_target must precede horizon.tf 2.0, got 2.0"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("halve_on_stall", ["absent", None])
     def test_solver_defaults_come_from_solver_config(self, tmp_path, halve_on_stall):
         doc = uncongested_scenario()

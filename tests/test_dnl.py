@@ -6,7 +6,7 @@ from edue.cost import CostField, SchedulePenalty, effective_delay
 from edue.demand import InverseDemand
 from edue.dnl import _MIN_PARCEL_LEN, HorizonOverflowError, _batch_step, _link_step, load
 from edue.grid import ExtendedPoint, TimeGrid
-from edue.network import Link, Network, Path, validate
+from edue.network import Link, Network, Path
 from edue.solver import compute_gap
 
 from conftest import corridor_network
@@ -380,7 +380,6 @@ class TestCyclicSuccession:
     def test_ring_matches_recorded_exit_times(self, seed):
         net = ring_network()
         grid = TimeGrid(0.0, 1.0, 6)
-        assert validate(net, grid) == []
         rng = np.random.default_rng(seed)
         flows = np.array([rng.uniform(0.0, 900.0, size=6) for _ in net.paths])
         res = load(net, flows, grid)
@@ -476,7 +475,6 @@ class TestBatchedDepths:
     def test_corridor_matches_recorded_exit_times(self, seed):
         net = corridor_network(3)
         grid = TimeGrid(0.0, 1.6, 6)
-        assert validate(net, grid) == []
         rng = np.random.default_rng(seed)
         flows = rng.uniform(0.0, 900.0, size=(len(net.paths), grid.n))
         res = load(net, flows, grid)

@@ -23,6 +23,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0)
 
+    def test_rejects_bool_count(self):
+        with pytest.raises(ValueError, match="cell count must be an integer >= 1, got True"):
+            TimeGrid(0.0, 1.0, True)
+
+    def test_numpy_integer_count_stored_as_int(self):
+        grid = TimeGrid(0.0, 1.0, np.int64(4))
+        assert type(grid.n) is int and grid.n == 4
+
     @pytest.mark.parametrize("t0, tf, field", [
         (0.0, float("inf"), "tf"),
         (float("-inf"), 0.0, "t0"),

@@ -1,7 +1,16 @@
+import math
+import re
+
+import numpy as np
 import pytest
 
+from edue.cost import SchedulePenalty
+from edue.demand import InverseDemand
+from edue.dnl import load
 from edue.grid import TimeGrid
-from edue.network import Link, Network, Path, StructureError, max_exit_capacity, validate
+from edue.network import Link, Network, Path, StructureError
+from edue.oracle import TinyInstance
+from edue.solver import SolverConfig, lemma2_bound, solve
 
 from conftest import corridor_network
 
@@ -10,50 +19,118 @@ def make_net(links, paths, target=1.5):
     return Network(links=tuple(links), paths=tuple(paths), arrival_target=target)
 
 
+def link(lid="a", tail="i", head="j", free_flow_time=0.1, exit_capacity=100.0):
+    return Link(lid, tail, head, free_flow_time, exit_capacity)
+
+
 class TestValidate:
+    """Each way a link or network can be unusable raises when it is built,
+    naming the link or path. (The arrival target needs the horizon, so the
+    scenario parser checks it.)"""
+
     def test_minimal_valid_network(self):
-        net = make_net(
-            [Link("a", "i", "j", 0.2, 1800.0)],
-            [Path("p", ("a",), "i", "j")],
-            target=1.5,
-        )
-        assert validate(net, TimeGrid(0.0, 2.0, 4)) == []
+        net = make_net([Link("a", "i", "j", 0.2, 1800.0)], [Path("p", ("a",), "i", "j")])
+        assert net.od_pairs == (("i", "j"),)
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: link(exit_capacity=0.0),
+                     "link a: exit_capacity must be finite and positive, got 0.0",
+                     id="zero capacity"),
+        pytest.param(lambda: link(exit_capacity=-5.0),
+                     "link a: exit_capacity must be finite and positive, got -5.0",
+                     id="negative capacity"),
+        pytest.param(lambda: link(free_flow_time=0.0),
+                     "link a: free_flow_time must be finite and positive, got 0.0",
+                     id="zero free-flow time"),
+        pytest.param(lambda: link(free_flow_time=-0.1),
+                     "link a: free_flow_time must be finite and positive, got -0.1",
+                     id="negative free-flow time"),
+        pytest.param(lambda: make_net([link()], []), "network has no paths", id="no paths"),
+        pytest.param(lambda: make_net([link(), link()], [Path("p", ("a",), "i", "j")]),
+                     "link a: duplicate id", id="duplicate link id"),
+        pytest.param(lambda: make_net([link()], [Path("p", ("a",), "i", "j")] * 2),
+                     "path p: duplicate id", id="duplicate path id"),
+        pytest.param(lambda: make_net([link()], [Path("p", (), "i", "j")]),
+                     "path p: empty link sequence", id="empty path"),
+        pytest.param(lambda: make_net([link()], [Path("p", ("zz",), "i", "j")]),
+                     "path p: unknown links ['zz']", id="unknown link"),
+        pytest.param(lambda: make_net([link(head="i")], [Path("p", ("a", "a"), "i", "i")]),
+                     "path p: repeated link", id="repeated link"),
+        pytest.param(lambda: make_net([link()], [Path("p", ("a",), "x", "j")]),
+                     "path p: does not start at origin x", id="wrong origin"),
+        pytest.param(lambda: make_net([link()], [Path("p", ("a",), "i", "x")]),
+                     "path p: does not end at destination x", id="wrong destination"),
+        pytest.param(lambda: make_net([link(head="k"), link("b", "m", "j")],
+                                      [Path("p", ("a", "b"), "i", "j")]),
+                     "path p: links a and b are not adjacent", id="not adjacent"),
+    ])
+    def test_violation_raises_when_built(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_nonpositive_capacity(self):
-        net = make_net([Link("a", "i", "j", 0.2, 0.0)], [Path("p", ("a",), "i", "j")])
-        report = validate(net, TimeGrid(0.0, 2.0, 4))
-        assert any("nonpositive capacity" in v for v in report)
-
-    def test_arrival_target_must_precede_horizon_end(self):
-        net = make_net(
-            [Link("a", "i", "j", 0.2, 100.0)],
-            [Path("p", ("a",), "i", "j")],
-            target=2.0,
-        )
-        report = validate(net, TimeGrid(0.0, 2.0, 4))
-        assert any("arrival time must precede" in v for v in report)
+        # the bound is strict: the least positive float is a capacity
+        for value in (0.0, -0.0, -5.0):
+            with pytest.raises(ValueError, match="link a: exit_capacity"):
+                link(exit_capacity=value)
+        assert link(exit_capacity=math.ulp(0.0)).exit_capacity > 0.0
 
     def test_disconnected_path(self):
-        links = [Link("a", "i", "k", 0.1, 100.0), Link("b", "m", "j", 0.1, 100.0)]
-        net = make_net(links, [Path("p", ("a", "b"), "i", "j")])
-        report = validate(net, TimeGrid(0.0, 2.0, 4))
-        assert any("not adjacent" in v for v in report)
+        # one error lists every violation, path after path
+        links = [link(head="k"), link("b", "m", "j")]
+        paths = [Path("p", ("a", "b"), "i", "x"), Path("q", ("zz", "a"), "y", "k")]
+        with pytest.raises(StructureError) as err:
+            make_net(links, paths)
+        assert str(err.value) == ("path p: does not end at destination x; "
+                                  "path p: links a and b are not adjacent; "
+                                  "path q: unknown links ['zz']")
 
     def test_unknown_link_reference(self):
-        net = make_net([Link("a", "i", "j", 0.1, 100.0)], [Path("p", ("zz",), "i", "j")])
-        report = validate(net, TimeGrid(0.0, 2.0, 4))
-        assert any("unknown links" in v for v in report)
+        # reported instead of a KeyError; the path's other checks need its
+        # links, so they are skipped
+        with pytest.raises(StructureError, match=r"^path p: unknown links \['zz'\]$"):
+            make_net([link()], [Path("p", ("zz",), "x", "y")])
 
     def test_no_paths(self):
-        net = make_net([Link("a", "i", "j", 0.1, 100.0)], [])
-        assert validate(net, TimeGrid(0.0, 2.0, 4)) == ["network has no paths"]
+        # the text the CLI pins after "invalid network: "
+        with pytest.raises(StructureError, match="^network has no paths$"):
+            make_net([link()], [])
 
     def test_repeated_link(self):
-        net = make_net(
-            [Link("a", "i", "i", 0.1, 100.0)], [Path("p", ("a", "a"), "i", "i")]
-        )
-        report = validate(net, TimeGrid(0.0, 2.0, 4))
-        assert any("repeated link" in v for v in report)
+        # a self-loop used twice is a chain from its origin to its
+        # destination, so the repeat is the path's only violation
+        with pytest.raises(StructureError, match="^path p: repeated link$"):
+            make_net([link(head="i")], [Path("p", ("a", "a"), "i", "i")])
+
+
+FAILURE_MODES = [
+    pytest.param(lambda: [link(), link("u", "j", "k", exit_capacity=0.0)], ("a",),
+                 "link u: exit_capacity", id="zero capacity on an unused link"),
+    pytest.param(lambda: [link(exit_capacity=-5.0)], ("a",), "link a: exit_capacity",
+                 id="negative capacity"),
+    pytest.param(lambda: [link(free_flow_time=-0.1)], ("a",), "link a: free_flow_time",
+                 id="negative free-flow time"),
+    pytest.param(lambda: [link()], ("zz",), "path p: unknown links", id="unknown link"),
+]
+
+
+@pytest.mark.parametrize("entry", ["load", "solve", "TinyInstance"])
+@pytest.mark.parametrize("links, route, message", FAILURE_MODES)
+def test_library_failure_modes_raise_when_built(entry, links, route, message):
+    """A network that an entry point would fail on deep inside (division by
+    a zero capacity, a negative horizon end, arrivals before departure, a
+    bare KeyError) raises when it is built, naming its link or path, before
+    the entry point runs."""
+    grid = TimeGrid(0.0, 2.0, 2)
+    run = {
+        "load": lambda net: load(net, np.ones((1, grid.n)), grid),
+        "solve": lambda net: solve(net, SchedulePenalty(0.5, 2.0),
+                                   InverseDemand([1.0], [0.01], [80.0]), SolverConfig(), grid),
+        "TinyInstance": lambda net: TinyInstance(net, grid, SchedulePenalty(0.5, 2.0),
+                                                 InverseDemand([1.0], [0.01], [80.0])),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
+        run(make_net(links(), [Path("p", route, "i", "j")]))
 
 
 class TestLinkConstruction:
@@ -67,33 +144,34 @@ class TestLinkConstruction:
 
 
 class TestMaxExitCapacity:
+    """M^max, the largest exit capacity, as lemma2_bound reads it: with no
+    early penalty the bound is 3 M^max."""
+
     def test_max_of_two(self):
-        net = make_net(
-            [Link("a", "i", "j", 0.1, 1800.0), Link("b", "j", "k", 0.1, 1200.0)],
-            [Path("p", ("a", "b"), "i", "k")],
-        )
-        assert max_exit_capacity(net) == 1800.0
+        net = make_net([link(exit_capacity=1800.0), link("b", "j", "k", exit_capacity=1200.0)],
+                       [Path("p", ("a", "b"), "i", "k")])
+        assert lemma2_bound(net, SchedulePenalty(0.0, 2.0)) == 3 * 1800.0
 
     def test_singleton(self):
-        net = make_net([Link("a", "i", "j", 0.1, 600.0)], [Path("p", ("a",), "i", "j")])
-        assert max_exit_capacity(net) == 600.0
+        net = make_net([link(exit_capacity=600.0)], [Path("p", ("a",), "i", "j")])
+        assert lemma2_bound(net, SchedulePenalty(0.0, 2.0)) == 3 * 600.0
 
     def test_ties(self):
-        net = make_net(
-            [Link("a", "i", "j", 0.1, 1000.0), Link("b", "j", "k", 0.1, 1000.0)],
-            [Path("p", ("a", "b"), "i", "k")],
-        )
-        assert max_exit_capacity(net) == 1000.0
+        net = make_net([link(exit_capacity=1000.0), link("b", "j", "k", exit_capacity=1000.0)],
+                       [Path("p", ("a", "b"), "i", "k")])
+        assert lemma2_bound(net, SchedulePenalty(0.0, 2.0)) == 3 * 1000.0
 
     def test_empty_links_rejected(self):
-        with pytest.raises(StructureError):
-            max_exit_capacity(Network(links=(), paths=(), arrival_target=1.0))
+        # the empty maximum can no longer arise: a network without links has
+        # no paths either
+        with pytest.raises(StructureError, match="network has no paths"):
+            Network(links=(), paths=(), arrival_target=1.0)
 
     def test_bound_dominates_each_link(self):
-        links = [Link(f"l{i}", "a", "b", 0.1, 100.0 * (i + 1)) for i in range(5)]
+        links = [link(f"l{i}", "a", "b", exit_capacity=100.0 * (i + 1)) for i in range(5)]
         net = make_net(links, [Path("p", ("l0",), "a", "b")])
-        cap = max_exit_capacity(net)
-        assert all(cap >= l.exit_capacity for l in links)
+        bound = lemma2_bound(net, SchedulePenalty(0.0, 2.0))
+        assert all(bound >= 3 * l.exit_capacity for l in links)
 
 
 class TestStructure:
@@ -123,7 +201,6 @@ class TestStructure:
                  Path("p", ("a",), "O", "D"))
         net = Network(links=links, paths=paths, arrival_target=0.5)
         copies = net.copies(3)
-        assert validate(copies, TimeGrid(0.0, 1.0, 2)) == []
         n_paths, n_ods = len(net.paths), len(net.od_pairs)
         assert len(copies.paths) == 3 * n_paths and len(copies.od_pairs) == 3 * n_ods
         for k in range(3):

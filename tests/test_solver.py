@@ -411,7 +411,14 @@ class TestConfigValidation:
         ("halve_on_stall", 3.7),
         ("halve_on_stall", 0),
         ("halve_on_stall", -3),
+        ("max_iters", True),
+        ("halve_on_stall", True),
     ])
     def test_non_integer_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iters", "halve_on_stall"])
+    def test_numpy_integer_count_stored_as_int(self, field):
+        value = getattr(SolverConfig(**{field: np.int64(7)}), field)
+        assert type(value) is int and value == 7
