@@ -278,9 +278,12 @@ def _settle_time(curve: Curve) -> float:
 def default_horizon(network: Network, volume: float) -> float:
     """Extended-horizon length guaranteeing clearance of the loaded volume
     (total departures, vehicles): the volume over the slowest capacity plus
-    the total free-flow time."""
-    min_cap = min(l.exit_capacity for l in network.links)
-    total_fft = sum(l.free_flow_time for l in network.links)
+    the total free-flow time, both over the links that some path uses."""
+    used = {link.id for route in network.routes for link in route}
+    # in network order: with every link used, the sums run as over network.links
+    links = [l for l in network.links if l.id in used]
+    min_cap = min(l.exit_capacity for l in links)
+    total_fft = sum(l.free_flow_time for l in links)
     return volume / min_cap + total_fft
 
 

@@ -7,9 +7,19 @@ between the two is evidence rather than tautology. Search box per coordinate:
 
 Stages: coarse Cartesian lattice, compass (pattern) search from the
 incumbent, then shrinking refinement lattices (box shrunk tenfold per round).
-Points are scored in batches, a lattice chunk or the rest of a compass sweep
-at a time, each batch as disjoint copies of the network in one cost mapping;
-the search visits and compares exactly the points it would one by one.
+Points are scored in batches, each batch as disjoint copies of the network in
+one cost mapping; the search visits and compares exactly the points it would
+one by one. A lattice batch is a chunk of the lattice. A compass batch looks
+ahead: until a move improves, the trials to come are known, so the rest of
+the current sweep and the sweeps after it, up to LOOKAHEAD sweeps from one
+incumbent, are scored together, and the trials after the first better one
+are discarded. Most sweeps improve nothing and only halve the step, so the
+criterion-2 instances score 38, 43 and 192 batches instead of 90, 100 and
+223. On a 2-core Xeon host one batch of the one-path instances costs about
+190 us plus 18 us per point, and a batch of a new size first builds its
+network copies (120 us for 8). Timed against one sweep per batch, both
+one-path oracle runs took 0.77x at depth 2, 0.66x at 3, 0.65x at 4, 0.83x
+at 8 and 1.33x at 16.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ MAX_DIMENSIONALITY = 20
 MAX_LATTICE_POINTS = 200_000
 RESOLUTION = 5  # lattice points per coordinate
 REFINE_ROUNDS = 6
+LOOKAHEAD = 3  # compass sweeps scored per batch
 CERTIFY_REL = 1e-8
 
 
@@ -87,9 +98,14 @@ class _GapObjective:
 
     def demands_of(self, xs: np.ndarray) -> np.ndarray:
         """Per point (row of xs), the demand of each OD pair."""
-        h = xs.reshape(len(xs), *self.shape)
-        network, _ = self._stack(len(xs))
-        return network.od_sum(h.sum(axis=2).ravel()).reshape(len(xs), -1) * self.inst.grid.dt
+        network = self.inst.network
+        n_od = len(network.od_pairs)
+        # OD pair w of point k is bin k * n_od + w: the bins of the points'
+        # stacked network copies, summed in the same order
+        bins = (np.arange(len(xs))[:, None] * n_od + network.path_od).ravel()
+        volumes = xs.reshape(len(xs), *self.shape).sum(axis=2).ravel()
+        return (np.bincount(bins, weights=volumes, minlength=len(xs) * n_od).reshape(len(xs), n_od)
+                * self.inst.grid.dt)
 
     def gaps(self, xs: np.ndarray) -> np.ndarray:
         """The gap at each point (row of xs); inf where a demand exceeds its
@@ -152,25 +168,43 @@ def _compass_search(
     """Sweeps over the 2 * dim moves of +-step along each coordinate, in
     order, each from the incumbent of its turn: a move that lowers the gap
     becomes the incumbent, and the step halves after a sweep without one.
-    The moves left in a sweep are scored as one batch; when one improves,
-    the trials after it are discarded and scored again from it."""
+
+    The trials compared next are known until a move improves: the rest of
+    the current sweep, then whole sweeps from the same incumbent, each at
+    half the step of the one before (the first at the same step if the
+    current sweep has improved). Up to LOOKAHEAD sweeps of them, depth 3
+    being the fastest measured (see the module docstring), are scored as one
+    batch and read in order. Only the trials up to the first better one
+    count; that move is accepted at its own step, the sweep goes on from it,
+    and the rest are discarded. Without one, every trial counts and the step
+    halves after each sweep as it would one at a time: after three sweeps
+    from the start of one, the step is an eighth of what it was."""
     moves = [(i, sign) for i in range(x.shape[0]) for sign in (1.0, -1.0)]
+    done = 0  # moves of the current sweep compared; nonzero only after one was accepted
     while step > min_step:
-        improved = False
-        done = 0
-        while done < len(moves):
-            trials = np.repeat(x[None], len(moves) - done, axis=0)
-            for trial, (i, sign) in zip(trials, moves[done:]):
-                trial[i] = min(max(trial[i] + sign * step, 0.0), upper)
-            gaps = objective.gaps(trials)
-            better = np.flatnonzero(gaps < gap)
-            compared = better[0] + 1 if better.size else len(trials)
-            objective.compare(gaps[:compared])
-            if better.size:
-                x, gap, improved = trials[better[0]], float(gaps[better[0]]), True
-            done += compared
-        if not improved:
-            step *= 0.5
+        plan: list[tuple[float, int]] = []  # (step, move index) of each trial, in order
+        s, start = step, done
+        for _ in range(LOOKAHEAD):
+            plan += [(s, m) for m in range(start, len(moves))]
+            # a sweep that fails from its start halves the step
+            s, start = s * 0.5 if start == 0 else s, 0
+            if s <= min_step:
+                break
+        trials = np.repeat(x[None], len(plan), axis=0)
+        for trial, (trial_step, m) in zip(trials, plan):
+            i, sign = moves[m]
+            trial[i] = min(max(trial[i] + sign * trial_step, 0.0), upper)
+        gaps = objective.gaps(trials)
+        better = np.flatnonzero(gaps < gap)
+        compared = better[0] + 1 if better.size else len(trials)
+        objective.compare(gaps[:compared])
+        if better.size:
+            k = better[0]
+            step, m = plan[k]
+            x, gap = trials[k], float(gaps[k])
+            done = (m + 1) % len(moves)
+        else:
+            step, done = s, 0
     return x, gap
 
 

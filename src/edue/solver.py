@@ -25,7 +25,7 @@ import numpy as np
 from . import dnl, verify
 from .cost import CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
-from .grid import ExtendedPoint, TimeGrid, positive_int
+from .grid import ExtendedPoint, ShapeError, TimeGrid, positive_int
 from .network import Network
 from .verify import reduced_costs
 
@@ -179,10 +179,20 @@ def compute_gap(
 
     With ``copies`` = b, ``network`` is ``Network.copies(b)`` of a base
     network, and the result is an array of the b copies' gaps, each the float
-    this function gives for that copy alone.
+    this function gives for that copy alone. ShapeError unless b is an
+    integer >= 1 that divides both the path count and the OD-pair count.
     """
     verify.check_rows(network, point.flows, costs.psi)
     caps = verify.check_caps(network, caps)
+    if copies is not None:
+        try:
+            copies = positive_int(copies, "copies")
+        except ValueError as exc:
+            raise ShapeError(str(exc)) from None
+        if len(network.paths) % copies or len(network.od_pairs) % copies:
+            raise ShapeError(f"copies {copies} must divide the path count "
+                             f"{len(network.paths)} and the OD-pair count "
+                             f"{len(network.od_pairs)}")
     rc = reduced_costs(costs, network)
     cheapest = np.minimum(0.0, network.od_min(rc))  # at each OD's cheapest cell, if negative
     dt = point.grid.dt

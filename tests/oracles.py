@@ -204,3 +204,25 @@ def random_probe_loop(rng, network, caps, grid):
         else:
             h[list(paths)] = 0.0
     return h, demands
+
+
+def compass_search_loop(score, x, gap, step, upper, min_step):
+    """Compass search one trial at a time: sweeps over the moves +-step along
+    each coordinate in turn, each clipped to [0, upper] and taken from the
+    incumbent of its turn; a trial that lowers the gap becomes the incumbent,
+    and the step halves after a sweep without one. Returns the incumbent, its
+    gap and every trial compared, in order."""
+    compared = []
+    while step > min_step:
+        improved = False
+        for i in range(len(x)):
+            for sign in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] = min(max(trial[i] + sign * step, 0.0), upper)
+                compared.append(trial)
+                g = score(trial)
+                if g < gap:
+                    x, gap, improved = trial, g, True
+        if not improved:
+            step *= 0.5
+    return x, gap, compared

@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from edue.cost import CostField, SchedulePenalty, effective_delay
 from edue.demand import InverseDemand
-from edue.dnl import _MIN_PARCEL_LEN, HorizonOverflowError, _batch_step, _link_step, load
+from edue.dnl import (_MIN_PARCEL_LEN, HorizonOverflowError, _batch_step, _link_step,
+                      default_horizon, load)
 from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
 from edue.solver import compute_gap
 
-from conftest import corridor_network
+from conftest import corridor_network, single_link_network
 from oracles import single_link_delay
 
 MIN = 1 / 60.0  # one minute in hours
@@ -291,6 +292,21 @@ class TestErrors:
         with pytest.raises(HorizonOverflowError) as exc:
             load(net, np.full((2, 2), 600.0), grid, horizon=0.02)
         assert (exc.value.path_id, exc.value.link_id) == ("1#p", "1#a")
+
+    @pytest.mark.parametrize("volume", [0.0, 100.0])
+    def test_default_horizon_ignores_links_no_path_uses(self, volume):
+        # an unused link of capacity 1 veh/h and free-flow time 5 h once
+        # stretched the horizon to 5.17 h at 0 veh and 105.2 h at 100 veh
+        used = single_link_network(capacity=100.0)
+        unused = Link("z", "X", "Y", free_flow_time=5.0, exit_capacity=1.0)
+        both = Network(used.links + (unused,), used.paths, used.arrival_target)
+        assert default_horizon(both, volume) == default_horizon(used, volume)
+        assert default_horizon(used, volume) == pytest.approx(volume / 100.0 + 1 / 6)
+        grid = TimeGrid(0.0, 1.0, 2)
+        flows = [[0.0, 2.0 * volume]]
+        got, want = load(both, flows, grid).states["a"], load(used, flows, grid).states["a"]
+        for x, y in ((got.s, want.s), (got.cum_in, want.cum_in), (got.queue, want.queue)):
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -5.0])
     def test_bad_horizon_rejected(self, horizon):

@@ -2,17 +2,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edue.cost import SchedulePenalty
 from edue.demand import InverseDemand
 from edue.grid import TimeGrid
 from edue.network import Link, Network, Path
-from edue.oracle import TinyInstance, brute_force_equilibrium
+from edue.oracle import TinyInstance, _compass_search, _GapObjective, brute_force_equilibrium
 from edue.solver import f_map, zero_point
 from edue.verify import is_feasible
 
-from conftest import single_link_network
-from oracles import bisect_demand
+from conftest import corridor_network, single_link_network
+from oracles import bisect_demand, compass_search_loop
 from test_acceptance import tiny_instances
 
 
@@ -124,8 +125,85 @@ ORACLE_RESULTS = {
 }
 
 
+# The number of batches (_GapObjective.gaps calls) each search scores. Scored
+# one compass sweep at a time, they were 90, 100 and 223.
+GAPS_CALLS = {"uncongested": 38, "congested bottleneck": 43, "two parallel paths": 192}
+
+
 @pytest.mark.parametrize("name,inst", tiny_instances(), ids=[n for n, _ in tiny_instances()])
-def test_results_match_the_recorded_ones(name, inst):
+def test_results_match_the_recorded_ones(name, inst, monkeypatch):
+    calls = []
+    gaps = _GapObjective.gaps
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return gaps(self, xs)
+
+    monkeypatch.setattr(_GapObjective, "gaps", counted)
     res = brute_force_equilibrium(inst)
     assert (repr(res.gap), res.certified, res.evaluations,
             hashlib.sha256(res.point.flows.tobytes()).hexdigest()) == ORACLE_RESULTS[name]
+    assert len(calls) == GAPS_CALLS[name]
+
+
+def test_demands_of_sums_each_point_alone():
+    # two OD pairs with two paths each: every point's demands are its own
+    # od_sum, bit for bit, and no network copies are built to get them
+    net = corridor_network(2)
+    inst = TinyInstance(net, TimeGrid(0.0, 1.0, 2), SchedulePenalty(0.5, 2.0),
+                        InverseDemand([1.0, 1.0], [0.01, 0.01], [80.0, 80.0]))
+    objective = _GapObjective(inst)
+    xs = np.random.default_rng(3).uniform(0.0, 100.0, size=(7, len(net.paths) * inst.grid.n))
+    want = [net.od_sum(x.reshape(objective.shape).sum(axis=1)) * inst.grid.dt for x in xs]
+    assert np.array_equal(objective.demands_of(xs), np.array(want))
+    assert objective._stacks == {}
+
+
+class _RecordingObjective:
+    """The compass search's view of _GapObjective, with a made-up gap: a
+    deterministic function of x, inf outside a box as at an infeasible point.
+    Keeps every point the search compares."""
+
+    def __init__(self, box: float):
+        self.box = box
+        self.evaluations = 0
+        self.scored = np.empty((0, 0))  # the last batch
+        self.compared: list[np.ndarray] = []
+
+    def score(self, x: np.ndarray) -> float:
+        if (x > self.box).any():
+            return np.inf
+        return float(np.sum((x - 0.3 * self.box) ** 2) + np.sum(np.cos(7.0 * x)))
+
+    def gaps(self, xs: np.ndarray) -> np.ndarray:
+        self.scored = xs.copy()
+        return np.array([self.score(x) for x in xs])
+
+    def compare(self, gaps: np.ndarray) -> None:
+        # the search compares a leading run of the batch it just scored
+        self.compared += list(self.scored[:len(gaps)])
+        self.evaluations += int(np.count_nonzero(gaps < np.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.floats(0.5, 100.0),
+    st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim),
+    st.floats(1e-3, 1.0),
+    # min_step / step; at a power of 2 some halving lands on min_step exactly
+    st.one_of(st.floats(1e-6, 1e-2), st.integers(1, 20).map(lambda k: 2.0**-k)),
+    st.floats(0.2, 1.2))))
+def test_batched_compass_compares_what_the_sequential_one_does(case):
+    upper, start, step_share, min_share, box_share = case
+    x0 = np.array(start) * upper
+    step = step_share * upper
+    min_step = min_share * step
+    objective = _RecordingObjective(box_share * upper)
+    gap0 = objective.score(x0)
+    x, gap = _compass_search(objective, x0, gap0, step, upper, min_step)
+    want_x, want_gap, want_compared = compass_search_loop(
+        objective.score, x0, gap0, step, upper, min_step)
+    assert x.tobytes() == want_x.tobytes()
+    assert gap == want_gap
+    assert objective.evaluations == sum(objective.score(t) < np.inf for t in want_compared)
+    assert np.array_equal(np.array(objective.compared), np.array(want_compared))

@@ -206,6 +206,20 @@ class TestGap:
             assert compute_gap(point, costs, net, inst["inv_demand"].cap) >= -1e-12
 
 
+    @pytest.mark.parametrize("b", [0, 2, True], ids=["zero", "two of three", "True"])
+    def test_copies_must_fit_the_stack(self, b):
+        # at b = 2 the gaps of the first two copies were returned and the third
+        # copy was dropped; at 0 the split divided by zero
+        grid = TimeGrid(0.0, 1.0, 2)
+        net = toy_network().copies(3)
+        point = zero_point(net, grid)
+        costs = toy_costs(np.tile([[0.5, 0.2]], (3, 1)), np.full(3, 0.3))
+        caps = np.full(3, 40.0)
+        assert compute_gap(point, costs, net, caps, copies=3) == pytest.approx([4.0] * 3)
+        with pytest.raises(ShapeError, match="copies"):
+            compute_gap(point, costs, net, caps, copies=b)
+
+
 class TestFixedPointCharacterization:
     def test_zero_gap_iff_step_fixed(self, congested_bottleneck):
         inst = congested_bottleneck
