@@ -21,21 +21,22 @@ No link at a depth feeds another at it, so the links of a depth that have one
 live user (a path whose inflow curve there carries flow) are loaded together
 when there are two or more of them: one step over their curves laid end to
 end, bit for bit the floats of the per-link step, whose cost is almost all
-fixed. The queue arithmetic (busy periods, emptying instants, drain points)
-is one routine over rows laid end to end; the per-link step hands it its one
-row. Batched links do queue: the oracle scores the copies of its congested
-instance in batches (oracle-tiny). On a 2-core Xeon host (least of
-15 interleaved runs of 200 calls; k identical links of 17 breakpoints), k
-links take one by one / in one batch: without a queue 35 / 32 us for k = 2,
-52 / 35 us for 3, 68 / 40 us for 4 and 131 / 54 us for 8; with a queue 133 /
-89, 193 / 88, 256 / 93 and 491 / 109 us. Three kinds of link keep the
-per-link step. A lone such link at its depth costs 17 us there and 28 us as
-a batch of one (67 and 82 us with a queue). A merge link with two or more
-live users first merges their curves on the union of their breakpoints, a
-sort of its own. The links of a succession cycle (a ring road) feed each
-other, so they run the per-link step in passes: nothing leaves a link sooner
-than tau after entering it, so each pass makes the cycle's curves exact for
-one more min-tau of time.
+fixed. The queue arithmetic (busy periods, emptying instants, drain points) is
+one routine over rows laid end to end; the per-link step hands it its one row.
+Batched links do queue: the oracle scores the copies of its congested instance
+in batches (oracle-tiny). On a 2-core Xeon host (least of 30 interleaved runs
+of 200 calls; k identical links of 17 breakpoints, fed at half their capacity,
+or at 1.8 and 0.2 times it by turns for a queue), k links take one by one / in
+one batch: without a queue 17 / 21 us for k = 2, 27 / 25 us for 3, 34 / 27 us
+for 4 and 70 / 40 us for 8; with a queue 48 / 51, 74 / 51, 101 / 56 and 210 /
+67 us. Three kinds of link keep the per-link step. A lone such link at its
+depth costs 9 us there and 20 us as a batch of one (24 and 37 us with a
+queue): the step takes its one user's curve as it stands, without copies,
+unless breakpoints merge. A merge link with two or more live users first
+merges their curves on the union of their breakpoints, a sort of its own. The
+links of a succession cycle (a ring road) feed each other, so they run the
+per-link step in passes: nothing leaves a link sooner than tau after entering
+it, so each pass makes the cycle's curves exact for one more min-tau of time.
 
 Both steps test first whether g ever rises. Where it does not, the inflow
 never exceeds capacity and the queue is exactly zero, so they skip the
@@ -200,18 +201,26 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
         empty = np.empty(0)
         return LinkState(link, empty, empty, empty, empty, False), [None] * len(inflows)
     cap = link.exit_capacity
-    # sorted in Python: the first use of numpy's sort kernels adds about
-    # 0.3 MB of resident memory, more than a few hundred breakpoints are worth
-    e = live[0][0] if len(live) == 1 else np.array(
-        sorted(set(np.concatenate([t for t, _ in live]).tolist())))
-    s = e + link.free_flow_time
-    keep = np.concatenate((s[1:] - s[:-1] > _MIN_PARCEL_LEN, [True]))  # each cluster's last
-    e, s = e[keep], s[keep]
     if len(live) == 1:
-        counts = live[0][1][keep][None]
+        e, a = live[0]  # one user: the arrivals are its counts
     else:
+        # sorted in Python: the first use of numpy's sort kernels adds about
+        # 0.3 MB of resident memory, more than a few hundred breakpoints are
+        # worth
+        e = np.array(sorted(set(np.concatenate([t for t, _ in live]).tolist())))
+        a = None
+    s = e + link.free_flow_time
+    apart = s[1:] - s[:-1] > _MIN_PARCEL_LEN
+    if not apart.all():
+        keep = np.append(apart, True)  # each cluster's last
+        e, s = e[keep], s[keep]
+        if a is not None:
+            a = a[keep]
+    if a is None:
         counts = np.array([np.interp(e, t, n) for t, n in live])
-    a = counts.sum(axis=0)
+        a = counts.sum(axis=0)
+    else:
+        counts = a[None]  # the user's own array: a sum over one row is that row
     g = a - cap * s
     if not (g[1:] > g[:-1]).any():
         # g never rises, so the running minimum is g itself and q is 0.0
@@ -278,12 +287,9 @@ def _settle_time(curve: Curve) -> float:
 def default_horizon(network: Network, volume: float) -> float:
     """Extended-horizon length guaranteeing clearance of the loaded volume
     (total departures, vehicles): the volume over the slowest capacity plus
-    the total free-flow time, both over the links that some path uses."""
-    used = {link.id for route in network.routes for link in route}
-    # in network order: with every link used, the sums run as over network.links
-    links = [l for l in network.links if l.id in used]
-    min_cap = min(l.exit_capacity for l in links)
-    total_fft = sum(l.free_flow_time for l in links)
+    the total free-flow time, both over the links that some path uses. The
+    two terms are the network's ``clearance_terms``, taken once per network."""
+    min_cap, total_fft = network.clearance_terms
     return volume / min_cap + total_fft
 
 
@@ -350,7 +356,7 @@ def load(
             f"need a ({len(network.paths)}, {grid.n}) array of path flows, "
             f"got shape {flows.shape}"
         )
-    if not (np.isfinite(flows).all() and (flows >= 0.0).all()):
+    if not ((flows >= 0.0) & (flows < np.inf)).all():  # NaN fails both
         raise ValueError("path flows must be finite and nonnegative")
     if horizon is not None and not (np.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
@@ -360,11 +366,14 @@ def load(
     bounds = grid.boundaries
     cum = np.zeros((len(flows), grid.n + 1))
     np.cumsum(flows * grid.dt, axis=1, out=cum[:, 1:])
+    # totals and the overflow test run on Python floats, added in path order
+    # by a loop: from Python 3.12, sum() of floats is compensated
+    entered = cum[:, -1].tolist()
     curves: list[list[Curve]] = []
     total_in = 0.0
-    for row, route in zip(cum, network.routes):
-        total_in += float(row[-1])
-        curves.append([(bounds, row) if row[-1] > 0.0 else None] + [None] * len(route))
+    for row, route, volume in zip(cum, network.routes, entered):
+        total_in += volume
+        curves.append([(bounds, row) if volume > 0.0 else None] + [None] * len(route))
     if horizon is None:
         horizon = default_horizon(network, total_in)
     t_end = grid.tf + horizon
@@ -428,13 +437,17 @@ def load(
         t, n = curve
         return float(n[-1]) if t[-1] <= t_end else float(np.interp(t_end, t, n))
 
-    # per path, the vehicles that entered it and that reached its destination
-    # by t_end; total_out adds them in path order, as total_in does
-    arrived = np.array([count_at_end(path_curves[-1]) for path_curves in curves])
-    total_out = float(arrived.cumsum()[-1])
-    held = cum[:, -1] - arrived
-    if max(held.tolist()) > 0.0:
-        p = len(held) - 1 - int(held[::-1].argmax())  # the last of the paths holding most
+    # per path, the vehicles that reached its destination by t_end and those
+    # still held in it; total_out adds them in path order, as total_in does
+    total_out = 0.0
+    held = []
+    for volume, path_curves in zip(entered, curves):
+        arrived = count_at_end(path_curves[-1])
+        total_out += arrived
+        held.append(volume - arrived)
+    most = max(held)
+    if most > 0.0:
+        p = len(held) - 1 - held[::-1].index(most)  # the last of the paths holding most
         on_link = [count_at_end(c_in) - count_at_end(c_out)
                    for c_in, c_out in zip(curves[p], curves[p][1:])]
         link = network.routes[p][int(np.argmax(on_link))]

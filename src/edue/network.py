@@ -174,6 +174,14 @@ class Network:
         """Per path index, its links in travel order."""
         return tuple(self.path_links(p) for p in range(len(self.paths)))
 
+    @cached_property
+    def clearance_terms(self) -> tuple[float, float]:
+        """The least exit capacity and the total free-flow time of the links
+        that some path uses, summed in network order (dnl.default_horizon)."""
+        used = {link.id for route in self.routes for link in route}
+        links = [l for l in self.links if l.id in used]
+        return min(l.exit_capacity for l in links), sum(l.free_flow_time for l in links)
+
     def copies(self, b: int) -> "Network":
         """b disjoint copies of the network, laid copy after copy: copy k
         holds every link, node and path with its id prefixed by "k#", so path

@@ -143,6 +143,8 @@ def fixed_point_step(
     re-induce each OD's volume, then rescale every OD whose volume overruns
     its cap, or with ``pinned`` misses its pinned demand in ``caps`` (an OD
     whose flow was all clipped restarts at its cheapest cell)."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"step size alpha must be finite and positive, got {alpha!r}")
     verify.check_rows(network, point.flows, costs.psi)
     caps = verify.check_caps(network, caps)
     grid = point.grid

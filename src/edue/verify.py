@@ -68,15 +68,20 @@ class ResidualReport:
                 for w, (v, theta, r1, r2, gap) in enumerate(fields)]
 
 
-def check_rows(network: Network, *arrays: np.ndarray) -> None:
-    """Raise ShapeError unless each (paths, n) flow or cost array has one row
-    per path of the network. Unchecked, one row broadcasts against the
-    per-path demand values into a result of the right shape."""
+def check_rows(network: Network, *arrays: np.ndarray, cells: int | None = None) -> None:
+    """Raise ShapeError unless each flow or cost array is (paths, n): one row
+    per path of the network and n cells, those of the first array unless
+    ``cells`` is given. Unchecked, one row broadcasts against the per-path
+    demand values into a result of the right shape, and a cost array with
+    other cells fails inside NumPy or, flattened, pairs the wrong cells."""
     paths = len(network.paths)
+    want = (paths, arrays[0].shape[1] if cells is None else cells)
     for a in arrays:
         if a.shape[0] != paths:
             raise ShapeError(f"flows and costs must have one row per path ({paths}), "
                              f"got {a.shape[0]}")
+        if a.shape != want:
+            raise ShapeError(f"flows and costs must have shape {want}, got shape {a.shape}")
 
 
 def check_caps(network: Network, caps, name: str = "caps") -> np.ndarray:
@@ -162,6 +167,7 @@ def vi_lhs(
         raise ShapeError("probe must share the solution's grid and path set")
     if x_star.demands.shape != x_probe.demands.shape:
         raise ShapeError("probe must share the solution's OD set")
+    check_rows(network, x_star.flows, costs.psi)
     flow_part = float(np.vdot(costs.psi, x_probe.flows - x_star.flows)) * x_star.grid.dt
     return flow_part - float(np.dot(costs.theta, x_probe.demands - x_star.demands))
 
@@ -172,6 +178,7 @@ def best_response(
     """The feasible point minimizing the pairing with the given costs: per OD,
     the cap volume at the cheapest (path, cell) when its reduced cost is
     negative, nothing otherwise. Ties break to lowest path id, earliest cell."""
+    check_rows(network, costs.psi, cells=grid.n)
     caps = check_caps(network, caps)
     p, j = network.od_argmin(costs.psi)
     buy = reduced_costs(costs, network)[p, j] < 0.0

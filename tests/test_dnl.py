@@ -576,7 +576,43 @@ def layered_loadings(draw):
             TimeGrid(0.0, 1.0, n_cells), flows)
 
 
+@st.composite
+def lone_link_flows(draw, grid):
+    """One link and one user's inflow curve at it, built from cell flows on
+    the grid as load() builds it, some cells empty; rates reach far enough
+    above the capacity that a queue forms on cells shorter than
+    _MIN_PARCEL_LEN too."""
+    link = Link("a", "O", "D", draw(st.floats(0.01, 0.3)), draw(st.floats(50.0, 1500.0)))
+    top = 3000.0 if grid.dt > _MIN_PARCEL_LEN else 1e6
+    rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(1.0, top)),
+                          min_size=grid.n, max_size=grid.n))
+    counts = np.zeros(grid.n + 1)
+    np.cumsum(np.multiply(rates, grid.dt), out=counts[1:])
+    return link, (grid.boundaries, counts)
+
+
+# cells of an ordinary width, whose breakpoints all stand; cells shorter than
+# _MIN_PARCEL_LEN, whose breakpoints all merge into one; and cells of about
+# _MIN_PARCEL_LEN, where rounding of the entry times merges some breakpoints
+# and keeps enough that queues form
+LONE_LINK_GRIDS = [TimeGrid(0.0, 1.0, 12), TimeGrid(0.0, 1e-11, 64),
+                   TimeGrid(0.0, 64 * _MIN_PARCEL_LEN, 64)]
+
+
 class TestLoaderProperties:
+    @pytest.mark.parametrize("grid", LONE_LINK_GRIDS, ids=["apart", "merged", "partly-merged"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_lone_link_step_equals_batch_step_bit_for_bit(self, grid, data):
+        link, curve = data.draw(lone_link_flows(grid))
+        ref, (ref_out,) = _link_step(link, [curve])
+        (state,), (out,) = _batch_step([link], [curve])
+        for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
+                          (state.queue, ref.queue), (state.w, ref.w),
+                          (out[0], ref_out[0]), (out[1], ref_out[1])):
+            assert got.tobytes() == want.tobytes()
+        assert state.queued == ref.queued
+
     @settings(max_examples=60, deadline=None)
     @given(ring_loadings())
     def test_invariants_on_random_path_sets(self, case):

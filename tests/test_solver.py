@@ -112,6 +112,17 @@ class TestReducedCostAndStep:
         assert new.demands[0] == pytest.approx(2.2)
         assert new.flows[0][0] == pytest.approx(2.2)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, -5.0, float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_step_rejects_a_step_size_that_is_not_finite_and_positive(self, alpha):
+        # at 0 the flows would come back unchanged and at -5 step uphill
+        grid = TimeGrid(0.0, 1.0, 1)
+        net = toy_network()
+        point = ExtendedPoint.from_matrix(grid, np.array([[2.0]]), np.array([2.0]))
+        costs = toy_costs([[0.3 - 1.0]], [0.3])
+        with pytest.raises(ValueError, match=r"alpha must be finite and positive, got "):
+            fixed_point_step(point, costs, net, alpha=alpha, caps=np.array([100.0]))
+
     def test_step_preserves_feasibility_on_random_points(self):
         rng = np.random.default_rng(3)
         grid = TimeGrid(0.0, 1.0, 4)

@@ -246,6 +246,48 @@ class TestRowCount:
             ROW_CHECKED[name](point, costs, two_parallel_elastic["network"])
 
 
+class TestCellCount:
+    """A cost array with a path's row but other cells than the flows raises
+    ShapeError naming both shapes. Unchecked, compute_gap fails to reshape
+    it, due_residuals to broadcast it, best_response returns a point and
+    vi_lhs, which flattens both arrays, a number."""
+
+    @pytest.mark.parametrize("name", ["fixed_point_step", "compute_gap", "due_residuals"])
+    def test_cost_cells_checked(self, two_parallel_elastic, name):
+        grid = TimeGrid(0.0, 1.0, 2)
+        point = ExtendedPoint.from_matrix(grid, np.full((2, 2), 10.0), [20.0])
+        costs = toy_costs(np.full((2, 3), 0.5), [0.5])
+        with pytest.raises(ShapeError, match=r"shape \(2, 2\), got shape \(2, 3\)"):
+            ROW_CHECKED[name](point, costs, two_parallel_elastic["network"])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_best_response_checks_cost_rows(self, two_parallel_elastic, rows):
+        costs = toy_costs(np.full((rows, 2), 0.5), [0.6])
+        with pytest.raises(ShapeError, match=r"one row per path \(2\), got " + str(rows)):
+            best_response(costs, two_parallel_elastic["network"], np.array([20.0]),
+                          TimeGrid(0.0, 1.0, 2))
+
+    @pytest.mark.parametrize("cells", [1, 3])
+    def test_best_response_checks_cost_cells_against_the_grid(self, two_parallel_elastic, cells):
+        costs = toy_costs(np.full((2, cells), 0.5), [0.6])
+        with pytest.raises(ShapeError, match=r"shape \(2, 2\), got shape \(2, " + str(cells)):
+            best_response(costs, two_parallel_elastic["network"], np.array([20.0]),
+                          TimeGrid(0.0, 1.0, 2))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((4, 1), r"one row per path \(2\), got 4"),
+        ((1, 4), r"one row per path \(2\), got 1"),
+        ((2, 3), r"shape \(2, 2\), got shape \(2, 3\)"),
+    ])
+    def test_vi_lhs_checks_cost_shape(self, two_parallel_elastic, shape, message):
+        grid = TimeGrid(0.0, 1.0, 2)
+        x = ExtendedPoint.from_matrix(grid, np.full((2, 2), 10.0), [20.0])
+        y = ExtendedPoint.from_matrix(grid, np.full((2, 2), 5.0), [10.0])
+        costs = toy_costs(np.full(shape, 0.5), [0.6])
+        with pytest.raises(ShapeError, match=message):
+            vi_lhs(x, y, costs, two_parallel_elastic["network"])
+
+
 # the functions that take a per-OD bound vector (demand caps or pinned demands)
 CAPS_CHECKED = {
     "fixed_point_step": lambda x, c, net, caps: fixed_point_step(x, c, net, 1.0, caps, pinned=True),
