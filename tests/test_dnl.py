@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -498,6 +500,69 @@ class TestBatchedDepths:
             assert tuple(res.exit_times(p, grid.boundaries).tolist()) == expected, f"path {p}"
         assert all(res.states[f"by{i}"].queued for i in range(3))
         assert_loading_invariants(net, grid, flows, res)
+
+
+def feeder_and_merge():
+    """Link a feeds link c, which a second path also enters: a is loaded alone
+    at its depth, c merges two users."""
+    links = (Link("a", "O", "A", 0.1, 500.0), Link("c", "A", "D", 0.1, 800.0))
+    paths = (Path("p1", ("a", "c"), "O", "D"), Path("p2", ("c",), "A", "D"))
+    return Network(links=links, paths=paths, arrival_target=0.5)
+
+
+# Loadings that reach every branch of the link step, each with flows uniform
+# on [0, top) veh/h from default_rng(1): (network, grid, top, links that must
+# queue). On the tiny grids the breakpoints of the lone link a and the merge
+# link c merge: all of them where cells are shorter than _MIN_PARCEL_LEN,
+# some where rounding of the entry times meets cells of about its length.
+LOADER_CASES = {
+    "criterion-1 link, n=64": (lambda: single_link_network(1 / 6, 1e6, 7 / 6),
+                               TimeGrid(0.0, 2.0, 64), 900.0, ()),
+    "bottleneck, n=16": (lambda: single_link_network(0.1, 1000.0, 0.6),
+                         TimeGrid(0.0, 1.0, 16), 3000.0, ("a",)),
+    "corridor, K=3": (lambda: corridor_network(3), TimeGrid(0.0, 1.0, 16), 900.0, ("bn",)),
+    "merged breakpoints": (feeder_and_merge, TimeGrid(0.0, 1e-11, 16), 1e6, ()),
+    "partly merged breakpoints": (feeder_and_merge, TimeGrid(0.0, 64 * _MIN_PARCEL_LEN, 64),
+                                  1e6, ("a", "c")),
+    "4 bottleneck copies": (lambda: single_link_network(0.1, 1000.0, 0.6).copies(4),
+                            TimeGrid(0.0, 1.0, 8), 3000.0, ("0#a", "3#a")),
+    "ring": (ring_network, TimeGrid(0.0, 1.0, 6), 900.0, ()),
+}
+
+# sha256 of every link's s, cum_in, queue and w, in network order, then of
+# boundary_exits(), as the loader gave them before the lone-link, merge-link
+# and batch steps shared one step routine
+LOADER_DIGESTS = {
+    "criterion-1 link, n=64": "ed86eb3dc1d6b3ca75568c365bfc2fb4288f98000aef767c9204e4eccbaa96a2",
+    "bottleneck, n=16": "096a5e6f92f74b2d7e3bb1e19d789976eef8a908a8db27cb343e50707088d85b",
+    "corridor, K=3": "1dc9064bba3c034d68e3c7c61190748786b1362bc25a69ee7441e1c031a1d208",
+    "merged breakpoints": "80c0f9fd9e050cbe985731a93b22eedbf12572d3ff1224dc70ca2f13aa2f6340",
+    "partly merged breakpoints":
+        "d6ccbfd9959b0f57db3520e677304e0a83d8db45bbd9fab201cb95a1e576d0a3",
+    "4 bottleneck copies": "4bb656922e6a37dde33f64d49c7a24cd8a1c16daef2f291c3371ae75ae409575",
+    "ring": "9a87b417f602158b0e5c601ab24844544b1f363c5f0b244176d14a8d3723086a",
+}
+
+
+def loader_digest(net, grid, flows):
+    res = load(net, flows, grid)
+    digest = hashlib.sha256()
+    for link in net.links:
+        state = res.states[link.id]
+        for x in (state.s, state.cum_in, state.queue, state.w):
+            digest.update(x.tobytes())
+    digest.update(res.boundary_exits().tobytes())
+    return res, digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+def test_loader_bytes_match_the_recorded_ones(name):
+    make, grid, top, queued = LOADER_CASES[name]
+    net = make()
+    flows = np.random.default_rng(1).uniform(0.0, top, size=(len(net.paths), grid.n))
+    res, digest = loader_digest(net, grid, flows)
+    assert all(res.states[lid].queued for lid in queued)
+    assert digest == LOADER_DIGESTS[name]
 
 
 @st.composite
