@@ -1,7 +1,8 @@
 """Batch front end: JSON scenario in, CSV and plain-text reports out.
 
 Exit codes: 0 converged/verified, 2 ran but did not meet tolerance (reports
-still written), 1 malformed input.
+still written), 1 input that fails to parse or build. An error raised while
+the command runs is not an input error and propagates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import sys
 from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -311,8 +313,7 @@ def write_curves_csv(path: Path, result: dnl.LoadingResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _cmd_solve(scenario: Scenario, out_dir: Path) -> int:
-    grid = scenario.grid()
+def _cmd_solve(scenario: Scenario, grid: TimeGrid, out_dir: Path) -> int:
     report = solver.solve(
         scenario.network,
         scenario.penalty,
@@ -330,9 +331,7 @@ def _cmd_solve(scenario: Scenario, out_dir: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
-def _cmd_load(scenario: Scenario, flows_file: Path, out_dir: Path) -> int:
-    grid = scenario.grid()
-    point = read_flows_csv(flows_file, scenario.network, grid)
+def _cmd_load(scenario: Scenario, grid: TimeGrid, point: ExtendedPoint, out_dir: Path) -> int:
     result = dnl.load(scenario.network, point.flows, grid)
     write_curves_csv(out_dir / "curves.csv", result)
     print(f"loaded {_fmt(result.total_in)} veh, conservation residual "
@@ -340,9 +339,7 @@ def _cmd_load(scenario: Scenario, flows_file: Path, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_check(scenario: Scenario, flows_file: Path, out_dir: Path) -> int:
-    grid = scenario.grid()
-    point = read_flows_csv(flows_file, scenario.network, grid)
+def _cmd_check(scenario: Scenario, grid: TimeGrid, point: ExtendedPoint, out_dir: Path) -> int:
     costs = solver.f_map(
         scenario.network, point, scenario.penalty, scenario.inv_demand, grid
     )
@@ -353,17 +350,9 @@ def _cmd_check(scenario: Scenario, flows_file: Path, out_dir: Path) -> int:
     return EXIT_OK if residuals.is_equilibrium() else EXIT_NOT_CONVERGED
 
 
-def _cmd_oracle(scenario: Scenario, out_dir: Path) -> int:
-    if scenario.inv_demand is None:
-        raise ScenarioError("the oracle subcommand needs an elastic-demand scenario")
-    inst = oracle_mod.TinyInstance(
-        network=scenario.network,
-        grid=scenario.grid(),
-        penalty=scenario.penalty,
-        inv_demand=scenario.inv_demand,
-    )
+def _cmd_oracle(inst: oracle_mod.TinyInstance, out_dir: Path) -> int:
     result = oracle_mod.brute_force_equilibrium(inst)
-    write_flows_csv(out_dir / "flows.csv", scenario.network, result.point)
+    write_flows_csv(out_dir / "flows.csv", inst.network, result.point)
     lines = [
         f"gap: {_fmt(result.gap)}",
         f"certified: {result.certified}",
@@ -372,6 +361,41 @@ def _cmd_oracle(scenario: Scenario, out_dir: Path) -> int:
     (out_dir / "oracle.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK if result.certified else EXIT_NOT_CONVERGED
+
+
+def _build(args: argparse.Namespace) -> Callable[[Path], int]:
+    """Parse and build every input of the command: the scenario with its
+    overrides, the grid, and the flow file or the oracle's instance. Returns
+    the run, a function of the output directory."""
+    scenario = load_scenario(args.scenario)
+    if args.n is not None:
+        scenario.n = args.n
+    if args.command == "solve":
+        overrides = {
+            name: value
+            for name, value in (("alpha", args.alpha), ("max_iters", args.max_iters),
+                                ("gap_tol", args.gap_tol))
+            if value is not None
+        }
+        scenario.config = dataclasses.replace(scenario.config, **overrides)
+    grid = scenario.grid()
+    if args.command == "solve":
+        return lambda out_dir: _cmd_solve(scenario, grid, out_dir)
+    if args.command == "oracle":
+        if scenario.inv_demand is None:
+            raise ScenarioError("the oracle subcommand needs an elastic-demand scenario")
+        inst = oracle_mod.TinyInstance(scenario.network, grid, scenario.penalty,
+                                       scenario.inv_demand)
+        return lambda out_dir: _cmd_oracle(inst, out_dir)
+    point = read_flows_csv(args.flows, scenario.network, grid)
+    if args.command == "load":
+        return lambda out_dir: _cmd_load(scenario, grid, point, out_dir)
+    if scenario.inv_demand is not None:
+        over = point.demands > scenario.inv_demand.cap
+        if over.any():
+            raise ScenarioError(f"flow file: demand above its cap for OD pair indices "
+                                f"{np.flatnonzero(over).tolist()}")
+    return lambda out_dir: _cmd_check(scenario, grid, point, out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,33 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-        if args.n is not None:
-            scenario.n = args.n
-        if args.command == "solve":
-            overrides = {
-                name: value
-                for name, value in (("alpha", args.alpha), ("max_iters", args.max_iters),
-                                    ("gap_tol", args.gap_tol))
-                if value is not None
-            }
-            scenario.config = dataclasses.replace(scenario.config, **overrides)
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve":
-            return _cmd_solve(scenario, out_dir)
-        if args.command == "load":
-            return _cmd_load(scenario, args.flows, out_dir)
-        if args.command == "check":
-            return _cmd_check(scenario, args.flows, out_dir)
-        if args.command == "oracle":
-            return _cmd_oracle(scenario, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        run = _build(args)
     except ValueError as exc:
         # ScenarioError and every component validation error derive from
-        # ValueError; all of them are input problems
+        # ValueError; raised while the inputs are built, they are input
+        # problems. What the run raises propagates.
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    args.out.mkdir(parents=True, exist_ok=True)
+    return run(args.out)
 
 
 if __name__ == "__main__":

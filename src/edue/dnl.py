@@ -11,36 +11,33 @@ minimum is exact at the breakpoints of A plus the instants where a queue
 empties inside a piece, and no time stepping enters.
 
 Links are loaded depth by depth in the link-succession graph (link b succeeds
-link a when some path uses b right after a), each in one array step over the
-whole horizon: merge the users' cumulative inflow curves on the union of their
-breakpoints, take the queue from the running minimum of g, insert the emptying
-instants and a final drain point, and give each path its downstream curve
-(exit time, its own cumulative count), which is exact by FIFO.
+link a when some path uses b right after a), each over the whole horizon by
+one step routine, _step, over rows of breakpoints laid end to end: merge
+breakpoints closer than _MIN_PARCEL_LEN, sum the users' cumulative counts
+into the arrivals, take the queue from the running minimum of g, insert the
+emptying instants and a final drain point (_queue), and give each path its
+downstream curve (exit time, its own cumulative count), which is exact by
+FIFO. Where g never rises, the inflow never exceeds capacity: the queue is
+exactly zero, the exit times are the breakpoints s, and _queue is skipped.
 
-No link at a depth feeds another at it, so the links of a depth that have one
-live user (a path whose inflow curve there carries flow) are loaded together
-when there are two or more of them: one step over their curves laid end to
-end, bit for bit the floats of the per-link step, whose cost is almost all
-fixed. The queue arithmetic (busy periods, emptying instants, drain points) is
-one routine over rows laid end to end; the per-link step hands it its one row.
-Batched links do queue: the oracle scores the copies of its congested instance
-in batches (oracle-tiny). On a 2-core Xeon host (least of 30 interleaved runs
-of 200 calls; k identical links of 17 breakpoints, fed at half their capacity,
-or at 1.8 and 0.2 times it by turns for a queue), k links take one by one / in
-one batch: without a queue 17 / 21 us for k = 2, 27 / 25 us for 3, 34 / 27 us
-for 4 and 70 / 40 us for 8; with a queue 48 / 51, 74 / 51, 101 / 56 and 210 /
-67 us. Three kinds of link keep the per-link step. A lone such link at its
-depth costs 9 us there and 20 us as a batch of one (24 and 37 us with a
-queue): the step takes its one user's curve as it stands, without copies,
-unless breakpoints merge. A merge link with two or more live users first
-merges their curves on the union of their breakpoints, a sort of its own. The
-links of a succession cycle (a ring road) feed each other, so they run the
-per-link step in passes: nothing leaves a link sooner than tau after entering
-it, so each pass makes the cycle's curves exact for one more min-tau of time.
+Two entry points hand _step its rows. _link_step loads one link: a lone link
+at its depth, whose one live user's counts go in as they stand; a merge
+link, whose live users' curves are first interpolated on the union of their
+breakpoints; and the links of a succession cycle (a ring road), which feed
+each other and so are loaded in passes: nothing leaves a link sooner than
+tau after entering it, so each pass makes the cycle's curves exact for one
+more min-tau of time. No link at a depth feeds another at it, so when two or
+more links of a depth have one live user each (a path whose inflow curve
+there carries flow), _batch_step lays their curves end to end and loads them
+in one _step, whose cost is almost all fixed. Batched links do queue: the
+oracle scores the copies of its congested instance in batches (oracle-tiny).
 
-Both steps test first whether g ever rises. Where it does not, the inflow
-never exceeds capacity and the queue is exactly zero, so they skip the
-queue arithmetic and each user's exit times are the breakpoints s.
+On a 2-core Xeon host (least of 30 interleaved runs of 200 calls; k identical
+links of 17 breakpoints, fed at half their capacity, or at 1.8 and 0.2 times
+it by turns for a queue), k links take one by one / in one batch: without a
+queue 16 / 20 us for k = 2, 23 / 22 us for 3, 32 / 25 us for 4 and 65 / 35 us
+for 8; with a queue 50 / 46, 74 / 48, 98 / 49 and 194 / 62 us. A lone link
+takes 8 us alone and 14 us as a batch of one (25 and 32 us with a queue).
 
 A loading keeps, per link, its breakpoints s and waits w = q / M. Exit times
 of a path follow by s <- s + tau, then s <- s + w(s), link by link.
@@ -183,93 +180,86 @@ def _queue(s: np.ndarray, a: np.ndarray, g: np.ndarray, counts: np.ndarray, cap,
     return s, a, q, w, counts, _row_accumulate(np.maximum, s + w, last), last
 
 
+def _step(links: list[Link], s: np.ndarray, counts: np.ndarray, last: np.ndarray):
+    """The point-queue step of links whose rows of queue-arrival times s lie
+    end to end, the last point of each row at the indices ``last``, with the
+    cumulative counts of the users, one row per user over all of s.
+
+    It merges breakpoints closer than _MIN_PARCEL_LEN, keeping each cluster's
+    last and each row's last, and sums the users' counts into the arrivals.
+    Where g never rises along any row, the inflow never exceeds capacity: the
+    queue is exactly zero and the exit times are s, so the queue arithmetic
+    is skipped. Otherwise the rows go through _queue.
+
+    Returns s, the arrivals, the queue, the waits, the counts, the exit times
+    and ``last``, each after merging and with the rows' emptying instants and
+    drain points inserted, and per link whether a queue ever forms."""
+    # A piece that spans two rows keeps the first row's last point and never
+    # rises; one row has none and skips the masking. The tests count with
+    # np.count_nonzero, about a third of the fixed cost of .all() and .any():
+    # a lone link's whole step takes only a few microseconds.
+    apart = s[1:] - s[:-1] > _MIN_PARCEL_LEN
+    if len(last) > 1:
+        apart[last[:-1]] = True
+    if np.count_nonzero(apart) < len(apart):
+        keep = np.append(apart, True)
+        s, counts = s[keep], counts[:, keep]
+        last = keep.cumsum()[last] - 1
+    a = counts[0] if len(counts) == 1 else counts.sum(axis=0)  # one row sums to itself
+    if len(links) == 1:
+        cap = links[0].exit_capacity
+    else:
+        sizes = last - np.concatenate(([-1], last[:-1]))
+        cap = np.array([link.exit_capacity for link in links]).repeat(sizes)
+    g = a - cap * s
+    rises = g[1:] > g[:-1]
+    if len(last) > 1:
+        rises[last[:-1]] = False
+    if not np.count_nonzero(rises):
+        q = np.zeros(len(s))
+        return s, a, q, q, counts, s, last, [False] * len(links)
+    s, a, q, w, counts, exits, last = _queue(s, a, g, counts, cap, last)
+    queued = np.logical_or.reduceat(q > 0.0, np.concatenate(([0], last[:-1] + 1))).tolist()
+    return s, a, q, w, counts, exits, last, queued
+
+
 def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]]:
     """Load one link over the whole horizon: its users' inflow curves (entry
     times) in, its queue curves and the users' downstream curves (exit times)
     out, in the order of ``inflows``.
 
-    Its cost is almost all fixed, so links with one live user that share a
-    depth go through _batch_step together (see the module docstring for the
-    measured times). This step loads the rest: a lone link at its depth,
-    which it loads faster than a batch of one; merge links with two or more
-    live users; and the links of succession cycles, loaded in passes. Like
-    _batch_step, it returns at once, with a queue of exactly zero, when g
-    never rises; otherwise its one row goes through _queue, as the rows of a
-    batch do."""
+    One live user's counts go to _step as they stand; with more, each user's
+    counts are interpolated on the union of their breakpoints."""
     live = [c for c in inflows if c is not None]
     if not live:
         empty = np.empty(0)
         return LinkState(link, empty, empty, empty, empty, False), [None] * len(inflows)
-    cap = link.exit_capacity
     if len(live) == 1:
-        e, a = live[0]  # one user: the arrivals are its counts
+        e, n = live[0]
+        counts = n[None]  # the user's own array
     else:
         # sorted in Python: the first use of numpy's sort kernels adds about
         # 0.3 MB of resident memory, more than a few hundred breakpoints are
         # worth
         e = np.array(sorted(set(np.concatenate([t for t, _ in live]).tolist())))
-        a = None
-    s = e + link.free_flow_time
-    apart = s[1:] - s[:-1] > _MIN_PARCEL_LEN
-    if not apart.all():
-        keep = np.append(apart, True)  # each cluster's last
-        e, s = e[keep], s[keep]
-        if a is not None:
-            a = a[keep]
-    if a is None:
         counts = np.array([np.interp(e, t, n) for t, n in live])
-        a = counts.sum(axis=0)
-    else:
-        counts = a[None]  # the user's own array: a sum over one row is that row
-    g = a - cap * s
-    if not (g[1:] > g[:-1]).any():
-        # g never rises, so the running minimum is g itself and q is 0.0
-        # exactly; s is strictly increasing, so the exit times are s
-        q = np.zeros(len(s))
-        out = iter(counts)
-        return LinkState(link, s, a, q, q, False), [
-            None if c is None else (s, next(out)) for c in inflows]
-    s, a, q, w, counts, exits, _ = _queue(s, a, g, counts, cap, np.array([len(s) - 1]))
-    state = LinkState(link, s, a, q, w, np.count_nonzero(q) > 0)
+    s, a, q, w, counts, exits, _, (queued,) = _step(
+        [link], e + link.free_flow_time, counts, np.array([len(e) - 1]))
     out = iter(counts)
-    return state, [None if c is None else (exits, next(out)) for c in inflows]
+    return LinkState(link, s, a, q, w, queued), [
+        None if c is None else (exits, next(out)) for c in inflows]
 
 
 def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
                 ) -> tuple[list[LinkState], list[Curve]]:
     """_link_step of links that have one user each, that user's inflow curve
-    given per link: one array step over the links' curves laid end to end,
-    which gives each link bit for bit the floats its own _link_step gives.
-
-    The arithmetic runs elementwise on the flat arrays, with each link's
-    free-flow time and capacity repeated over its row. Where the inflow never
-    exceeds capacity, g falls along every row and no queue forms; this test
-    comes first, so a batch without a queue pays for nothing else. Otherwise
-    the whole batch goes through _queue, the routine that loads the one row
-    of _link_step: on a row where g never rises it gives a queue of exactly
-    zero and exit times equal to s."""
+    given per link: one _step over the links' curves laid end to end, each
+    link's free-flow time repeated over its row."""
     sizes = np.array([len(t) for t, _ in inflows])
-    tau, cap = np.array([(link.free_flow_time, link.exit_capacity) for link in links]).T
-    s = np.concatenate([t for t, _ in inflows]) + tau.repeat(sizes)
-    a = np.concatenate([n for _, n in inflows])
-    last = sizes.cumsum() - 1
-    keep = np.empty(len(s), dtype=bool)  # each cluster's last, and each row's last
-    keep[:-1] = s[1:] - s[:-1] > _MIN_PARCEL_LEN
-    keep[last] = True
-    if not keep.all():
-        s, a = s[keep], a[keep]
-        last = keep.cumsum()[last] - 1
-        sizes = np.diff(last, prepend=-1)
-    cap = cap.repeat(sizes)
-    g = a - cap * s
-    rises = g[1:] > g[:-1]
-    rises[last[:-1]] = False  # pieces that span two rows
-    if rises.any():
-        s, a, q, w, _, exits, last = _queue(s, a, g, a[None], cap, last)
-        queued = np.logical_or.reduceat(q > 0.0, np.concatenate(([0], last[:-1] + 1))).tolist()
-    else:
-        q = w = np.zeros(len(s))
-        exits, queued = s, [False] * len(links)
+    tau = np.array([link.free_flow_time for link in links])
+    s, a, q, w, _, exits, last, queued = _step(
+        links, np.concatenate([t for t, _ in inflows]) + tau.repeat(sizes),
+        np.concatenate([n for _, n in inflows])[None], sizes.cumsum() - 1)
     bounds = (last + 1).tolist()
     states, outs = [], []
     for link, lo, hi, queues in zip(links, [0] + bounds, bounds, queued):
@@ -415,14 +405,16 @@ def load(
             # A pass of the per-link step moves that time on by min tau. The
             # cycle is done once every curve it produces has reached its final
             # count before that time.
-            width = min(link.free_flow_time for link, _ in cycle.links)
-            entries = [float(curves[p][k][0][0]) for _, users in cycle.links for p, k in users
-                       if (p, k) not in cycle.inner and curves[p][k] is not None]
-            produced = [(p, k + 1) for _, users in cycle.links for p, k in users
+            width = min(link.free_flow_time for link, _ in cycle)
+            # the curves that enter from outside the cycle: those from its
+            # own links are made by the passes below
+            entries = [float(curves[p][k][0][0]) for _, users in cycle for p, k in users
+                       if curves[p][k] is not None]
+            produced = [(p, k + 1) for _, users in cycle for p, k in users
                         if curves[p][0] is not None]
             exact_until = min(entries, default=t_end) + width
             while True:
-                for link, users in cycle.links:
+                for link, users in cycle:
                     step(link, users)
                 exact_until += width
                 if exact_until > t_end + width or all(

@@ -59,18 +59,11 @@ class Path:
 Users = tuple[tuple[int, int], ...]
 
 
-class Cycle(NamedTuple):
-    """A strong component of the succession graph that lies on a cycle."""
-
-    links: tuple[tuple[Link, Users], ...]
-    inner: frozenset[tuple[int, int]]  # the users that enter from a link of the cycle
-
-
 class Depth(NamedTuple):
     """The links at one topological depth of the succession graph."""
 
     links: tuple[tuple[Link, Users], ...]  # on no succession cycle
-    cycles: tuple[Cycle, ...]
+    cycles: tuple[tuple[tuple[Link, Users], ...], ...]  # the links of each cycle
 
 
 @dataclass(frozen=True)
@@ -209,8 +202,8 @@ class Network:
         one more than the deepest of its predecessors, 0 without one, so
         nothing at a depth feeds anything else at it. Each link comes with its
         users: the (path index, position on the path) of every path through
-        it. A component of more than one link, or a link that succeeds
-        itself, lies on a succession cycle."""
+        it. A component lies on a succession cycle exactly when it has more
+        than one link: no path repeats a link, so no link succeeds itself."""
         users: dict[str, list[tuple[int, int]]] = {l.id: [] for l in self.links}
         succ: dict[str, dict[str, None]] = {l.id: {} for l in self.links}  # ordered sets
         pred: dict[str, dict[str, None]] = {l.id: {} for l in self.links}
@@ -264,10 +257,8 @@ class Network:
                 depths.append(([], []))
             links = tuple((self.link_by_id[lid], tuple(users[lid]))
                           for lid in sorted(comp, key=position.__getitem__))
-            inner = frozenset((p, k) for _, link_users in links for p, k in link_users
-                              if k > 0 and self.routes[p][k - 1].id in ids)
-            if inner:
-                depths[depth][1].append(Cycle(links, inner))
+            if len(links) > 1:
+                depths[depth][1].append(links)
             else:
                 depths[depth][0].extend(links)
         return tuple(Depth(tuple(links), tuple(cycles)) for links, cycles in depths)

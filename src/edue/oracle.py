@@ -37,7 +37,6 @@ from .solver import compute_gap, f_map, lemma2_bound
 
 __all__ = ["TinyInstance", "OracleResult", "brute_force_equilibrium"]
 
-MAX_DIMENSIONALITY = 20
 MAX_LATTICE_POINTS = 200_000
 RESOLUTION = 5  # lattice points per coordinate
 REFINE_ROUNDS = 6
@@ -47,7 +46,8 @@ CERTIFY_REL = 1e-8
 
 @dataclass(frozen=True)
 class TinyInstance:
-    """A scenario small enough for exhaustive gap search."""
+    """A scenario small enough for exhaustive gap search: the coarse lattice,
+    RESOLUTION points per flow coordinate, has at most MAX_LATTICE_POINTS."""
 
     network: Network
     grid: TimeGrid
@@ -55,12 +55,10 @@ class TinyInstance:
     inv_demand: InverseDemand
 
     def __post_init__(self) -> None:
-        dim = len(self.network.paths) * self.grid.n + len(self.network.od_pairs)
-        if dim > MAX_DIMENSIONALITY:
-            raise ValueError(
-                f"instance dimensionality {dim} exceeds the tractable limit "
-                f"{MAX_DIMENSIONALITY}"
-            )
+        dim = len(self.network.paths) * self.grid.n
+        if RESOLUTION**dim > MAX_LATTICE_POINTS:
+            raise ValueError(f"lattice of {RESOLUTION}^{dim} = {RESOLUTION**dim} points "
+                             f"exceeds the search budget of {MAX_LATTICE_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -217,10 +215,6 @@ def brute_force_equilibrium(inst: TinyInstance) -> OracleResult:
     """
     objective = _GapObjective(inst)
     dim = len(inst.network.paths) * inst.grid.n
-    if RESOLUTION**dim > MAX_LATTICE_POINTS:
-        raise ValueError(
-            f"lattice of {RESOLUTION}^{dim} points exceeds the search budget"
-        )
     upper = lemma2_bound(inst.network, inst.penalty)
     center = np.full(dim, upper / 2.0)
     x, gap = _lattice_search(objective, center, upper / 2.0, upper)

@@ -75,6 +75,8 @@ class SolveReport:
     caps_active: list[int]
     final_gap: float
     mode: str
+    # why the loop ended before it converged or spent its budget, if it did
+    stop: str | None = None
 
     @property
     def iterations(self) -> int:
@@ -96,6 +98,7 @@ class SolveReport:
         lines = [
             f"mode: {self.mode}",
             f"converged: {self.converged}",
+            *([f"stopped: {self.stop}"] if self.stop is not None else []),
             f"iterations: {self.iterations}",
             f"initial gap: {self.initial_gap!r}",
             f"final gap: {self.final_gap!r}",
@@ -233,7 +236,10 @@ def solve(
     pinned_demand: np.ndarray | None = None,
 ) -> SolveReport:
     """Iterate the projection step from zero flow until the gap target is met
-    or the iteration budget runs out.
+    or the iteration budget runs out. A halving of alpha that leaves the step
+    too small to move the largest flow by one ulp (alpha times the largest
+    reduced cost below its float spacing) ends the loop too, as not
+    converged, with ``stop`` naming the reason.
 
     Elastic mode needs ``inv_demand``; fixed-demand mode passes
     ``inv_demand=None`` with ``pinned_demand`` set.
@@ -261,11 +267,13 @@ def solve(
     best_point = point
     best_costs: CostField | None = None
     stall = 0
+    stop = None
 
     for iteration in range(config.max_iters):
         costs = f_map(network, point, penalty, inv_demand, grid)
         gap = compute_gap(point, costs, network, caps)
-        r1, r2 = verify.od_residuals(point.flows, reduced_costs(costs, network), network, grid.dt)
+        rc = reduced_costs(costs, network)
+        r1, r2 = verify.od_residuals(point.flows, rc, network, grid.dt)
         history.append((iteration, gap, float(r1.max()), float(r2.max()), alpha))
         converged = gap <= max(config.gap_tol, config.gap_rtol * max(history[0][1], 0.0))
         if converged or best_costs is None or gap < best_gap - 1e-15 * max(1.0, abs(best_gap)):
@@ -276,6 +284,9 @@ def solve(
             if config.halve_on_stall is not None and stall >= config.halve_on_stall:
                 alpha *= 0.5
                 stall = 0
+                if alpha * np.abs(rc).max() < np.spacing(point.flows.max()):
+                    stop = f"step too small to move the flows (alpha {alpha!r})"
+                    break
         if converged:
             break
         point = fixed_point_step(point, costs, network, alpha, caps, pinned)
@@ -293,4 +304,5 @@ def solve(
         caps_active=caps_active,
         final_gap=float(best_gap),
         mode="fixed" if pinned else "elastic",
+        stop=stop,
     )

@@ -285,6 +285,31 @@ class TestSolveCommand:
         rows = read_csv(out / "gap.csv")
         assert len(rows) == 1
 
+    def test_stalled_solve_exits_2_with_every_report(self, tmp_path, capsys):
+        # alpha halves on every stall until the step can move no flow
+        doc = congested_scenario(n=8)
+        doc["solver"].update(alpha=800.0, max_iters=3000, halve_on_stall=1)
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_NOT_CONVERGED
+        assert "input error" not in capsys.readouterr().err
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "converged: False" in summary
+        assert any(line.startswith("stopped: step too small") for line in summary)
+        for name in ("flows.csv", "costs.csv", "gap.csv"):
+            assert (out / name).exists()
+
+    def test_error_raised_by_the_run_is_not_an_input_error(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("raised while solving")
+
+        monkeypatch.setattr(cli.solver, "solve", fail)
+        path = write_scenario(tmp_path, congested_scenario())
+        with pytest.raises(ValueError, match="raised while solving"):
+            main(["solve", str(path), "--out", str(tmp_path / "out")])
+        assert "input error" not in capsys.readouterr().err
+
     def test_flag_overrides_take_effect(self, tmp_path):
         path = write_scenario(tmp_path, uncongested_scenario())
         out = tmp_path / "out"
@@ -325,6 +350,18 @@ class TestCheckAndLoad:
             w.writeheader()
             w.writerows(rows)
         assert main(["check", str(path), str(bad), "--out", str(out)]) == EXIT_NOT_CONVERGED
+
+    def test_check_of_demand_above_its_cap_is_an_input_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, congested_scenario())
+        scenario = load_scenario(path)
+        grid = scenario.grid()
+        flows = np.full((1, grid.n), 2000.0)  # 2000 veh against a cap of 450
+        write_flows_csv(tmp_path / "flows.csv", scenario.network,
+                        ExtendedPoint.from_matrix(grid, flows, np.array([2000.0])))
+        code = main(["check", str(path), str(tmp_path / "flows.csv"), "--out", str(tmp_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert "input error: flow file: demand above its cap for OD pair indices [0]" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
     def test_flow_file_rejects_non_finite_and_negative_values(self, tmp_path, capsys, bad):
@@ -498,6 +535,13 @@ class TestFlowFieldConversion:
 
 
 class TestOracleCommand:
+    def test_oversized_instance_is_an_input_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, tiny_scenario())
+        out = tmp_path / "out"
+        assert main(["oracle", str(path), "--n", "8", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert "5^8 = 390625 points exceeds the search budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_output_verifies_clean(self, tmp_path):
         path = write_scenario(tmp_path, tiny_scenario())
         out = tmp_path / "out"

@@ -215,7 +215,7 @@ class TestStructure:
 def depth_of(net):
     """Per link id, the index of its depth in net.loading_depths."""
     return {link.id: d for d, depth in enumerate(net.loading_depths)
-            for link, _ in depth.links + tuple(l for c in depth.cycles for l in c.links)}
+            for link, _ in depth.links + tuple(l for c in depth.cycles for l in c)}
 
 
 def assert_predecessors_shallower(net):
@@ -224,7 +224,7 @@ def assert_predecessors_shallower(net):
     depth = depth_of(net)
     assert sorted(depth) == sorted(link.id for link in net.links)
     cycle_of = {link.id: c for d in net.loading_depths for c, cycle in enumerate(d.cycles)
-                for link, _ in cycle.links}
+                for link, _ in cycle}
     for route in net.routes:
         for a, b in zip(route, route[1:]):
             same_cycle = a.id in cycle_of and cycle_of.get(b.id) == cycle_of[a.id] \
@@ -251,14 +251,11 @@ class TestLoadingOrder:
         ]
         net = make_net(links, paths)
         depths = [(sorted(link.id for link, _ in d.links),
-                   [[link.id for link, _ in c.links] for c in d.cycles])
+                   [[link.id for link, _ in c] for c in d.cycles])
                   for d in net.loading_depths]
         assert depths == [(["f", "u"], []), ([], [["r3", "r2", "r1"]]), (["x"], [])]
-        (ring,) = net.loading_depths[1].cycles
-        # the users fed from inside the ring: all but path "in" entering r1 from f
-        assert ring.inner == {(0, 2), (1, 1), (2, 1), (3, 1)}
         users = {link.id: u for d in net.loading_depths
-                 for link, u in d.links + tuple(l for c in d.cycles for l in c.links)}
+                 for link, u in d.links + tuple(l for c in d.cycles for l in c)}
         assert users["r2"] == ((0, 2), (1, 0), (3, 1))
         assert users["u"] == ()
         assert_predecessors_shallower(net)

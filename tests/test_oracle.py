@@ -103,12 +103,10 @@ class TestBruteForce:
                 assert res.point.demands[w] <= cap + 1e-9
 
     def test_lattice_budget_enforced(self):
-        # 2 paths x 4 cells: 5^8 = 390625 lattice points, over the budget,
-        # at dimensionality 9, within the tractable limit
+        # 2 paths x 4 cells: 5^8 = 390625 lattice points, over the budget
         sym = symmetric_tiny()
-        inst = TinyInstance(sym.network, TimeGrid(0.0, 1.0, 4), sym.penalty, sym.inv_demand)
         with pytest.raises(ValueError, match="search budget"):
-            brute_force_equilibrium(inst)
+            TinyInstance(sym.network, TimeGrid(0.0, 1.0, 4), sym.penalty, sym.inv_demand)
 
 
 # The results of the three criterion-2 instances as the oracle gave them when
@@ -147,9 +145,11 @@ def test_results_match_the_recorded_ones(name, inst, monkeypatch):
 
 
 def test_demands_of_sums_each_point_alone():
-    # two OD pairs with two paths each: every point's demands are its own
-    # od_sum, bit for bit, and no network copies are built to get them
+    # two OD pairs, of two paths and one (3 paths x 2 cells, a lattice within
+    # the search budget): every point's demands are its own od_sum, bit for
+    # bit, and no network copies are built to get them
     net = corridor_network(2)
+    net = Network(net.links, net.paths[:3], net.arrival_target)
     inst = TinyInstance(net, TimeGrid(0.0, 1.0, 2), SchedulePenalty(0.5, 2.0),
                         InverseDemand([1.0, 1.0], [0.01, 0.01], [80.0, 80.0]))
     objective = _GapObjective(inst)

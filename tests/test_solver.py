@@ -373,6 +373,29 @@ class TestSolve:
             solve(net, inst["penalty"], None, inst["config"], grid=grid,
                   pinned_demand=np.array([100.0, bad]))
 
+    def test_step_floor_ends_a_stalled_solve(self, congested_bottleneck):
+        """Halving alpha on every stall once drove it to 0.0 and made the
+        step raise; now the solve stops, not converged, once the step can no
+        longer move the largest flow, and says so in one summary line."""
+        inst = congested_bottleneck
+        config = SolverConfig(alpha=800.0, max_iters=5000, gap_rtol=1e-6, halve_on_stall=1)
+        report = solve(inst["network"], inst["penalty"], inst["inv_demand"], config,
+                       grid=grid_of(inst, 8))
+        assert not report.converged
+        assert report.iterations < config.max_iters
+        assert all(row[4] > 0.0 for row in report.gap_history)
+        assert report.stop.startswith("step too small to move the flows")
+        assert f"stopped: {report.stop}" in report.summary_lines()
+
+    def test_no_stop_line_when_converged_or_out_of_budget(self, congested_bottleneck):
+        inst = congested_bottleneck
+        for max_iters in (1, inst["config"].max_iters):
+            config = dataclasses.replace(inst["config"], max_iters=max_iters)
+            report = solve(inst["network"], inst["penalty"], inst["inv_demand"], config,
+                           grid=grid_of(inst))
+            assert report.stop is None
+            assert not any(line.startswith("stopped") for line in report.summary_lines())
+
 
 class TestSolveReport:
     def test_derived_fields_follow_stored_fields(self, congested_bottleneck):
