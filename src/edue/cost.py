@@ -67,16 +67,21 @@ class SchedulePenalty:
 class CostField:
     """Image of one point under the cost mapping: cell-averaged effective
     delays as a read-only (paths, n) array, one row per path, plus the
-    inverse-demand value per OD pair (all hours)."""
+    inverse-demand value per OD pair (all hours).
+
+    ``_reduced`` is a class attribute, not a field, so equality, repr and
+    ``dataclasses.replace`` ignore it; a CostField is immutable, so the memo
+    it holds cannot go stale."""
 
     psi: np.ndarray
     theta: np.ndarray
+    _reduced = None  # (network, reduced costs), set by verify.reduced_costs
 
     def __post_init__(self) -> None:
         psi = np.array(self.psi, dtype=float)
         if psi.ndim != 2:
             raise ShapeError(f"effective delays must be a (paths, n) array, got shape {psi.shape}")
-        if not np.isfinite(psi).all():
+        if np.count_nonzero(np.isfinite(psi)) < psi.size:  # one C call, unlike .all()
             raise ValueError("effective delays must all be finite")
         theta = np.array(self.theta, dtype=float)
         psi.setflags(write=False)
@@ -99,8 +104,9 @@ def effective_delay(
     exits = result.boundary_exits()
     psi_pts = (exits - grid.boundaries) + penalty(exits - arrival_target)
     vals = 0.5 * (psi_pts[:, :-1] + psi_pts[:, 1:])
-    if (vals <= 0.0).any():
-        p = int(np.argmax((vals <= 0.0).any(axis=1)))
+    nonpositive = vals <= 0.0
+    if np.count_nonzero(nonpositive):  # one C call, unlike .any()
+        p = int(np.argmax(nonpositive.any(axis=1)))
         raise CostInvariantError(
             f"nonpositive effective delay on path index {p}; "
             "free-flow times must be positive and the penalty nonnegative"

@@ -83,7 +83,7 @@ class InverseDemand:
         """Inverse demand values at the given demand vector (hours)."""
         demand = np.asarray(demand, dtype=float)
         inside = (demand >= 0.0) & (demand <= self.cap)  # False for nan
-        if not inside.all():
+        if np.count_nonzero(inside) < inside.size:  # one C call, unlike .all()
             raise DemandDomainError(
                 f"demand outside [0, cap] for OD pair indices {np.flatnonzero(~inside).tolist()}"
             )

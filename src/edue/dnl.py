@@ -346,7 +346,7 @@ def load(
             f"need a ({len(network.paths)}, {grid.n}) array of path flows, "
             f"got shape {flows.shape}"
         )
-    if not ((flows >= 0.0) & (flows < np.inf)).all():  # NaN fails both
+    if np.count_nonzero((flows >= 0.0) & (flows < np.inf)) < flows.size:  # NaN fails both
         raise ValueError("path flows must be finite and nonnegative")
     if horizon is not None and not (np.isfinite(horizon) and horizon >= 0.0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
@@ -355,7 +355,7 @@ def load(
     # one is its arrival curve at the destination
     bounds = grid.boundaries
     cum = np.zeros((len(flows), grid.n + 1))
-    np.cumsum(flows * grid.dt, axis=1, out=cum[:, 1:])
+    np.add.accumulate(flows * grid.dt, axis=1, out=cum[:, 1:])
     # totals and the overflow test run on Python floats, added in path order
     # by a loop: from Python 3.12, sum() of floats is compensated
     entered = cum[:, -1].tolist()

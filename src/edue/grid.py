@@ -92,7 +92,7 @@ class ExtendedPoint:
                 f"path flows must be a (paths, {self.grid.n}) array with at least one "
                 f"path, got shape {flows.shape}"
             )
-        if not np.isfinite(flows).all():
+        if np.count_nonzero(np.isfinite(flows)) < flows.size:  # one C call, unlike .all()
             raise ValueError("path flows must all be finite")
         demands = np.array(self.demands, dtype=float)
         if demands.ndim != 1:

@@ -8,8 +8,11 @@ one bound vector: the demand caps, or in fixed mode the pinned demands. Only
 the step knows the mode. An active cap is flagged in the report since it is
 a technical device, not an equilibrium property.
 
-Reduced costs and residuals come from ``verify``: an iteration records the
-largest residuals only, and the report's are computed once, at the best point.
+Reduced costs and residuals come from ``verify``. One iteration forms its
+reduced costs once and shares them among the gap, the residuals and the step
+(``verify.reduced_costs`` keeps them with the iteration's CostField). It
+records the largest residuals only, and the report's are computed once, at
+the best point.
 
 No convergence is guaranteed by theory (the delay operator is not monotone);
 non-convergence is reported honestly via the gap history and exit status.
@@ -155,11 +158,11 @@ def fixed_point_step(
     vol = network.od_sum(h.sum(axis=1)) * grid.dt
     demands = caps if pinned else np.minimum(vol, caps)
     off = demands != vol
-    if off.any():
+    if np.count_nonzero(off):  # one C call, unlike .any()
         empty = vol <= 0.0
         h *= np.divide(demands, vol, out=np.ones_like(vol), where=off & ~empty)[network.path_od, None]
         restart = off & empty
-        if restart.any():
+        if np.count_nonzero(restart):
             p, j = network.od_argmin(costs.psi)
             h[p[restart], j[restart]] = demands[restart] / grid.dt
     return ExtendedPoint.from_matrix(grid, h, demands)

@@ -98,9 +98,26 @@ def check_caps(network: Network, caps, name: str = "caps") -> np.ndarray:
 
 def reduced_costs(costs: CostField, network: Network) -> np.ndarray:
     """Per-path-per-cell margin: cell cost minus the OD's demand value;
-    ShapeError unless there is one demand value per OD pair."""
+    ShapeError unless there is one demand value per OD pair.
+
+    The array is formed once per CostField and network object and shared:
+    later calls with the same two return the same read-only array, so the
+    gap, the residuals and the step of one solver iteration pay for it once.
+    """
+    memo = costs._reduced
+    if memo is not None and memo[0] is network:
+        return memo[1]
+    rc = _form_reduced_costs(costs, network)
+    object.__setattr__(costs, "_reduced", (network, rc))
+    return rc
+
+
+def _form_reduced_costs(costs: CostField, network: Network) -> np.ndarray:
+    """The reduced costs of reduced_costs, formed anew (read-only)."""
     theta = check_caps(network, costs.theta, "demand values")
-    return costs.psi - theta[network.path_od, None]
+    rc = costs.psi - theta[network.path_od, None]
+    rc.setflags(write=False)
+    return rc
 
 
 def od_residuals(

@@ -363,6 +363,36 @@ class TestCheckAndLoad:
         assert "input error: flow file: demand above its cap for OD pair indices [0]" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", [37.3, 61.7])
+    def test_check_of_a_capped_solve_is_not_an_input_error(self, tmp_path, capsys, cap):
+        doc = uncongested_scenario(n=16)
+        doc["demand"][0]["cap"] = cap
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_NOT_CONVERGED
+        assert "active demand caps (OD indices): [0]" in (out / "summary.txt").read_text()
+        scenario = load_scenario(path)
+        # the demand rebuilt from the written rates lands an ulp above the cap
+        assert read_flows_csv(out / "flows.csv", scenario.network, scenario.grid()).demands[0] > cap
+        capsys.readouterr()
+        code = main(["check", str(path), str(out / "flows.csv"), "--out", str(out)])
+        assert code != EXIT_INPUT_ERROR
+        assert "input error" not in capsys.readouterr().err
+
+    def test_check_of_demand_beyond_the_conservation_slack_is_an_input_error(self, tmp_path,
+                                                                            capsys):
+        path = write_scenario(tmp_path, congested_scenario())
+        scenario = load_scenario(path)
+        grid = scenario.grid()
+        demand = 450.0 * (1.0 + 1e-6)  # cap 450, far beyond FEASIBILITY_RTOL
+        flows = np.full((1, grid.n), demand / (grid.n * grid.dt))
+        write_flows_csv(tmp_path / "flows.csv", scenario.network,
+                        ExtendedPoint.from_matrix(grid, flows, np.array([demand])))
+        code = main(["check", str(path), str(tmp_path / "flows.csv"), "--out", str(tmp_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert "input error: flow file: demand above its cap for OD pair indices [0]" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
     def test_flow_file_rejects_non_finite_and_negative_values(self, tmp_path, capsys, bad):
         path = write_scenario(tmp_path, congested_scenario())

@@ -1,10 +1,11 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from edue import verify
-from edue.cost import CostField, SchedulePenalty
+from edue import dnl, verify
+from edue.cost import CostField, CostInvariantError, SchedulePenalty, effective_delay
 from edue.demand import InverseDemand
 from edue.grid import ExtendedPoint, ShapeError, TimeGrid
 from edue.network import Link, Network, Path
@@ -387,6 +388,26 @@ class TestSolve:
         assert report.stop.startswith("step too small to move the flows")
         assert f"stopped: {report.stop}" in report.summary_lines()
 
+    @pytest.mark.parametrize("max_iters, pinned", [(1, None), (9, None), (9, [200.0])])
+    def test_each_iteration_forms_its_reduced_costs_once(self, congested_bottleneck,
+                                                         monkeypatch, max_iters, pinned):
+        """The gap, the residuals and the step share one array per iteration,
+        and the report's residuals reuse the best iteration's."""
+        inst = congested_bottleneck
+        formed = []
+        form = verify._form_reduced_costs
+        monkeypatch.setattr(verify, "_form_reduced_costs",
+                            lambda c, n: formed.append(c) or form(c, n))
+        config = dataclasses.replace(inst["config"], max_iters=max_iters)
+        report = solve(inst["network"], inst["penalty"],
+                       inst["inv_demand"] if pinned is None else None, config,
+                       grid=grid_of(inst),
+                       pinned_demand=None if pinned is None else np.array(pinned))
+        assert report.iterations == max_iters
+        assert len(formed) == max_iters
+        assert len({id(c) for c in formed}) == max_iters
+        assert any(c is report.costs for c in formed)
+
     def test_no_stop_line_when_converged_or_out_of_budget(self, congested_bottleneck):
         inst = congested_bottleneck
         for max_iters in (1, inst["config"].max_iters):
@@ -395,6 +416,35 @@ class TestSolve:
                            grid=grid_of(inst))
             assert report.stop is None
             assert not any(line.startswith("stopped") for line in report.summary_lines())
+
+
+class TestInputChecks:
+    """The input checks that every solver iteration runs. An out-of-domain
+    demand and a negative loader flow are tested in test_demand and
+    test_dnl."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_point_rejects_non_finite_flows(self, bad):
+        with pytest.raises(ValueError, match="path flows must all be finite"):
+            ExtendedPoint(TimeGrid(0.0, 1.0, 2), [[1.0, 2.0], [3.0, bad]], [0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_cost_field_rejects_non_finite_delays(self, bad):
+        with pytest.raises(ValueError, match="effective delays must all be finite"):
+            CostField(psi=[[0.5, bad], [0.5, 0.5]], theta=[0.3])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_load_rejects_flows_that_are_not_finite(self, bad):
+        with pytest.raises(ValueError, match="path flows must be finite and nonnegative"):
+            dnl.load(toy_network(), [[1.0, bad]], TimeGrid(0.0, 1.0, 2))
+
+    def test_nonpositive_effective_delay_names_the_path(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        # exit times at the departure times on path 1: zero delay, zero penalty
+        exits = np.array([[0.5, 1.0, 1.5], [0.0, 0.5, 1.0]])
+        result = SimpleNamespace(grid=grid, boundary_exits=lambda: exits)
+        with pytest.raises(CostInvariantError, match="path index 1"):
+            effective_delay(result, SchedulePenalty(0.0, 0.0), 2.0)
 
 
 class TestSolveReport:

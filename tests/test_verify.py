@@ -1,9 +1,11 @@
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edue import verify
 from edue.cli import write_costs_csv
 from edue.cost import CostField
 from edue.grid import ExtendedPoint, ShapeError, TimeGrid
@@ -212,6 +214,63 @@ class TestResponses:
             vol = float(probe.flows.sum()) * grid.dt
             assert vol == pytest.approx(float(probe.demands[0]), rel=1e-9)
             assert probe.demands[0] <= caps[0]
+
+
+class TestReducedCostsShared:
+    """reduced_costs forms its array once per CostField and network object."""
+
+    def costs(self):
+        return toy_costs([[0.5, 0.4], [0.7, 0.1], [0.3, 0.9], [0.6, 0.6]], [0.45, 0.35])
+
+    def test_same_field_and_network_give_the_same_array(self):
+        net, costs = corridor_network(2), self.costs()
+        assert reduced_costs(costs, net) is reduced_costs(costs, net)
+
+    def test_array_is_read_only_and_formed_bit_for_bit(self):
+        net, costs = corridor_network(2), self.costs()
+        rc = reduced_costs(costs, net)
+        assert not rc.flags.writeable
+        want = costs.psi - costs.theta[net.path_od, None]
+        assert rc.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            rc[0, 0] = 0.0
+
+    def test_another_network_object_gets_its_own_array(self):
+        net, costs = corridor_network(2), self.costs()
+        rc = reduced_costs(costs, net)
+        other = net.copies(1)
+        rc_other = reduced_costs(costs, other)
+        assert rc_other is not rc
+        assert rc_other.tobytes() == rc.tobytes()
+        # the memo holds one network: back on the first, a fresh array
+        assert reduced_costs(costs, other) is rc_other
+        assert reduced_costs(costs, net) is not rc
+
+    def test_memo_is_no_field(self):
+        net, costs = corridor_network(2), self.costs()
+        before = repr(costs)
+        reduced_costs(costs, net)
+        assert repr(costs) == before
+        assert [f.name for f in dataclasses.fields(costs)] == ["psi", "theta"]
+        fresh = dataclasses.replace(costs)
+        assert reduced_costs(fresh, net) is not reduced_costs(costs, net)
+
+    def test_gap_residuals_step_and_costs_file_share_one_formation(self, monkeypatch,
+                                                                  tmp_path):
+        net, costs = corridor_network(2), self.costs()
+        grid = TimeGrid(0.0, 1.0, 2)
+        point = ExtendedPoint.from_matrix(grid, np.full((4, 2), 10.0), [20.0, 20.0])
+        formed = []
+        form = verify._form_reduced_costs
+        monkeypatch.setattr(verify, "_form_reduced_costs",
+                            lambda c, n: formed.append(c) or form(c, n))
+        caps = np.full(2, 50.0)
+        compute_gap(point, costs, net, caps)
+        fixed_point_step(point, costs, net, 1.0, caps)
+        due_residuals(point, costs, net)
+        best_response(costs, net, caps, grid)
+        write_costs_csv(tmp_path / "costs.csv", net, costs)
+        assert formed == [costs]
 
 
 # the functions that check their flow rows (and cost rows, given costs)
