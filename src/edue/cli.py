@@ -32,6 +32,10 @@ EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 REQUIRED_UNITS = {"time": "hours", "flow": "vehicles_per_hour", "demand": "vehicles"}
+# the keys a block may hold; any other is rejected, so a misspelt optional key
+# cannot fall back to its default unnoticed
+SOLVER_KEYS = ("n", "alpha", "max_iters", "gap_rtol", "halve_on_stall")
+DEMAND_KEYS = ("origin", "destination", "intercept", "slope", "cap", "fixed_demand")
 
 
 class ScenarioError(ValueError):
@@ -82,11 +86,13 @@ class Scenario:
             raise ScenarioError(f"invalid network: {exc}") from exc
 
         sol = _require(doc, "solver", dict)
+        _known_keys(sol, SOLVER_KEYS, "solver")
         self.n = _integer(sol, "n")  # grid cells
         # SolverConfig's defaults stand for the keys the scenario leaves out;
         # "halve_on_stall": null counts as left out
         given = {"alpha": _number(sol, "alpha"), "max_iters": _integer(sol, "max_iters")}
-        given.update((key, _number(sol, key)) for key in ("gap_tol", "gap_rtol") if key in sol)
+        if "gap_rtol" in sol:
+            given["gap_rtol"] = _number(sol, "gap_rtol")
         if sol.get("halve_on_stall") is not None:
             given["halve_on_stall"] = _integer(sol, "halve_on_stall")
         self.config = SolverConfig(**given)
@@ -100,6 +106,7 @@ class Scenario:
             od = (str(_require(e, "origin", (str, int))), str(_require(e, "destination", (str, int))))
             if od in by_od:
                 raise ScenarioError(f"duplicate demand entry for OD {od[0]}->{od[1]}")
+            _known_keys(e, DEMAND_KEYS, f"demand entry for OD {od[0]}->{od[1]}")
             by_od[od] = e
         missing = [od for od in self.network.od_pairs if od not in by_od]
         extra = [od for od in by_od if od not in self.network.od_pairs]
@@ -141,6 +148,12 @@ def _require(doc: dict, key: str, kind) -> object:
     if not isinstance(value, kind):
         raise ScenarioError(f"field {key!r} has wrong type {type(value).__name__}")
     return value
+
+
+def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ScenarioError(f"unknown field {', '.join(map(repr, unknown))} in {where}")
 
 
 def _csv_id(doc: dict, kind: str) -> str:
@@ -370,16 +383,10 @@ def _build(args: argparse.Namespace) -> Callable[[Path], int]:
     scenario = load_scenario(args.scenario)
     if args.n is not None:
         scenario.n = args.n
-    if args.command == "solve":
-        overrides = {
-            name: value
-            for name, value in (("alpha", args.alpha), ("max_iters", args.max_iters),
-                                ("gap_tol", args.gap_tol))
-            if value is not None
-        }
-        scenario.config = dataclasses.replace(scenario.config, **overrides)
     grid = scenario.grid()
     if args.command == "solve":
+        if args.max_iters is not None:
+            scenario.config = dataclasses.replace(scenario.config, max_iters=args.max_iters)
         return lambda out_dir: _cmd_solve(scenario, grid, out_dir)
     if args.command == "oracle":
         if scenario.inv_demand is None:
@@ -405,8 +412,17 @@ def _build(args: argparse.Namespace) -> Callable[[Path], int]:
     return lambda out_dir: _cmd_check(scenario, grid, point, out_dir)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits with EXIT_INPUT_ERROR:
+    argparse's own code 2 is this CLI's "did not converge"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="edue",
         description="Dynamic user equilibrium with elastic demand: solve, load, check, oracle.",
     )
@@ -424,10 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--n", type=int, default=None, help="override grid resolution")
         if name == "solve":
-            p.add_argument("--alpha", type=float, default=None, help="override step size")
             p.add_argument("--max-iters", type=int, default=None, help="override iteration cap")
-            p.add_argument("--gap-tol", type=float, default=None,
-                           help="override absolute gap target")
     return parser
 
 

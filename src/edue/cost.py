@@ -90,19 +90,16 @@ class CostField:
         object.__setattr__(self, "theta", theta)
 
 
-def effective_delay(
-    result: LoadingResult,
-    penalty: SchedulePenalty,
-    arrival_target: float,
-) -> np.ndarray:
+def effective_delay(result: LoadingResult, penalty: SchedulePenalty) -> np.ndarray:
     """Cell-averaged effective delays, a (paths, n) array.
 
     Each cell value averages the two endpoint evaluations of
-    D(t) + f(t + D(t) - target), using the exact exit-time function.
+    D(t) + f(t + D(t) - target), using the exact exit-time function and the
+    loaded network's arrival target.
     """
     grid = result.grid
     exits = result.boundary_exits()
-    psi_pts = (exits - grid.boundaries) + penalty(exits - arrival_target)
+    psi_pts = (exits - grid.boundaries) + penalty(exits - result.network.arrival_target)
     vals = 0.5 * (psi_pts[:, :-1] + psi_pts[:, 1:])
     nonpositive = vals <= 0.0
     if np.count_nonzero(nonpositive):  # one C call, unlike .any()

@@ -38,6 +38,8 @@ it by turns for a queue), k links take one by one / in one batch: without a
 queue 16 / 20 us for k = 2, 23 / 22 us for 3, 32 / 25 us for 4 and 65 / 35 us
 for 8; with a queue 50 / 46, 74 / 48, 98 / 49 and 194 / 62 us. A lone link
 takes 8 us alone and 14 us as a batch of one (25 and 32 us with a queue).
+So the batch pays from k = 3 on, but load batches from k = 2: at exactly two
+such links it can be the slower way, and no workload has such a depth.
 
 A loading keeps, per link, its breakpoints s and waits w = q / M. Exit times
 of a path follow by s <- s + tau, then s <- s + w(s), link by link.

@@ -36,7 +36,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "f_map",
-    "reduced_costs",
     "fixed_point_step",
     "compute_gap",
     "lemma2_bound",
@@ -48,12 +47,11 @@ __all__ = [
 class SolverConfig:
     alpha: float = 100.0  # step size, (veh/h) per hour of reduced cost
     max_iters: int = 500
-    gap_tol: float = 0.0  # absolute gap target (veh*h)
-    gap_rtol: float = 1e-6  # relative to the initial gap
+    gap_rtol: float = 1e-6  # gap target, relative to the initial gap
     halve_on_stall: int | None = 40  # halve alpha after this many non-improving iters
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "gap_tol", "gap_rtol"):
+        for name in ("alpha", "gap_rtol"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"solver {name} must be finite, got {value!r}")
@@ -63,8 +61,8 @@ class SolverConfig:
         if self.halve_on_stall is not None:
             object.__setattr__(self, "halve_on_stall",
                                positive_int(self.halve_on_stall, "solver halve_on_stall"))
-        if self.gap_tol < 0.0 or self.gap_rtol < 0.0:
-            raise ValueError("gap tolerances must be nonnegative")
+        if self.gap_rtol < 0.0:
+            raise ValueError("solver gap_rtol must be nonnegative")
 
 
 @dataclass
@@ -129,7 +127,7 @@ def f_map(
     fixed-demand equilibrium conditions.
     """
     result = dnl.load(network, point.flows, grid)
-    psi = effective_delay(result, penalty, network.arrival_target)
+    psi = effective_delay(result, penalty)
     if inv_demand is not None:
         theta = inv_demand.theta(point.demands)
     else:
@@ -278,7 +276,7 @@ def solve(
         rc = reduced_costs(costs, network)
         r1, r2 = verify.od_residuals(point.flows, rc, network, grid.dt)
         history.append((iteration, gap, float(r1.max()), float(r2.max()), alpha))
-        converged = gap <= max(config.gap_tol, config.gap_rtol * max(history[0][1], 0.0))
+        converged = gap <= config.gap_rtol * max(history[0][1], 0.0)
         if converged or best_costs is None or gap < best_gap - 1e-15 * max(1.0, abs(best_gap)):
             best_gap, best_point, best_costs = gap, point, costs
             stall = 0

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line so the run reads as a checklist.
 Tolerances are pinned here, not imported from the library under test.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -36,10 +37,8 @@ def solve_inst(inst, n=None):
         # the per-cell step shrinks with the cell width, so the step size and
         # the iteration budget scale with n to keep the contraction comparable
         scale = max(1, n // n0)
-        cfg = SolverConfig(alpha=cfg.alpha * n / n0,
-                           max_iters=cfg.max_iters * scale,
-                           gap_tol=cfg.gap_tol, gap_rtol=cfg.gap_rtol,
-                           halve_on_stall=50)
+        cfg = dataclasses.replace(cfg, alpha=cfg.alpha * n / n0,
+                                  max_iters=cfg.max_iters * scale, halve_on_stall=50)
     return grid, solve(inst["network"], inst["penalty"], inst["inv_demand"], cfg,
                        grid=grid)
 

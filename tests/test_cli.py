@@ -11,6 +11,7 @@ from edue.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    FLOWS_HEADER,
     ScenarioError,
     load_scenario,
     main,
@@ -176,7 +177,7 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("halve_on_stall", ["absent", None])
     def test_solver_defaults_come_from_solver_config(self, tmp_path, halve_on_stall):
         doc = uncongested_scenario()
-        for key in ("gap_tol", "gap_rtol", "halve_on_stall"):
+        for key in ("gap_rtol", "halve_on_stall"):
             doc["solver"].pop(key, None)
         if halve_on_stall is None:
             doc["solver"]["halve_on_stall"] = None
@@ -190,7 +191,6 @@ class TestScenarioParsing:
         (("penalty",), "early"),
         (("demand", 0), "cap"),
         (("solver",), "alpha"),
-        (("solver",), "gap_tol"),
         (("solver",), "gap_rtol"),
     ])
     def test_non_finite_number_rejected_naming_the_field(self, tmp_path, capsys, block,
@@ -203,6 +203,62 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, doc)  # json writes NaN / Infinity
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value, where", [
+        (("solver",), "gap_tol", float("nan"), "solver"),  # a retired key
+        (("solver",), "gap_rotl", 1e-9, "solver"),
+        (("demand", 0), "capp", 300.0, "demand entry for OD O->D"),
+    ], ids=["gap_tol", "gap_rotl", "capp"])
+    def test_unknown_key_rejected_naming_it(self, tmp_path, capsys, block, key, value, where):
+        doc = congested_scenario()
+        target = doc
+        for k in block:
+            target = target[k]
+        target[key] = value
+        path = write_scenario(tmp_path, doc)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert f"input error: unknown field {key!r} in {where}\n" == capsys.readouterr().err
+
+    def test_fixed_demand_entry_may_keep_its_elastic_keys(self, tmp_path):
+        doc = fixed_scenario([300.0, 200.0])
+        doc["demand"][0].update(intercept=1.0, slope=0.002, cap=450.0)
+        sc = load_scenario(write_scenario(tmp_path, doc))
+        assert sc.inv_demand is None and sc.pinned_demand.tolist() == [300.0, 200.0]
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc["demand"].append(dict(doc["demand"][0])),
+                     "duplicate demand entry for OD O->D", id="duplicate"),
+        pytest.param(lambda doc: doc["demand"][0].update(origin="X"),
+                     "demand entries must match the OD pairs exactly; "
+                     "missing=[('O', 'D')] extra=[('X', 'D')]", id="unmatched"),
+        pytest.param(lambda doc: doc.update(units=["hours"]),
+                     "field 'units' has wrong type list", id="wrong type"),
+        pytest.param(lambda doc: doc["horizon"].pop("t0"),
+                     "missing numeric field 't0'", id="missing number"),
+        pytest.param(lambda doc: doc["solver"].update(alpha="400"),
+                     "field 'alpha' must be a number, got '400'", id="string"),
+        pytest.param(lambda doc: doc["penalty"].update(late=True),
+                     "field 'late' must be a number, got True", id="bool"),
+    ])
+    def test_malformed_scenario_rejected_naming_the_problem(self, tmp_path, capsys, edit,
+                                                            message):
+        doc = congested_scenario()
+        edit(doc)
+        path = write_scenario(tmp_path, doc)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert f"input error: {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "input error: cannot read scenario file: "),
+        ("[]", "input error: scenario root must be a JSON object\n"),
+    ], ids=["unreadable", "not an object"])
+    def test_unusable_scenario_file_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scenario.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value, message", [
         pytest.param(field, 2.7, f"field {field!r} must be an integer", id=field)
@@ -234,6 +290,39 @@ class TestScenarioParsing:
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert (f"field 'id' of a {kind} must not contain a comma or a line break, "
                 f"got {value!r}" in capsys.readouterr().err)
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, the input-error code, with argparse's
+    message on stderr; 2 stays "ran but did not converge"."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["solve", "{s}", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["solve", "{s}", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["solve", "{s}", "--max-iters", "1.5"], "argument --max-iters: invalid int value"),
+        (["solve", "{s}", "--alpha", "1"], "unrecognized arguments: --alpha 1"),
+        (["solve", "{s}", "--gap-tol", "0.1"], "unrecognized arguments: --gap-tol 0.1"),
+        (["check", "{s}"], "the following arguments are required: flows"),
+        (["bogus", "{s}"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown option", "n", "max-iters", "alpha", "gap-tol", "no flows",
+            "unknown command", "no command"])
+    def test_usage_error_exits_1_with_argparse_message(self, tmp_path, monkeypatch, capsys, args,
+                                                       message):
+        monkeypatch.chdir(tmp_path)  # the default --out, should a run start
+        path = write_scenario(tmp_path, congested_scenario())
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(s=path) for arg in args])
+        assert info.value.code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: edue") and message in err
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, args):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: edue")
 
 
 class TestSolveCommand:
@@ -392,6 +481,37 @@ class TestCheckAndLoad:
         assert code == EXIT_INPUT_ERROR
         assert "input error: flow file: demand above its cap for OD pair indices [0]" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(None, "cannot read flow file: ", id="unreadable"),
+        pytest.param(lambda lines: [], "flow file must start with the flows.csv header",
+                     id="empty"),
+        pytest.param(lambda lines: ["path,cell,flow"] + lines[1:],
+                     "flow file must start with the flows.csv header", id="header"),
+        pytest.param(lambda lines: lines[:1], "flow file does not cover every (path, cell)",
+                     id="header only"),
+        pytest.param(lambda lines: lines[:-1], "flow file does not cover every (path, cell)",
+                     id="missing cell"),
+    ])
+    def test_flow_file_errors_of_the_whole_file(self, tmp_path, capsys, edit, message):
+        path = write_scenario(tmp_path, congested_scenario())
+        scenario = load_scenario(path)
+        grid = scenario.grid()
+        flows = np.full((1, grid.n), 100.0)
+        flow_file = tmp_path / "flows.csv"
+        write_flows_csv(flow_file, scenario.network,
+                        ExtendedPoint.from_matrix(grid, flows, np.array([100.0])))
+        lines = flow_file.read_text().splitlines()
+        assert lines[0] == FLOWS_HEADER and len(lines) == 1 + grid.n
+        if edit is None:
+            flow_file.unlink()
+        else:
+            flow_file.write_text("".join(f"{line}\n" for line in edit(lines)))
+        out = tmp_path / "out"
+        code = main(["check", str(path), str(flow_file), "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
     def test_flow_file_rejects_non_finite_and_negative_values(self, tmp_path, capsys, bad):
@@ -570,6 +690,14 @@ class TestOracleCommand:
         out = tmp_path / "out"
         assert main(["oracle", str(path), "--n", "8", "--out", str(out)]) == EXIT_INPUT_ERROR
         assert "5^8 = 390625 points exceeds the search budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_demand_is_an_input_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, fixed_scenario([300.0, 200.0]))
+        out = tmp_path / "out"
+        assert main(["oracle", str(path), "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert (capsys.readouterr().err
+                == "input error: the oracle subcommand needs an elastic-demand scenario\n")
         assert not out.exists()
 
     def test_oracle_output_verifies_clean(self, tmp_path):

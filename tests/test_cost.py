@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from edue.cost import A1ViolationError, CostField, SchedulePenalty, effective_delay
 from edue.dnl import load
-from edue.grid import TimeGrid
+from edue.grid import ShapeError, TimeGrid
 from edue.network import Link, Network, Path
 
 MIN = 1 / 60.0
@@ -77,7 +77,7 @@ class TestEffectiveDelay:
         net = bottleneck_instance()
         grid = TimeGrid(0.0, 10 * MIN, 2)
         res = load(net, [[0.0, 0.0]], grid)
-        psi = effective_delay(res, SchedulePenalty(0.5, 2.0), net.arrival_target)
+        psi = effective_delay(res, SchedulePenalty(0.5, 2.0))
         exits = res.exit_times(0, 0.0)
         assert exits == pytest.approx(5 * MIN)
         pt = (exits - 0.0) + 0.5 * (45 * MIN - exits)
@@ -108,7 +108,7 @@ class TestEffectiveDelay:
         net = bottleneck_instance()
         grid = TimeGrid(0.0, 10 * MIN, 4)
         res = load(net, [[120.0] * 4], grid)
-        psi = effective_delay(res, SchedulePenalty(0.0, 0.0), net.arrival_target)
+        psi = effective_delay(res, SchedulePenalty(0.0, 0.0))
         d = res.exit_times(0, grid.boundaries) - grid.boundaries
         assert np.allclose(psi[0], 0.5 * (d[:-1] + d[1:]))
 
@@ -117,7 +117,7 @@ class TestEffectiveDelay:
         grid = TimeGrid(0.0, 10 * MIN, 2)
         res = load(net, [[0.0, 0.0]], grid)
         with pytest.raises(A1ViolationError):
-            effective_delay(res, SchedulePenalty(1.5, 2.0), net.arrival_target)
+            effective_delay(res, SchedulePenalty(1.5, 2.0))
 
     def test_positivity(self):
         rng = np.random.default_rng(7)
@@ -125,8 +125,15 @@ class TestEffectiveDelay:
         grid = TimeGrid(0.0, 1.0, 8)
         for _ in range(10):
             res = load(net, [rng.uniform(0, 300, 8)], grid)
-            psi = effective_delay(res, SchedulePenalty(0.5, 2.0), net.arrival_target)
+            psi = effective_delay(res, SchedulePenalty(0.5, 2.0))
             assert np.all(psi[0] > 0.0)
+
+
+class TestCostField:
+    @pytest.mark.parametrize("psi", [[0.5, 0.5], 0.5, [[[0.5]]]])
+    def test_psi_must_be_a_matrix(self, psi):
+        with pytest.raises(ShapeError, match=r"effective delays must be a \(paths, n\) array"):
+            CostField(psi=psi, theta=[0.3])
 
 
 class TestMinTravelCost:

@@ -24,6 +24,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InverseDemand(np.array([60.0]), np.array([0.5]), np.array([120.0]))
 
+    @pytest.mark.parametrize("intercept, slope, cap, message", [
+        ([1.0, 1.0], [0.01], [80.0, 80.0],
+         "intercept, slope and cap must be flat vectors of equal length"),
+        ([[1.0]], [[0.01]], [[80.0]],
+         "intercept, slope and cap must be flat vectors of equal length"),
+        ([1.0], [-0.01], [80.0], "inverse-demand slopes must be nonnegative"),
+        ([1.0], [0.01], [0.0], "demand caps must be strictly positive"),
+        ([1.0], [0.0], [-5.0], "demand caps must be strictly positive"),
+    ])
+    def test_bad_vectors_rejected(self, intercept, slope, cap, message):
+        with pytest.raises(ValueError) as info:
+            InverseDemand(intercept, slope, cap)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("intercept, slope, cap, field", [
         ([np.nan], [0.01], [80.0], "intercept"),
         ([1.0], [np.nan], [80.0], "slope"),

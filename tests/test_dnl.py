@@ -323,6 +323,12 @@ class TestErrors:
         with pytest.raises(ValueError):
             load(net, [[-1.0, 0.0]], grid)
 
+    @pytest.mark.parametrize("flows", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]]])
+    def test_flows_of_the_wrong_shape_rejected(self, flows):
+        grid = TimeGrid(0.0, 10 * MIN, 2)
+        with pytest.raises(ValueError, match=r"need a \(1, 2\) array of path flows, got shape"):
+            load(single_link(), flows, grid)
+
 
 def ring_network():
     """Three links A->B->C->A; each path uses two of them, so every link
@@ -767,7 +773,7 @@ class TestStackedCopies:
         point = ExtendedPoint.from_matrix(grid, np.concatenate(stack), np.concatenate(demands))
         res = load(copies, point.flows, grid)
         # the cost mapping f_map, on the loading at hand
-        psi = effective_delay(res, penalty, net.arrival_target)
+        psi = effective_delay(res, penalty)
         costs = CostField(psi, stacked.theta(point.demands))
         gaps = compute_gap(point, costs, copies, stacked.cap, copies=b)
         for k, (h, d, inv) in enumerate(zip(stack, demands, invs)):
@@ -780,7 +786,7 @@ class TestStackedCopies:
                              (got.queue, want.queue), (got.w, want.w)):
                     assert np.array_equal(x, y), link.id
                 assert got.queued == want.queued
-            own_psi = effective_delay(alone, penalty, net.arrival_target)
+            own_psi = effective_delay(alone, penalty)
             assert np.array_equal(psi[rows], own_psi)
             own = ExtendedPoint.from_matrix(grid, h, d)
             assert gaps[k] == compute_gap(own, CostField(own_psi, inv.theta(d)), net, inv.cap)

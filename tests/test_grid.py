@@ -109,3 +109,8 @@ class TestFeasibility:
         g = TimeGrid(0.0, 1.0, 3)
         with pytest.raises(ShapeError):
             ExtendedPoint(g, [[1.0, 2.0]], [0.0])
+
+    @pytest.mark.parametrize("demands", [[[3.0]], 3.0])
+    def test_demands_must_be_a_flat_vector(self, demands):
+        with pytest.raises(ShapeError, match="demands must be a flat vector, one entry per OD pair"):
+            ExtendedPoint(TimeGrid(0.0, 1.0, 2), [[1.0, 2.0]], demands)
