@@ -33,9 +33,17 @@ EXIT_NOT_CONVERGED = 2
 
 REQUIRED_UNITS = {"time": "hours", "flow": "vehicles_per_hour", "demand": "vehicles"}
 # the keys a block may hold; any other is rejected, so a misspelt optional key
-# cannot fall back to its default unnoticed
-SOLVER_KEYS = ("n", "alpha", "max_iters", "gap_rtol", "halve_on_stall")
-DEMAND_KEYS = ("origin", "destination", "intercept", "slope", "cap", "fixed_demand")
+# cannot fall back to its default unnoticed, nor a misspelt required key be
+# reported only as missing
+SCENARIO_KEYS = frozenset({"units", "horizon", "network", "penalty", "demand", "solver"})
+UNITS_KEYS = frozenset(REQUIRED_UNITS)
+HORIZON_KEYS = frozenset({"t0", "tf", "arrival_target"})
+NETWORK_KEYS = frozenset({"links", "paths"})
+LINK_KEYS = frozenset({"id", "from", "to", "free_flow_time", "exit_capacity"})
+PATH_KEYS = frozenset({"id", "links", "origin", "destination"})
+PENALTY_KEYS = frozenset({"early", "late"})
+SOLVER_KEYS = frozenset({"n", "alpha", "max_iters", "gap_rtol", "halve_on_stall"})
+DEMAND_KEYS = frozenset({"origin", "destination", "intercept", "slope", "cap", "fixed_demand"})
 
 
 class ScenarioError(ValueError):
@@ -46,13 +54,14 @@ class Scenario:
     """Parsed and validated scenario: network, horizon, penalty, demand, solver."""
 
     def __init__(self, doc: dict):
-        units = _require(doc, "units", dict)
+        _known_keys(doc, SCENARIO_KEYS, "the scenario")
+        units = _block(doc, "units", UNITS_KEYS)
         for key, expected in REQUIRED_UNITS.items():
             if units.get(key) != expected:
                 raise ScenarioError(
                     f"units.{key} must be {expected!r}, got {units.get(key)!r}"
                 )
-        horizon = _require(doc, "horizon", dict)
+        horizon = _block(doc, "horizon", HORIZON_KEYS)
         self.t0 = _number(horizon, "t0")
         self.tf = _number(horizon, "tf")
         self.arrival_target = _number(horizon, "arrival_target")
@@ -60,7 +69,7 @@ class Scenario:
             raise ScenarioError(f"horizon.arrival_target must precede horizon.tf {self.tf!r}, "
                                 f"got {self.arrival_target!r}")
 
-        net = _require(doc, "network", dict)
+        net = _block(doc, "network", NETWORK_KEYS)
         links = tuple(
             Link(
                 id=_csv_id(l, "link"),
@@ -69,7 +78,7 @@ class Scenario:
                 free_flow_time=_number(l, "free_flow_time"),
                 exit_capacity=_number(l, "exit_capacity"),
             )
-            for l in _require(net, "links", list)
+            for l in _entries(net, "links", LINK_KEYS, "network.links")
         )
         paths = tuple(
             NetPath(
@@ -78,15 +87,14 @@ class Scenario:
                 origin=str(_require(p, "origin", (str, int))),
                 destination=str(_require(p, "destination", (str, int))),
             )
-            for p in _require(net, "paths", list)
+            for p in _entries(net, "paths", PATH_KEYS, "network.paths")
         )
         try:
             self.network = Network(links=links, paths=paths, arrival_target=self.arrival_target)
         except StructureError as exc:
             raise ScenarioError(f"invalid network: {exc}") from exc
 
-        sol = _require(doc, "solver", dict)
-        _known_keys(sol, SOLVER_KEYS, "solver")
+        sol = _block(doc, "solver", SOLVER_KEYS)
         self.n = _integer(sol, "n")  # grid cells
         # SolverConfig's defaults stand for the keys the scenario leaves out;
         # "halve_on_stall": null counts as left out
@@ -97,12 +105,11 @@ class Scenario:
             given["halve_on_stall"] = _integer(sol, "halve_on_stall")
         self.config = SolverConfig(**given)
 
-        pen = _require(doc, "penalty", dict)
+        pen = _block(doc, "penalty", PENALTY_KEYS)
         self.penalty = SchedulePenalty(early=_number(pen, "early"), late=_number(pen, "late"))
 
-        entries = _require(doc, "demand", list)
         by_od: dict[tuple[str, str], dict] = {}
-        for e in entries:
+        for e in _entries(doc, "demand", None, "demand"):
             od = (str(_require(e, "origin", (str, int))), str(_require(e, "destination", (str, int))))
             if od in by_od:
                 raise ScenarioError(f"duplicate demand entry for OD {od[0]}->{od[1]}")
@@ -150,10 +157,30 @@ def _require(doc: dict, key: str, kind) -> object:
     return value
 
 
-def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
+def _known_keys(doc: dict, keys: frozenset[str], where: str) -> None:
+    if not keys.issuperset(doc):  # one C call per object of a long list
+        unknown = [key for key in doc if key not in keys]
         raise ScenarioError(f"unknown field {', '.join(map(repr, unknown))} in {where}")
+
+
+def _block(doc: dict, key: str, keys: frozenset[str]) -> dict:
+    """The object ``doc[key]``, holding none but the given keys."""
+    block = _require(doc, key, dict)
+    _known_keys(block, keys, key)
+    return block
+
+
+def _entries(doc: dict, key: str, keys: frozenset[str] | None, where: str) -> list[dict]:
+    """The list ``doc[key]`` of objects, each holding none but the given
+    keys (unchecked with ``keys`` None); ``where`` names the list."""
+    entries = _require(doc, key, list)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"entry {i} of {where} must be a JSON object, "
+                                f"got {type(entry).__name__}")
+        if keys is not None and not keys.issuperset(entry):  # name it only when needed
+            _known_keys(entry, keys, f"entry {i} of {where}")
+    return entries
 
 
 def _csv_id(doc: dict, kind: str) -> str:

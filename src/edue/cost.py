@@ -3,6 +3,12 @@
 The penalty family is two-slope: early arrivals are charged beta per hour of
 earliness, late arrivals gamma per hour of lateness. The early slope must stay
 below 1 so that the penalty's slope bound Delta = -beta exceeds -1.
+
+The delays of a loading in which no link queues are computed once per
+network, grid and penalty and then looked up (``Network.free_flow_delays``):
+with no wait anywhere, a path's exit times are its departure times plus its
+free-flow times, so its delays do not depend on the flows. A loading in which
+any link queues is computed every time.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ class CostField:
 
     psi: np.ndarray
     theta: np.ndarray
-    _reduced = None  # (network, reduced costs), set by verify.reduced_costs
+    _reduced = None  # (network, reduced costs, their per-OD minimum), set by verify
 
     def __post_init__(self) -> None:
         psi = np.array(self.psi, dtype=float)
@@ -96,7 +102,27 @@ def effective_delay(result: LoadingResult, penalty: SchedulePenalty) -> np.ndarr
     Each cell value averages the two endpoint evaluations of
     D(t) + f(t + D(t) - target), using the exact exit-time function and the
     loaded network's arrival target.
+
+    When no link of the loading queues, the delays are those of every other
+    queue-free loading of the network on the same grid: the first one is
+    computed and kept, read-only, in ``result.network.free_flow_delays``
+    under (grid, penalty), and each call gets a writeable copy of it.
     """
+    if not result.queue_free:
+        return _effective_delay(result, penalty)
+    memo = result.network.free_flow_delays
+    key = (result.grid, penalty)
+    vals = memo.get(key)
+    if vals is None:
+        vals = _effective_delay(result, penalty)
+        vals.setflags(write=False)
+        memo[key] = vals
+    return vals.copy()
+
+
+def _effective_delay(result: LoadingResult, penalty: SchedulePenalty) -> np.ndarray:
+    """The delays of effective_delay, computed from the loading's exit times;
+    CostInvariantError if one is nonpositive."""
     grid = result.grid
     exits = result.boundary_exits()
     psi_pts = (exits - grid.boundaries) + penalty(exits - result.network.arrival_target)

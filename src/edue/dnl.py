@@ -305,6 +305,9 @@ class LoadingResult:
         # per path, per link: free-flow time and the wait curve (None when the
         # link never queues)
         waits = {lid: (st.s, st.w) if st.queued else None for lid, st in states.items()}
+        # whether no link queues: then a path's exit times are its departure
+        # times plus its free-flow times, whatever the flows
+        self.queue_free = all(wait is None for wait in waits.values())
         self._legs = tuple(tuple((link.free_flow_time, waits[link.id]) for link in route)
                            for route in network.routes)
 

@@ -168,6 +168,13 @@ class Network:
         return tuple(self.path_links(p) for p in range(len(self.paths)))
 
     @cached_property
+    def free_flow_delays(self) -> dict:
+        """The effective delays of a loading in which no link queues, one
+        read-only (paths, n) array per (grid, penalty); cost.effective_delay
+        fills and reads it. Such delays do not depend on the flows."""
+        return {}
+
+    @cached_property
     def clearance_terms(self) -> tuple[float, float]:
         """The least exit capacity and the total free-flow time of the links
         that some path uses, summed in network order (dnl.default_horizon)."""

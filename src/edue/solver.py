@@ -9,10 +9,10 @@ the step knows the mode. An active cap is flagged in the report since it is
 a technical device, not an equilibrium property.
 
 Reduced costs and residuals come from ``verify``. One iteration forms its
-reduced costs once and shares them among the gap, the residuals and the step
-(``verify.reduced_costs`` keeps them with the iteration's CostField). It
-records the largest residuals only, and the report's are computed once, at
-the best point.
+reduced costs and their per-OD minimum once and shares them among the gap,
+the residuals and the step (``verify`` keeps them with the iteration's
+CostField). It records the largest residuals only, and the report's are
+computed once, at the best point.
 
 No convergence is guaranteed by theory (the delay operator is not monotone);
 non-convergence is reported honestly via the gap history and exit status.
@@ -199,23 +199,20 @@ def compute_gap(
             raise ShapeError(f"copies {copies} must divide the path count "
                              f"{len(network.paths)} and the OD-pair count "
                              f"{len(network.od_pairs)}")
+    # the flow carried at its reduced costs, less the best response's: the cap
+    # volume at each OD's cheapest cell where that cell's reduced cost
+    # (clipped at 0) is negative
     rc = reduced_costs(costs, network)
-    cheapest = np.minimum(0.0, network.od_min(rc))  # at each OD's cheapest cell, if negative
+    cheapest = np.minimum(0.0, verify.least_reduced_costs(costs, network))
     dt = point.grid.dt
     if copies is None:
-        return _gap(point.flows, rc, cheapest, caps, dt)
-    rows, ods = len(network.paths) // copies, len(network.od_pairs) // copies
-    return np.array([_gap(point.flows[k * rows:(k + 1) * rows], rc[k * rows:(k + 1) * rows],
-                          cheapest[k * ods:(k + 1) * ods], caps[k * ods:(k + 1) * ods], dt)
-                     for k in range(copies)])
-
-
-def _gap(flows: np.ndarray, rc: np.ndarray, cheapest: np.ndarray, caps: np.ndarray,
-         dt: float) -> float:
-    """The gap formula: the flow carried at its reduced costs, less the best
-    response's, the cap volume at each OD's cheapest cell where that cell's
-    reduced cost (``cheapest``, clipped at 0) is negative."""
-    return float(np.vdot(flows, rc)) * dt - float(np.dot(cheapest, caps))
+        return float(np.vdot(point.flows, rc)) * dt - float(np.dot(cheapest, caps))
+    # the same two dot products per copy, stacked as (b, 1, m) @ (b, m, 1):
+    # matmul takes each with the dot routine that vdot and dot use, so every
+    # copy's gap is bit for bit the one it has alone
+    carried = np.matmul(point.flows.reshape(copies, 1, -1), rc.reshape(copies, -1, 1))
+    best = np.matmul(cheapest.reshape(copies, 1, -1), caps.reshape(copies, -1, 1))
+    return carried.reshape(copies) * dt - best.reshape(copies)
 
 
 def lemma2_bound(network: Network, penalty: SchedulePenalty) -> float:
@@ -273,8 +270,7 @@ def solve(
     for iteration in range(config.max_iters):
         costs = f_map(network, point, penalty, inv_demand, grid)
         gap = compute_gap(point, costs, network, caps)
-        rc = reduced_costs(costs, network)
-        r1, r2 = verify.od_residuals(point.flows, rc, network, grid.dt)
+        r1, r2 = verify.od_residuals(point.flows, costs, network, grid.dt)
         history.append((iteration, gap, float(r1.max()), float(r2.max()), alpha))
         converged = gap <= config.gap_rtol * max(history[0][1], 0.0)
         if converged or best_costs is None or gap < best_gap - 1e-15 * max(1.0, abs(best_gap)):
@@ -285,7 +281,8 @@ def solve(
             if config.halve_on_stall is not None and stall >= config.halve_on_stall:
                 alpha *= 0.5
                 stall = 0
-                if alpha * np.abs(rc).max() < np.spacing(point.flows.max()):
+                largest_move = alpha * np.abs(reduced_costs(costs, network)).max()
+                if largest_move < np.spacing(point.flows.max()):
                     stop = f"step too small to move the flows (alpha {alpha!r})"
                     break
         if converged:

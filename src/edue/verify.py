@@ -18,7 +18,8 @@ from .cost import CostField
 from .grid import ExtendedPoint, ShapeError
 from .network import Network
 
-__all__ = ["ResidualReport", "check_rows", "check_caps", "reduced_costs", "od_residuals",
+__all__ = ["ResidualReport", "check_rows", "check_caps", "reduced_costs",
+           "least_reduced_costs", "od_residuals",
            "is_feasible", "due_residuals", "vi_lhs", "best_response", "random_probe"]
 
 FEASIBILITY_RTOL = 1e-9  # per-OD conservation, relative to max(|demand|, 1)
@@ -104,31 +105,45 @@ def reduced_costs(costs: CostField, network: Network) -> np.ndarray:
     later calls with the same two return the same read-only array, so the
     gap, the residuals and the step of one solver iteration pay for it once.
     """
+    return _reduced(costs, network)[1]
+
+
+def least_reduced_costs(costs: CostField, network: Network) -> np.ndarray:
+    """Per OD pair, the least reduced cost over its paths and cells
+    (read-only), formed and kept with the reduced costs."""
+    return _reduced(costs, network)[2]
+
+
+def _reduced(costs: CostField, network: Network) -> tuple[Network, np.ndarray, np.ndarray]:
+    """The memo of reduced_costs: (network, reduced costs, their per-OD
+    minimum), formed on the first call for this CostField and network."""
     memo = costs._reduced
-    if memo is not None and memo[0] is network:
-        return memo[1]
-    rc = _form_reduced_costs(costs, network)
-    object.__setattr__(costs, "_reduced", (network, rc))
-    return rc
+    if memo is None or memo[0] is not network:
+        memo = (network, *_form_reduced_costs(costs, network))
+        object.__setattr__(costs, "_reduced", memo)
+    return memo
 
 
-def _form_reduced_costs(costs: CostField, network: Network) -> np.ndarray:
-    """The reduced costs of reduced_costs, formed anew (read-only)."""
+def _form_reduced_costs(costs: CostField, network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced costs and their per-OD minimum, formed anew (read-only)."""
     theta = check_caps(network, costs.theta, "demand values")
     rc = costs.psi - theta[network.path_od, None]
+    least = network.od_min(rc)
     rc.setflags(write=False)
-    return rc
+    least.setflags(write=False)
+    return rc, least
 
 
 def od_residuals(
-    flows: np.ndarray, rc: np.ndarray, network: Network, dt: float
+    flows: np.ndarray, costs: CostField, network: Network, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per OD pair, r1 and r2 of ResidualReport from the flows and their
-    reduced costs ``rc``."""
+    costs."""
+    _, rc, least = _reduced(costs, network)
     r1 = network.od_sum((flows * np.maximum(0.0, rc)).sum(axis=1)) * dt
     # 0.0 - m, not -m: where the least reduced cost m is +0.0, -m is -0.0, but
     # theta - min(psi) reads +0.0
-    r2 = np.maximum(0.0, 0.0 - network.od_min(rc))
+    r2 = np.maximum(0.0, 0.0 - least)
     return r1, r2
 
 
@@ -152,7 +167,7 @@ def due_residuals(point: ExtendedPoint, costs: CostField, network: Network) -> R
     """
     check_rows(network, point.flows, costs.psi)
     check_caps(network, point.demands, "demands")
-    r1, r2 = od_residuals(point.flows, reduced_costs(costs, network), network, point.grid.dt)
+    r1, r2 = od_residuals(point.flows, costs, network, point.grid.dt)
     flow_threshold = DEFAULT_FLOW_THRESHOLD_REL * float(point.flows.max())
     by_od = network.by_od
     psi_od = by_od(costs.psi)

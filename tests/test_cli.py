@@ -208,7 +208,15 @@ class TestScenarioParsing:
         (("solver",), "gap_tol", float("nan"), "solver"),  # a retired key
         (("solver",), "gap_rotl", 1e-9, "solver"),
         (("demand", 0), "capp", 300.0, "demand entry for OD O->D"),
-    ], ids=["gap_tol", "gap_rotl", "capp"])
+        ((), "solvers", {}, "the scenario"),
+        (("units",), "distance", "km", "units"),
+        (("horizon",), "arrival_targt", 0.6, "horizon"),
+        (("network",), "nodes", [], "network"),
+        (("penalty",), "lte", 9.0, "penalty"),
+        (("network", "links", 0), "capacity", 1000.0, "entry 0 of network.links"),
+        (("network", "paths", 0), "via", [], "entry 0 of network.paths"),
+    ], ids=["gap_tol", "gap_rotl", "capp", "top level", "units", "horizon", "network",
+            "penalty", "link", "path"])
     def test_unknown_key_rejected_naming_it(self, tmp_path, capsys, block, key, value, where):
         doc = congested_scenario()
         target = doc
@@ -218,6 +226,25 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, doc)
         assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert f"input error: unknown field {key!r} in {where}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, where", [
+        (("demand",), "demand"),
+        (("network", "links"), "network.links"),
+        (("network", "paths"), "network.paths"),
+    ], ids=["demand", "links", "paths"])
+    @pytest.mark.parametrize("entry, kind", [(5, "int"), ("p1", "str"), ([], "list")])
+    def test_entry_that_is_no_object_rejected_naming_it(self, tmp_path, capsys, block, where,
+                                                        entry, kind):
+        # a bare number once reached a `key in entry` test and raised TypeError
+        doc = congested_scenario()
+        target = doc
+        for k in block:
+            target = target[k]
+        target.append(entry)
+        path = write_scenario(tmp_path, doc)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert (f"input error: entry 1 of {where} must be a JSON object, got {kind}\n"
+                == capsys.readouterr().err)
 
     def test_fixed_demand_entry_may_keep_its_elastic_keys(self, tmp_path):
         doc = fixed_scenario([300.0, 200.0])

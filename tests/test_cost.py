@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edue.cost import A1ViolationError, CostField, SchedulePenalty, effective_delay
+from edue import cost
+from edue.cost import (A1ViolationError, CostField, CostInvariantError, SchedulePenalty,
+                       effective_delay)
 from edue.dnl import load
 from edue.grid import ShapeError, TimeGrid
 from edue.network import Link, Network, Path
@@ -127,6 +131,103 @@ class TestEffectiveDelay:
             res = load(net, [rng.uniform(0, 300, 8)], grid)
             psi = effective_delay(res, SchedulePenalty(0.5, 2.0))
             assert np.all(psi[0] > 0.0)
+
+
+def two_route_instance():
+    """Two parallel links of capacity 100 veh/h, 0.1 h and 0.2 h long."""
+    links = (Link("a", "O", "D", 0.1, 100.0), Link("b", "O", "D", 0.2, 100.0))
+    paths = (Path("p1", ("a",), "O", "D"), Path("p2", ("b",), "O", "D"))
+    return Network(links=links, paths=paths, arrival_target=0.5)
+
+
+def fresh_copy(net):
+    """A new Network object with the same links and paths, and so no memo."""
+    return Network(links=net.links, paths=net.paths, arrival_target=net.arrival_target)
+
+
+class TestFreeFlowMemo:
+    """A loading in which no link queues gets its delays from the memo kept
+    on its network, one entry per (grid, penalty)."""
+
+    grid = TimeGrid(0.0, 1.0, 4)
+    penalty = SchedulePenalty(0.5, 2.0)
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The computations of effective delays, counted from here on."""
+        computed = []
+        compute = cost._effective_delay
+        monkeypatch.setattr(cost, "_effective_delay",
+                            lambda r, f: computed.append(r) or compute(r, f))
+        return computed
+
+    def test_repeat_loading_equals_a_fresh_computation(self, monkeypatch):
+        net = two_route_instance()
+        before = (repr(net), hash(net))
+        first = effective_delay(load(net, np.full((2, 4), 10.0), self.grid), self.penalty)
+        computed = self.counted(monkeypatch)
+        res = load(net, [[90.0, 0.0, 50.0, 5.0], [0.0, 99.0, 1.0, 0.0]], self.grid)
+        assert res.queue_free
+        again = effective_delay(res, self.penalty)
+        assert computed == []
+        other = fresh_copy(net)
+        fresh = effective_delay(load(other, np.full((2, 4), 3.0), self.grid), self.penalty)
+        assert len(computed) == 1
+        assert again.tobytes() == fresh.tobytes() == first.tobytes()
+        # the memo is no field: the network compares, hashes and prints as before
+        assert (repr(net), hash(net)) == before and net == other
+
+    def test_result_is_a_writeable_copy(self):
+        net = two_route_instance()
+        res = load(net, np.full((2, 4), 10.0), self.grid)
+        psi = effective_delay(res, self.penalty)
+        want = psi.tobytes()
+        assert psi.flags.writeable
+        psi[:] = -1.0
+        again = effective_delay(res, self.penalty)
+        assert again.tobytes() == want
+        assert not np.shares_memory(again, net.free_flow_delays[self.grid, self.penalty])
+
+    def test_each_grid_and_penalty_has_its_own_entry(self, monkeypatch):
+        net = two_route_instance()
+        computed = self.counted(monkeypatch)
+        cases = [(self.grid, self.penalty), (TimeGrid(0.0, 1.0, 6), self.penalty),
+                 (self.grid, SchedulePenalty(0.25, 2.0))]
+        for _ in range(2):
+            for grid, penalty in cases:
+                psi = effective_delay(load(net, np.full((2, grid.n), 10.0), grid), penalty)
+                fresh = effective_delay(load(fresh_copy(net), np.zeros((2, grid.n)), grid),
+                                        penalty)
+                assert psi.tobytes() == fresh.tobytes()
+        # each case computed once on net, and every time on its fresh copies
+        assert len(computed) == 3 + 2 * 3
+        assert list(net.free_flow_delays) == cases
+
+    def test_queued_loading_is_computed_not_served(self, monkeypatch):
+        net = two_route_instance()
+        effective_delay(load(net, np.full((2, 4), 10.0), self.grid), self.penalty)
+        stored = net.free_flow_delays[self.grid, self.penalty].tobytes()
+        computed = self.counted(monkeypatch)
+        flows = [[400.0, 0.0, 0.0, 0.0], [10.0, 10.0, 10.0, 10.0]]  # a queues, b does not
+        res = load(net, flows, self.grid)
+        assert not res.queue_free
+        psi = effective_delay(res, self.penalty)
+        assert computed == [res]
+        assert psi.tobytes() == effective_delay(load(fresh_copy(net), flows, self.grid),
+                                                self.penalty).tobytes()
+        assert psi.tobytes() != stored
+        assert net.free_flow_delays[self.grid, self.penalty].tobytes() == stored
+        assert len(net.free_flow_delays) == 1
+
+    def test_nonpositive_queue_free_delay_raises_and_stores_nothing(self):
+        net = two_route_instance()
+        # exit times at the departure times: zero delay, zero penalty
+        exits = np.tile(self.grid.boundaries, (2, 1))
+        result = SimpleNamespace(grid=self.grid, boundary_exits=lambda: exits,
+                                 queue_free=True, network=net)
+        with pytest.raises(CostInvariantError, match="path index 0"):
+            effective_delay(result, SchedulePenalty(0.0, 0.0))
+        assert net.free_flow_delays == {}
 
 
 class TestCostField:

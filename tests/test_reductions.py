@@ -11,7 +11,7 @@ from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
 from edue.solver import compute_gap, fixed_point_step
 from edue.verify import (DEFAULT_FLOW_THRESHOLD_REL, best_response, due_residuals, od_residuals,
-                         random_probe, reduced_costs)
+                         random_probe)
 
 from oracles import (
     best_response_loop,
@@ -96,7 +96,7 @@ def test_od_residuals_equal_the_formulas_over_psi_and_theta(problem, tie, seed):
         psi = psi * np.random.default_rng(seed).uniform(0.5, 2.0, size=psi.shape)
     if tie:
         theta = od_minima(net, psi)
-    r1, r2 = od_residuals(h, reduced_costs(CostField(psi, theta), net), net, grid.dt)
+    r1, r2 = od_residuals(h, CostField(psi, theta), net, grid.dt)
     excess = np.maximum(0.0, psi - theta[net.path_od, None])
     want_r1 = net.od_sum((h * excess).sum(axis=1)) * grid.dt
     want_r2 = np.maximum(0.0, theta - net.od_min(psi))

@@ -442,7 +442,8 @@ class TestInputChecks:
         grid = TimeGrid(0.0, 1.0, 2)
         # exit times at the departure times on path 1: zero delay, zero penalty
         exits = np.array([[0.5, 1.0, 1.5], [0.0, 0.5, 1.0]])
-        result = SimpleNamespace(grid=grid, boundary_exits=lambda: exits,
+        # queue_free=False: the delays are computed, not looked up
+        result = SimpleNamespace(grid=grid, boundary_exits=lambda: exits, queue_free=False,
                                  network=SimpleNamespace(arrival_target=2.0))
         with pytest.raises(CostInvariantError, match="path index 1"):
             effective_delay(result, SchedulePenalty(0.0, 0.0))
