@@ -8,7 +8,8 @@ The delays of a loading in which no link queues are computed once per
 network, grid and penalty and then looked up (``Network.free_flow_delays``):
 with no wait anywhere, a path's exit times are its departure times plus its
 free-flow times, so its delays do not depend on the flows. A loading in which
-any link queues is computed every time.
+any link queues is computed every time. Once they are kept, ``solver.f_map``
+runs no loading at all for flows that ``dnl.cannot_queue`` clears.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import ShapeError
+
 __all__ = ["DemandDomainError", "InverseDemand"]
 
 DEFAULT_CAP_FRACTION = 0.95  # of the choke demand intercept/slope
@@ -80,8 +82,12 @@ class InverseDemand:
         return InverseDemand(intercept, slope, np.array(filled))
 
     def theta(self, demand: np.ndarray) -> np.ndarray:
-        """Inverse demand values at the given demand vector (hours)."""
+        """Inverse demand values at the given demand vector (hours); ShapeError
+        unless it holds one entry per OD pair."""
         demand = np.asarray(demand, dtype=float)
+        if demand.shape != self.cap.shape:
+            raise ShapeError(f"demand must have shape (OD pairs,) = {self.cap.shape}, "
+                             f"got shape {demand.shape}")
         inside = (demand >= 0.0) & (demand <= self.cap)  # False for nan
         if np.count_nonzero(inside) < inside.size:  # one C call, unlike .all()
             raise DemandDomainError(

@@ -23,30 +23,34 @@ exactly zero, the exit times are the breakpoints s, and _queue is skipped.
 Two entry points hand _step its rows. _link_step loads one link: a lone link
 at its depth, whose one live user's counts go in as they stand; a merge
 link, whose live users' curves are first interpolated on the union of their
-breakpoints; and the links of a succession cycle (a ring road), which feed
-each other and so are loaded in passes: nothing leaves a link sooner than
-tau after entering it, so each pass makes the cycle's curves exact for one
-more min-tau of time. No link at a depth feeds another at it, so when two or
-more links of a depth have one live user each (a path whose inflow curve
-there carries flow), _batch_step lays their curves end to end and loads them
-in one _step, whose cost is almost all fixed. Batched links do queue: the
+breakpoints (unless all share one time array); and the links of a
+succession cycle (a ring road), which feed each other and so are loaded in
+passes: nothing leaves a link sooner than tau after entering it, so each
+pass makes the cycle's curves exact for one more min-tau of time. No link
+at a depth feeds another at it, so when two or more links of a depth have
+one live user each (a path whose inflow curve there carries flow),
+_batch_step lays their curves end to end and loads them in one _step, whose
+cost is almost all fixed. Batched links do queue: the
 oracle scores the copies of its congested instance in batches (oracle-tiny).
 
 On a 2-core Xeon host (least of 30 interleaved runs of 200 calls; k identical
 links of 17 breakpoints, fed at half their capacity, or at 1.8 and 0.2 times
 it by turns for a queue), k links take one by one / in one batch: without a
-queue 16 / 20 us for k = 2, 23 / 22 us for 3, 32 / 25 us for 4 and 65 / 35 us
-for 8; with a queue 50 / 46, 74 / 48, 98 / 49 and 194 / 62 us. A lone link
-takes 8 us alone and 14 us as a batch of one (25 and 32 us with a queue).
+queue 15 / 19 us for k = 2, 23 / 20 us for 3, 31 / 20 us for 4 and 62 / 26 us
+for 8; with a queue 50 / 46, 74 / 46, 100 / 48 and 202 / 56 us. A lone link
+takes 8 us alone and 14 us as a batch of one (25 and 31 us with a queue).
 So the batch pays from k = 3 on, but load batches from k = 2: at exactly two
 such links it can be the slower way, and no workload has such a depth.
 
-A loading keeps, per link, its breakpoints s and waits w = q / M. Exit times
-of a path follow by s <- s + tau, then s <- s + w(s), link by link.
+A loading keeps the breakpoints s and waits w = q / M of each link that
+queues. Exit times of a path follow by s <- s + tau, then s <- s + w(s), link
+by link. The batched links' states are built on first access.
+cannot_queue tells, without loading, when no link can queue.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,13 +58,15 @@ import numpy as np
 from .grid import TimeGrid
 from .network import Link, Network, Users
 
-__all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "load", "default_horizon"]
+__all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "cannot_queue", "load",
+           "default_horizon"]
 
 # Breakpoints closer than this (hours, 3.6 ns) are merged and waits shorter
 # than it are zero. It exceeds the float spacing of clock times below 1000 h
 # (1.1e-13 h), so the breakpoints kept, emptying instants and drain points
 # are distinct floats.
 _MIN_PARCEL_LEN = 1e-12
+_EPS = float(np.finfo(float).eps)  # the float spacing at 1
 
 # A path's cumulative curve at one point of its route: (times, counts), both
 # nondecreasing and linear between samples; None when the path carries nothing.
@@ -231,7 +237,9 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
     out, in the order of ``inflows``.
 
     One live user's counts go to _step as they stand; with more, each user's
-    counts are interpolated on the union of their breakpoints."""
+    counts are interpolated on the union of their breakpoints, unless they
+    all share one strictly increasing time array, at whose own breakpoints
+    np.interp would return their counts unchanged."""
     live = [c for c in inflows if c is not None]
     if not live:
         empty = np.empty(0)
@@ -240,11 +248,15 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
         e, n = live[0]
         counts = n[None]  # the user's own array
     else:
-        # sorted in Python: the first use of numpy's sort kernels adds about
-        # 0.3 MB of resident memory, more than a few hundred breakpoints are
-        # worth
-        e = np.array(sorted(set(np.concatenate([t for t, _ in live]).tolist())))
-        counts = np.array([np.interp(e, t, n) for t, n in live])
+        e = _shared_axis([t for t, _ in live])
+        if e is not None:
+            counts = np.array([n for _, n in live])
+        else:
+            # sorted in Python: the first use of numpy's sort kernels adds
+            # about 0.3 MB of resident memory, more than a few hundred
+            # breakpoints are worth
+            e = np.array(sorted(set(np.concatenate([t for t, _ in live]).tolist())))
+            counts = np.array([np.interp(e, t, n) for t, n in live])
     s, a, q, w, counts, exits, _, (queued,) = _step(
         [link], e + link.free_flow_time, counts, np.array([len(e) - 1]))
     out = iter(counts)
@@ -252,22 +264,44 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
         None if c is None else (exits, next(out)) for c in inflows]
 
 
+def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
+    """The first of the time arrays if all are equal and strictly
+    increasing, else None."""
+    first = times[0]
+    if any(len(t) != len(first) for t in times):
+        return None
+    if np.count_nonzero(np.array(times) != first) or np.count_nonzero(first[1:] <= first[:-1]):
+        return None
+    return first
+
+
+# the arrays of one _batch_step: its links, then their breakpoints s, arrivals,
+# queue and waits laid end to end, the index after each link's row and
+# whether each link queues
+Batch = tuple[list[Link], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int], list[bool]]
+
+
 def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[list[LinkState], list[Curve]]:
+                ) -> tuple[Batch, list[Curve]]:
     """_link_step of links that have one user each, that user's inflow curve
     given per link: one _step over the links' curves laid end to end, each
-    link's free-flow time repeated over its row."""
+    link's free-flow time repeated over its row. The links' states stay in
+    the returned Batch until _batch_states builds them."""
     sizes = np.array([len(t) for t, _ in inflows])
     tau = np.array([link.free_flow_time for link in links])
     s, a, q, w, _, exits, last, queued = _step(
         links, np.concatenate([t for t, _ in inflows]) + tau.repeat(sizes),
         np.concatenate([n for _, n in inflows])[None], sizes.cumsum() - 1)
-    bounds = (last + 1).tolist()
-    states, outs = [], []
-    for link, lo, hi, queues in zip(links, [0] + bounds, bounds, queued):
-        states.append(LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], queues))
-        outs.append((exits[lo:hi], a[lo:hi]))
-    return states, outs
+    ends = (last + 1).tolist()
+    outs = [(exits[lo:hi], a[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return (links, s, a, q, w, ends, queued), outs
+
+
+def _batch_states(batch: Batch) -> list[LinkState]:
+    """The LinkState of each link of a _batch_step, in its order."""
+    links, s, a, q, w, ends, queued = batch
+    return [LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], queues)
+            for link, lo, hi, queues in zip(links, [0] + ends, ends, queued)]
 
 
 def _settle_time(curve: Curve) -> float:
@@ -285,6 +319,45 @@ def default_horizon(network: Network, volume: float) -> float:
     return volume / min_cap + total_fft
 
 
+def cannot_queue(network: Network, flows: np.ndarray, grid: TimeGrid) -> bool:
+    """Whether load(network, flows, grid) with its default horizon is sure to
+    clear and to report queue_free: the flows have the loader's shape and
+    are nonnegative (so NaN and negative flows fail and load rejects them),
+    the network has no succession cycle, every used link's exit capacity is
+    at least the sum of its users' peak rates (each path's largest cell
+    flow), and the horizon condition holds (below).
+
+    Proof. Through links that do not queue a path's curve is its departure
+    curve shifted by free-flow times, so its rate never exceeds its peak.
+    Depth by depth, no link's arrival rate then exceeds the sum of its users'
+    peaks, at most its capacity, and g = a - cap * s never rises. In floats
+    it may rise by a few ulps. Let T = max(|t0|, |tf| + the used links'
+    free-flow times) bound every clock time and eps be the float spacing at
+    1. A time is shifted by at most one rounded addition per depth; the
+    counts stay at most cap * (tf - t0) <= 2 T cap, and each cell, user and
+    operation rounds them by at most eps T cap. So _queue's q is below
+    eps T cap (depths + most users of a link + 2 n + 8), and _queue zeroes
+    it if that is below cap * _MIN_PARCEL_LEN: the horizon condition's
+    first half. Clearance: with no queue every curve ends by tf plus the
+    free-flow times of one chain of distinct links, up to eps T per link,
+    and the default horizon adds volume / min_cap >= dt (largest peak) /
+    min_cap beyond all used links' free-flow times; the second half asks
+    that this exceed eps T (used links + 2), or that nothing flows. A
+    cycle's passes shift its merged breakpoints on past that chain bound,
+    so cycles always load."""
+    caps, users, starts, steps = network.queue_bound_terms
+    if steps is None or flows.shape != (len(network.paths), grid.n) or not flows.min() >= 0.0:
+        return False
+    peaks = flows.max(axis=1)
+    if np.count_nonzero(np.add.reduceat(peaks[users], starts) <= caps) < len(caps):
+        return False
+    min_cap, total_fft = network.clearance_terms
+    room = _EPS * max(abs(grid.t0), abs(grid.tf) + total_fft)
+    top = float(peaks.max())
+    return (room * (steps + 2 * grid.n + 8) < _MIN_PARCEL_LEN
+            and (top == 0.0 or grid.dt * top > room * (len(caps) + 2) * min_cap))
+
+
 class LoadingResult:
     """Outcome of one network loading: per-link curves plus exact path
     exit-time evaluation."""
@@ -293,23 +366,39 @@ class LoadingResult:
         self,
         network: Network,
         grid: TimeGrid,
-        states: dict[str, LinkState],
+        parts: dict[str, LinkState | Batch],
+        waits: dict[str, tuple[np.ndarray, np.ndarray]],
         total_in: float,
         total_out: float,
     ):
         self.network = network
         self.grid = grid
-        self.states = states
         self.total_in = total_in
         self.total_out = total_out
-        # per path, per link: free-flow time and the wait curve (None when the
-        # link never queues)
-        waits = {lid: (st.s, st.w) if st.queued else None for lid, st in states.items()}
+        self._parts = parts  # per link, its state or the batch that holds it
+        self._waits = waits  # per queued link, its breakpoints and waits
         # whether no link queues: then a path's exit times are its departure
         # times plus its free-flow times, whatever the flows
-        self.queue_free = all(wait is None for wait in waits.values())
-        self._legs = tuple(tuple((link.free_flow_time, waits[link.id]) for link in route)
-                           for route in network.routes)
+        self.queue_free = not waits
+
+    @cached_property
+    def states(self) -> dict[str, LinkState]:
+        """Per link id, the link's curves, in the order the links were loaded."""
+        states: dict[str, LinkState] = {}
+        for lid, part in self._parts.items():
+            if isinstance(part, LinkState):
+                states[lid] = part
+            elif lid not in states:
+                states.update((st.link.id, st) for st in _batch_states(part))
+        return states
+
+    @cached_property
+    def _legs(self):
+        """Per path, per link: free-flow time and the wait curve (None when the
+        link never queues)."""
+        waits = self._waits
+        return tuple(tuple((link.free_flow_time, waits.get(link.id)) for link in route)
+                     for route in self.network.routes)
 
     @property
     def conservation_residual(self) -> float:
@@ -373,11 +462,16 @@ def load(
         horizon = default_horizon(network, total_in)
     t_end = grid.tf + horizon
 
-    states: dict[str, LinkState] = {}
+    parts: dict[str, LinkState | Batch] = {}
+    waits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(link: Link, users: Users) -> None:
         state, outs = _link_step(link, [curves[p][k] for p, k in users])
-        states[link.id] = state
+        parts[link.id] = state
+        if state.queued:
+            waits[link.id] = state.s, state.w
+        else:
+            waits.pop(link.id, None)  # a cycle's earlier pass may have queued
         for (p, k), out in zip(users, outs):
             curves[p][k + 1] = out
 
@@ -399,9 +493,13 @@ def load(
         elif single:
             batch, outs = _batch_step([link for link, _, _ in single],
                                       [curves[p][k] for _, _, (p, k) in single])
-            for state, out, (_, _, (p, k)) in zip(batch, outs, single):
-                states[state.link.id] = state
+            for out, (link, _, (p, k)) in zip(outs, single):
+                parts[link.id] = batch
                 curves[p][k + 1] = out
+            _, s, _, _, w, ends, queued = batch
+            for (link, _, _), lo, hi, queues in zip(single, [0] + ends, ends, queued):
+                if queues:
+                    waits[link.id] = s[lo:hi], w[lo:hi]
 
         for cycle in depth.cycles:
             # Before a pass, every curve the cycle produces is exact up to
@@ -450,4 +548,4 @@ def load(
         link = network.routes[p][int(np.argmax(on_link))]
         raise HorizonOverflowError(total_in - total_out, t_end, network.paths[p].id, link.id)
 
-    return LoadingResult(network, grid, states, total_in, total_out)
+    return LoadingResult(network, grid, parts, waits, total_in, total_out)

@@ -171,7 +171,8 @@ class Network:
     def free_flow_delays(self) -> dict:
         """The effective delays of a loading in which no link queues, one
         read-only (paths, n) array per (grid, penalty); cost.effective_delay
-        fills and reads it. Such delays do not depend on the flows."""
+        fills and reads it, and solver.f_map reads it. Such delays do not
+        depend on the flows."""
         return {}
 
     @cached_property
@@ -181,6 +182,28 @@ class Network:
         used = {link.id for route in self.routes for link in route}
         links = [l for l in self.links if l.id in used]
         return min(l.exit_capacity for l in links), sum(l.free_flow_time for l in links)
+
+    @cached_property
+    def queue_bound_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+        """The inputs of dnl.cannot_queue: the exit capacities of the links
+        that some path uses, in network order; the path index of each of
+        their users, link after link; where each link's users start; and the
+        depth count plus the most users of one link, None on a network with a
+        succession cycle."""
+        users: dict[str, list[int]] = {l.id: [] for l in self.links}
+        for p, route in enumerate(self.routes):
+            for link in route:
+                users[link.id].append(p)
+        used = [(l.exit_capacity, users[l.id]) for l in self.links if users[l.id]]
+        caps = np.array([cap for cap, _ in used])
+        paths = np.array([p for _, ps in used for p in ps], dtype=np.intp)
+        starts = np.cumsum([0] + [len(ps) for _, ps in used[:-1]])
+        for a in (caps, paths, starts):
+            a.setflags(write=False)
+        depths = self.loading_depths
+        if any(d.cycles for d in depths):
+            return caps, paths, starts, None
+        return caps, paths, starts, len(depths) + max(map(len, users.values()))
 
     def copies(self, b: int) -> "Network":
         """b disjoint copies of the network, laid copy after copy: copy k

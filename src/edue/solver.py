@@ -12,7 +12,10 @@ Reduced costs and residuals come from ``verify``. One iteration forms its
 reduced costs and their per-OD minimum once and shares them among the gap,
 the residuals and the step (``verify`` keeps them with the iteration's
 CostField). It records the largest residuals only, and the report's are
-computed once, at the best point.
+computed once, at the best point. ``f_map`` runs no loading when the network
+keeps the queue-free delays of the grid and penalty and ``dnl.cannot_queue``
+shows that no link can queue: then every link's users' peak rates sum to at
+most its capacity.
 
 No convergence is guaranteed by theory (the delay operator is not monotone);
 non-convergence is reported honestly via the gap history and exit status.
@@ -122,12 +125,20 @@ def f_map(
     """Evaluate the cost mapping at a feasible point: run the loading, build
     effective delays, and evaluate the inverse demand at the point's demands.
 
+    When the network already holds the queue-free delays for this grid and
+    penalty and ``dnl.cannot_queue`` shows that no link can queue, psi is a
+    copy of them and no loading runs: the loading would report queue_free,
+    and effective_delay would return the same copy.
+
     With ``inv_demand=None`` (pinned-demand mode) the OD value is the current
     minimum cell cost, which reduces every downstream formula to the
     fixed-demand equilibrium conditions.
     """
-    result = dnl.load(network, point.flows, grid)
-    psi = effective_delay(result, penalty)
+    psi = network.free_flow_delays.get((grid, penalty))
+    if psi is not None and dnl.cannot_queue(network, point.flows, grid):
+        psi = psi.copy()
+    else:
+        psi = effective_delay(dnl.load(network, point.flows, grid), penalty)
     if inv_demand is not None:
         theta = inv_demand.theta(point.demands)
     else:

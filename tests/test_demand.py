@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edue.demand import DemandDomainError, InverseDemand
+from edue.grid import ShapeError
 
 
 class TestConstruction:
@@ -61,6 +62,14 @@ class TestTheta:
             d.theta(np.array([-1.0]))
         with pytest.raises(DemandDomainError):
             d.theta(np.array([np.nan]))
+
+    @pytest.mark.parametrize("demand", [[5.0], [[5.0, 5.0, 5.0]], [5.0, 5.0, 5.0, 5.0], 5.0])
+    def test_demand_of_the_wrong_shape_rejected(self, demand):
+        # three OD pairs: one value used to broadcast to three, a (1, 3)
+        # array to a (1, 3) result
+        d = InverseDemand(np.full(3, 60.0), np.full(3, 0.5), np.full(3, 100.0))
+        with pytest.raises(ShapeError, match=r"shape \(OD pairs,\) = \(3,\)"):
+            d.theta(np.array(demand))
 
     def test_positive_on_domain(self):
         d = InverseDemand(np.array([60.0]), np.array([0.5]), np.array([100.0]))

@@ -2,15 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from edue.cost import CostField, SchedulePenalty, effective_delay
 from edue.demand import InverseDemand
-from edue.dnl import (_MIN_PARCEL_LEN, HorizonOverflowError, _batch_step, _link_step,
-                      default_horizon, load)
+from edue import dnl
+from edue.dnl import (_MIN_PARCEL_LEN, HorizonOverflowError, _batch_states, _batch_step,
+                      _link_step, cannot_queue, default_horizon, load)
 from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
-from edue.solver import compute_gap
+from edue.solver import compute_gap, f_map
 
 from conftest import corridor_network, single_link_network
 from oracles import single_link_delay
@@ -677,7 +678,8 @@ class TestLoaderProperties:
     def test_lone_link_step_equals_batch_step_bit_for_bit(self, grid, data):
         link, curve = data.draw(lone_link_flows(grid))
         ref, (ref_out,) = _link_step(link, [curve])
-        (state,), (out,) = _batch_step([link], [curve])
+        batch, (out,) = _batch_step([link], [curve])
+        (state,) = _batch_states(batch)
         for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
                           (state.queue, ref.queue), (state.w, ref.w),
                           (out[0], ref_out[0]), (out[1], ref_out[1])):
@@ -700,8 +702,8 @@ class TestLoaderProperties:
     @given(single_user_links())
     def test_batch_step_equals_link_step_bit_for_bit(self, case):
         links, curves = case
-        states, outs = _batch_step(links, curves)
-        for link, curve, state, out in zip(links, curves, states, outs):
+        batch, outs = _batch_step(links, curves)
+        for link, curve, state, out in zip(links, curves, _batch_states(batch), outs):
             ref, (ref_out,) = _link_step(link, [curve])
             for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
                               (state.queue, ref.queue), (state.w, ref.w),
@@ -790,3 +792,159 @@ class TestStackedCopies:
             assert np.array_equal(psi[rows], own_psi)
             own = ExtendedPoint.from_matrix(grid, h, d)
             assert gaps[k] == compute_gap(own, CostField(own_psi, inv.theta(d)), net, inv.cap)
+
+
+def fresh(net):
+    """An equal network object with no memo filled."""
+    return Network(net.links, net.paths, net.arrival_target)
+
+
+def at_the_bound(net, flows):
+    """The flows scaled so that the users' peaks of the link nearest its
+    capacity sum to it, up to a few ulps below, and every other link's stay
+    at most at theirs; None if nothing flows."""
+    caps, users, starts, _ = net.queue_bound_terms
+    sums = np.add.reduceat(flows.max(axis=1)[users], starts)
+    i = int(np.argmax(sums / caps))
+    if sums[i] == 0.0:
+        return None
+    scaled = flows * (caps[i] / sums[i])
+    for _ in range(8):  # rounding may leave a sum an ulp above its capacity
+        if np.all(np.add.reduceat(scaled.max(axis=1)[users], starts) <= caps):
+            return scaled
+        scaled = scaled * (1.0 - 2.0 ** -52)
+    raise AssertionError("could not scale the flows to the bound")
+
+
+def count_loads(monkeypatch):
+    calls = []
+    real = dnl.load
+    monkeypatch.setattr(dnl, "load", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestNoQueueBound:
+    """f_map skips the loading when cannot_queue shows that no link can queue
+    and the network holds the queue-free delays; psi is then bit for bit the
+    loading's."""
+
+    penalty = SchedulePenalty(0.5, 2.0)
+
+    def check_at_the_bound(self, case):
+        net, grid, flows = case
+        flows = at_the_bound(net, flows)
+        assume(flows is not None)
+        res = load(net, flows, grid)
+        assert res.queue_free
+        assert cannot_queue(net, flows, grid) == (net.queue_bound_terms[3] is not None)
+        effective_delay(res, self.penalty)  # fills the network's entry
+        point = ExtendedPoint.from_matrix(grid, flows, net.od_sum(flows.sum(axis=1)) * grid.dt)
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_loads(m)
+            psi = f_map(net, point, self.penalty, None, grid).psi
+        assert len(calls) == (not cannot_queue(net, flows, grid))
+        want = effective_delay(load(fresh(net), flows, grid), self.penalty)
+        assert psi.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(layered_loadings())
+    def test_layered_flows_at_the_bound(self, case):
+        self.check_at_the_bound(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_loadings())
+    def test_ring_flows_at_the_bound(self, case):
+        self.check_at_the_bound(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(layered_loadings(), ring_loadings()), st.floats(0.25, 4.0))
+    def test_bound_implies_queue_free(self, case, scale):
+        net, grid, flows = case
+        flows = flows * scale
+        if cannot_queue(net, flows, grid):
+            assert load(net, flows, grid).queue_free
+
+    def filled(self, net, grid):
+        effective_delay(load(net, np.zeros((len(net.paths), grid.n)), grid), self.penalty)
+        return net
+
+    def test_negative_flows_still_raise_the_loaders_error(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        net = self.filled(single_link_network(0.1, 1000.0, 0.6), grid)
+        point = ExtendedPoint.from_matrix(grid, [[10.0, -1.0, 0.0, 0.0]], [2.0])
+        assert not cannot_queue(net, point.flows, grid)
+        with pytest.raises(ValueError, match="path flows must be finite and nonnegative"):
+            f_map(net, point, self.penalty, None, grid)
+
+    def test_flows_over_the_bound_at_one_link_load(self, monkeypatch):
+        # the two feeders of corridor_network(2) peak in different cells at
+        # 800 veh/h each: no queue forms, but their peaks sum above bn's 1500
+        net = corridor_network(2)
+        grid = TimeGrid(0.0, 1.6, 4)
+        flows = np.zeros((4, 4))
+        flows[0, 0] = flows[2, 2] = 800.0
+        self.filled(net, grid)
+        calls = count_loads(monkeypatch)
+        point = ExtendedPoint.from_matrix(grid, flows, net.od_sum(flows.sum(axis=1)) * grid.dt)
+        psi = f_map(net, point, self.penalty, None, grid).psi
+        assert len(calls) == 1
+        assert load(net, flows, grid).queue_free
+        flows[2, 2] = 700.0  # 1500 veh/h: at the bound
+        point = ExtendedPoint.from_matrix(grid, flows, net.od_sum(flows.sum(axis=1)) * grid.dt)
+        assert np.array_equal(f_map(net, point, self.penalty, None, grid).psi, psi)
+        assert len(calls) == 1
+
+    def test_far_clock_times_load(self):
+        # at 1e6 h the float spacing of a clock time (1.2e-10 h) exceeds
+        # _MIN_PARCEL_LEN: rounding alone could then leave a queue
+        net = single_link_network(0.1, 1000.0, 0.6)
+        flows = np.full((1, 4), 10.0)
+        assert cannot_queue(net, flows, TimeGrid(0.0, 1.0, 4))
+        assert not cannot_queue(net, flows, TimeGrid(1e6, 1e6 + 1.0, 4))
+
+    def test_a_volume_too_small_to_clear_by_rounding_loads(self):
+        # the default horizon of 1e-200 veh adds less than an ulp to the
+        # free-flow times, and the last exit time rounds past the horizon
+        # end: the loader's overflow is spurious, but f_map must load and
+        # raise it as load does
+        taus = (0.18846168232956362, 0.12126649073594618, 0.2991908813788712)
+        links = tuple(Link(f"l{i}", f"n{i}", f"n{i + 1}", tau, 1000.0)
+                      for i, tau in enumerate(taus))
+        net = Network(links, (Path("p", ("l0", "l1", "l2"), "n0", "n3"),), 1.0)
+        grid = TimeGrid(0.0, 4.906093160003527, 2)
+        self.filled(net, grid)
+        flows = np.array([[0.0, 1e-200]])
+        assert not cannot_queue(net, flows, grid)
+        point = ExtendedPoint.from_matrix(grid, flows, [flows.sum() * grid.dt])
+        with pytest.raises(HorizonOverflowError):
+            f_map(net, point, self.penalty, None, grid)
+
+
+class TestSharedMergeAxis:
+    """A merge link whose live users share one time array skips the union of
+    breakpoints and the interpolation, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(layered_loadings())
+    def test_layered_loadings_equal_the_union_path(self, case):
+        net, grid, flows = case
+        shared = load(net, flows, grid)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dnl, "_shared_axis", lambda times: None)
+            union = load(net, flows, grid)
+        for link in net.links:
+            got, want = shared.states[link.id], union.states[link.id]
+            for x, y in ((got.s, want.s), (got.cum_in, want.cum_in),
+                         (got.queue, want.queue), (got.w, want.w)):
+                assert x.tobytes() == y.tobytes(), link.id
+            assert got.queued == want.queued
+        assert shared.boundary_exits().tobytes() == union.boundary_exits().tobytes()
+
+    def test_batched_feeders_share_their_axis_at_the_bottleneck(self, monkeypatch):
+        net = corridor_network(3)
+        grid = TimeGrid(0.0, 1.6, 8)
+        hits = []
+        real = dnl._shared_axis
+        monkeypatch.setattr(dnl, "_shared_axis", lambda times: hits.append(real(times)) or hits[-1])
+        load(net, np.full((6, 8), 200.0), grid)
+        assert len(hits) == 1 and hits[0] is not None
