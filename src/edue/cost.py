@@ -3,24 +3,16 @@
 The penalty family is two-slope: early arrivals are charged beta per hour of
 earliness, late arrivals gamma per hour of lateness. The early slope must stay
 below 1 so that the penalty's slope bound Delta = -beta exceeds -1.
-
-The delays of a loading in which no link queues are computed once per
-network, grid and penalty and then looked up (``Network.free_flow_delays``):
-with no wait anywhere, a path's exit times are its departure times plus its
-free-flow times, so its delays do not depend on the flows. A loading in which
-any link queues is computed every time. Once they are kept, ``solver.f_map``
-runs no loading at all for flows that ``dnl.cannot_queue`` clears.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dnl import LoadingResult
-from .grid import ShapeError
+from .grid import ShapeError, finite_real
 
 __all__ = [
     "A1ViolationError",
@@ -47,9 +39,7 @@ class SchedulePenalty:
 
     def __post_init__(self) -> None:
         for name in ("early", "late"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"penalty {name} must be finite, got {value!r}")
+            finite_real(getattr(self, name), f"penalty {name}")
         if self.early < 0.0 or self.late < 0.0:
             raise ValueError("penalty slopes must be nonnegative")
         if self.early >= 1.0:
@@ -102,28 +92,8 @@ def effective_delay(result: LoadingResult, penalty: SchedulePenalty) -> np.ndarr
 
     Each cell value averages the two endpoint evaluations of
     D(t) + f(t + D(t) - target), using the exact exit-time function and the
-    loaded network's arrival target.
-
-    When no link of the loading queues, the delays are those of every other
-    queue-free loading of the network on the same grid: the first one is
-    computed and kept, read-only, in ``result.network.free_flow_delays``
-    under (grid, penalty), and each call gets a writeable copy of it.
+    loaded network's arrival target. CostInvariantError if one is nonpositive.
     """
-    if not result.queue_free:
-        return _effective_delay(result, penalty)
-    memo = result.network.free_flow_delays
-    key = (result.grid, penalty)
-    vals = memo.get(key)
-    if vals is None:
-        vals = _effective_delay(result, penalty)
-        vals.setflags(write=False)
-        memo[key] = vals
-    return vals.copy()
-
-
-def _effective_delay(result: LoadingResult, penalty: SchedulePenalty) -> np.ndarray:
-    """The delays of effective_delay, computed from the loading's exit times;
-    CostInvariantError if one is nonpositive."""
     grid = result.grid
     exits = result.boundary_exits()
     psi_pts = (exits - grid.boundaries) + penalty(exits - result.network.arrival_target)
@@ -136,4 +106,3 @@ def _effective_delay(result: LoadingResult, penalty: SchedulePenalty) -> np.ndar
             "free-flow times must be positive and the penalty nonnegative"
         )
     return vals
-

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, finite_real
 from .network import Link, Network, Users
 
 __all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "cannot_queue", "load",
@@ -311,51 +311,55 @@ def _settle_time(curve: Curve) -> float:
 
 
 def default_horizon(network: Network, volume: float) -> float:
-    """Extended-horizon length guaranteeing clearance of the loaded volume
-    (total departures, vehicles): the volume over the slowest capacity plus
-    the total free-flow time, both over the links that some path uses. The
-    two terms are the network's ``clearance_terms``, taken once per network."""
-    min_cap, total_fft = network.clearance_terms
+    """Extended-horizon length that clears the loaded volume (total
+    departures, vehicles) in exact arithmetic: the volume over the slowest
+    capacity plus the total free-flow time, both over the links that some
+    path uses (the network's ``clearance_terms``, taken once per network).
+    load's default horizon adds the rounding room of _rounding_room to it."""
+    min_cap, total_fft, _ = network.clearance_terms
     return volume / min_cap + total_fft
 
 
+def _rounding_room(network: Network, grid: TimeGrid, roundings: int) -> float:
+    """eps T times ``roundings``, with eps the float spacing at 1 and T =
+    max(|t0|, |tf| + the used links' total free-flow time), which bounds
+    every clock time of a loading on the grid in which no link queues.
+
+    With no queue, a network without a succession cycle clears by tf plus the
+    free-flow times of one chain of distinct links, up to one rounding per
+    link; the horizon end rounds the free-flow sum and three additions. Each
+    rounding errs by at most eps T / 2, so room for used links + 2 roundings
+    in load's default horizon clears such a loading however small its volume."""
+    total_fft = network.clearance_terms[1]
+    return _EPS * max(abs(grid.t0), abs(grid.tf) + total_fft) * roundings
+
+
 def cannot_queue(network: Network, flows: np.ndarray, grid: TimeGrid) -> bool:
-    """Whether load(network, flows, grid) with its default horizon is sure to
-    clear and to report queue_free: the flows have the loader's shape and
-    are nonnegative (so NaN and negative flows fail and load rejects them),
-    the network has no succession cycle, every used link's exit capacity is
-    at least the sum of its users' peak rates (each path's largest cell
-    flow), and the horizon condition holds (below).
+    """Whether load(network, flows, grid) is sure to report queue_free: the
+    flows have the loader's shape and are nonnegative (so NaN and negative
+    flows fail and load rejects them), the network has no succession cycle,
+    every used link's exit capacity is at least the sum of its users' peak
+    rates (each path's largest cell flow), and rounding cannot leave a queue
+    (below). The default horizon then clears them (_rounding_room).
 
     Proof. Through links that do not queue a path's curve is its departure
     curve shifted by free-flow times, so its rate never exceeds its peak.
     Depth by depth, no link's arrival rate then exceeds the sum of its users'
     peaks, at most its capacity, and g = a - cap * s never rises. In floats
-    it may rise by a few ulps. Let T = max(|t0|, |tf| + the used links'
-    free-flow times) bound every clock time and eps be the float spacing at
-    1. A time is shifted by at most one rounded addition per depth; the
-    counts stay at most cap * (tf - t0) <= 2 T cap, and each cell, user and
-    operation rounds them by at most eps T cap. So _queue's q is below
-    eps T cap (depths + most users of a link + 2 n + 8), and _queue zeroes
-    it if that is below cap * _MIN_PARCEL_LEN: the horizon condition's
-    first half. Clearance: with no queue every curve ends by tf plus the
-    free-flow times of one chain of distinct links, up to eps T per link,
-    and the default horizon adds volume / min_cap >= dt (largest peak) /
-    min_cap beyond all used links' free-flow times; the second half asks
-    that this exceed eps T (used links + 2), or that nothing flows. A
-    cycle's passes shift its merged breakpoints on past that chain bound,
-    so cycles always load."""
+    it may rise by a few ulps. With T the bound on clock times of
+    _rounding_room, a time is shifted by at most one rounded addition per
+    depth; the counts stay at most cap * (tf - t0) <= 2 T cap, and each cell,
+    user and operation rounds them by at most eps T cap. So _queue's q is
+    below eps T cap (depths + most users of a link + 2 n + 8), and _queue
+    zeroes it if that is below cap * _MIN_PARCEL_LEN: the last condition. A
+    cycle's passes shift its merged breakpoints on past these bounds, so
+    cycles always load."""
     caps, users, starts, steps = network.queue_bound_terms
     if steps is None or flows.shape != (len(network.paths), grid.n) or not flows.min() >= 0.0:
         return False
-    peaks = flows.max(axis=1)
-    if np.count_nonzero(np.add.reduceat(peaks[users], starts) <= caps) < len(caps):
+    if np.count_nonzero(np.add.reduceat(flows.max(axis=1)[users], starts) <= caps) < len(caps):
         return False
-    min_cap, total_fft = network.clearance_terms
-    room = _EPS * max(abs(grid.t0), abs(grid.tf) + total_fft)
-    top = float(peaks.max())
-    return (room * (steps + 2 * grid.n + 8) < _MIN_PARCEL_LEN
-            and (top == 0.0 or grid.dt * top > room * (len(caps) + 2) * min_cap))
+    return _rounding_room(network, grid, steps + 2 * grid.n + 8) < _MIN_PARCEL_LEN
 
 
 class LoadingResult:
@@ -431,8 +435,9 @@ def load(
     (paths, n) array with one row per path.
 
     Raises HorizonOverflowError if vehicles remain in the network past
-    tf + horizon (horizon defaults to a clearance-guaranteeing bound; a given
-    one must be finite and nonnegative).
+    tf + horizon. The horizon defaults to default_horizon plus room for its
+    own rounding (_rounding_room), so it guarantees clearance; a given one
+    must be finite and nonnegative.
     """
     flows = np.asarray(flows, dtype=float)
     if flows.shape != (len(network.paths), grid.n):
@@ -442,7 +447,7 @@ def load(
         )
     if np.count_nonzero((flows >= 0.0) & (flows < np.inf)) < flows.size:  # NaN fails both
         raise ValueError("path flows must be finite and nonnegative")
-    if horizon is not None and not (np.isfinite(horizon) and horizon >= 0.0):
+    if horizon is not None and not finite_real(horizon, "horizon") >= 0.0:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
     # curves[p][k]: path p's curve at the entry of its k-th link; the last
@@ -459,7 +464,8 @@ def load(
         total_in += volume
         curves.append([(bounds, row) if volume > 0.0 else None] + [None] * len(route))
     if horizon is None:
-        horizon = default_horizon(network, total_in)
+        horizon = (default_horizon(network, total_in)
+                   + _rounding_room(network, grid, network.clearance_terms[2] + 2))
     t_end = grid.tf + horizon
 
     parts: dict[str, LinkState | Batch] = {}

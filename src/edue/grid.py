@@ -9,6 +9,7 @@ equilibrium tolerances used downstream.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +37,19 @@ def positive_int(value: object, name: str) -> int:
     raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def finite_real(value: object, name: str):
+    """value as given, if it is a finite real number (bool excepted); else
+    ValueError naming the field."""
+    # a float skips the numbers.Real check, an ABC lookup several times
+    # slower than the rest of this function
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [t0, tf] into n cells of identical width.
@@ -51,9 +65,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", positive_int(self.n, "cell count"))
         for name in ("t0", "tf"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"horizon {name} must be finite, got {value!r}")
+            finite_real(getattr(self, name), f"horizon {name}")
         if not self.tf > self.t0:
             raise ValueError(f"horizon end {self.tf} must exceed start {self.t0}")
 

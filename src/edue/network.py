@@ -6,13 +6,14 @@ problem and the equilibrium model takes the set as given.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .grid import finite_real
 
 __all__ = ["Link", "Path", "Network", "StructureError"]
 
@@ -36,8 +37,8 @@ class Link:
 
     def __post_init__(self) -> None:
         for name in ("free_flow_time", "exit_capacity"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            value = finite_real(getattr(self, name), f"link {self.id}: {name}")
+            if not value > 0.0:
                 raise ValueError(f"link {self.id}: {name} must be finite and positive, "
                                  f"got {value!r}")
 
@@ -170,18 +171,19 @@ class Network:
     @cached_property
     def free_flow_delays(self) -> dict:
         """The effective delays of a loading in which no link queues, one
-        read-only (paths, n) array per (grid, penalty); cost.effective_delay
-        fills and reads it, and solver.f_map reads it. Such delays do not
-        depend on the flows."""
+        read-only (paths, n) array per (grid, penalty). Such delays do not
+        depend on the flows. solver.f_map alone fills and reads it."""
         return {}
 
     @cached_property
-    def clearance_terms(self) -> tuple[float, float]:
-        """The least exit capacity and the total free-flow time of the links
-        that some path uses, summed in network order (dnl.default_horizon)."""
+    def clearance_terms(self) -> tuple[float, float, int]:
+        """The least exit capacity, the total free-flow time (summed in
+        network order) and the number of the links that some path uses
+        (dnl.default_horizon and the room load adds to it)."""
         used = {link.id for route in self.routes for link in route}
         links = [l for l in self.links if l.id in used]
-        return min(l.exit_capacity for l in links), sum(l.free_flow_time for l in links)
+        return (min(l.exit_capacity for l in links), sum(l.free_flow_time for l in links),
+                len(links))
 
     @cached_property
     def queue_bound_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:

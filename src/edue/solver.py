@@ -12,10 +12,11 @@ Reduced costs and residuals come from ``verify``. One iteration forms its
 reduced costs and their per-OD minimum once and shares them among the gap,
 the residuals and the step (``verify`` keeps them with the iteration's
 CostField). It records the largest residuals only, and the report's are
-computed once, at the best point. ``f_map`` runs no loading when the network
-keeps the queue-free delays of the grid and penalty and ``dnl.cannot_queue``
-shows that no link can queue: then every link's users' peak rates sum to at
-most its capacity.
+computed once, at the best point. ``f_map`` alone keeps the delays of a
+loading in which no link queues (``Network.free_flow_delays``, per grid and
+penalty): they do not depend on the flows. Once they are kept it runs no
+loading for flows that ``dnl.cannot_queue`` shows cannot queue: every
+link's users' peak rates sum to at most its capacity.
 
 No convergence is guaranteed by theory (the delay operator is not monotone);
 non-convergence is reported honestly via the gap history and exit status.
@@ -31,7 +32,7 @@ import numpy as np
 from . import dnl, verify
 from .cost import CostField, SchedulePenalty, effective_delay
 from .demand import InverseDemand
-from .grid import ExtendedPoint, ShapeError, TimeGrid, positive_int
+from .grid import ExtendedPoint, ShapeError, TimeGrid, finite_real, positive_int
 from .network import Network
 from .verify import reduced_costs
 
@@ -55,9 +56,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gap_rtol"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"solver {name} must be finite, got {value!r}")
+            finite_real(getattr(self, name), f"solver {name}")
         if self.alpha <= 0.0:
             raise ValueError("step size must be positive")
         object.__setattr__(self, "max_iters", positive_int(self.max_iters, "solver max_iters"))
@@ -125,20 +124,25 @@ def f_map(
     """Evaluate the cost mapping at a feasible point: run the loading, build
     effective delays, and evaluate the inverse demand at the point's demands.
 
-    When the network already holds the queue-free delays for this grid and
-    penalty and ``dnl.cannot_queue`` shows that no link can queue, psi is a
-    copy of them and no loading runs: the loading would report queue_free,
-    and effective_delay would return the same copy.
+    f_map alone fills and reads ``network.free_flow_delays``: it stores the
+    delays of a loading in which no link queues there, read-only, under
+    (grid, penalty). Once they are stored, flows that ``dnl.cannot_queue``
+    shows cannot queue run no loading: the loading would report queue_free,
+    and its delays would be the stored ones bit for bit. CostField copies
+    them, so the stored array is never handed out.
 
     With ``inv_demand=None`` (pinned-demand mode) the OD value is the current
     minimum cell cost, which reduces every downstream formula to the
     fixed-demand equilibrium conditions.
     """
-    psi = network.free_flow_delays.get((grid, penalty))
-    if psi is not None and dnl.cannot_queue(network, point.flows, grid):
-        psi = psi.copy()
-    else:
-        psi = effective_delay(dnl.load(network, point.flows, grid), penalty)
+    key = (grid, penalty)
+    psi = network.free_flow_delays.get(key)
+    if psi is None or not dnl.cannot_queue(network, point.flows, grid):
+        result = dnl.load(network, point.flows, grid)
+        psi = effective_delay(result, penalty)
+        if result.queue_free:
+            psi.setflags(write=False)
+            network.free_flow_delays[key] = psi
     if inv_demand is not None:
         theta = inv_demand.theta(point.demands)
     else:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edue import cost
+from edue import dnl, solver
 from edue.cost import (A1ViolationError, CostField, CostInvariantError, SchedulePenalty,
                        effective_delay)
 from edue.dnl import load
-from edue.grid import ShapeError, TimeGrid
+from edue.grid import ExtendedPoint, ShapeError, TimeGrid
 from edue.network import Link, Network, Path
+from edue.solver import f_map
 
 MIN = 1 / 60.0
 
@@ -34,6 +35,9 @@ class TestSchedulePenalty:
     @pytest.mark.parametrize("early, late, field", [
         (float("nan"), 2.0, "early"),
         (0.5, float("inf"), "late"),
+        (None, 2.0, "early"),
+        (0.5, "1", "late"),
+        (0.5, True, "late"),
     ])
     def test_non_finite_slope_rejected(self, early, late, field):
         with pytest.raises(ValueError, match=field):
@@ -146,47 +150,56 @@ def fresh_copy(net):
 
 
 class TestFreeFlowMemo:
-    """A loading in which no link queues gets its delays from the memo kept
-    on its network, one entry per (grid, penalty)."""
+    """solver.f_map stores the delays of a loading in which no link queues on
+    its network, one entry per (grid, penalty), and serves them to flows that
+    dnl.cannot_queue shows cannot queue."""
 
     grid = TimeGrid(0.0, 1.0, 4)
     penalty = SchedulePenalty(0.5, 2.0)
 
+    def psi(self, net, flows, grid=None, penalty=None):
+        """f_map's psi at the flows, in pinned-demand mode."""
+        grid = self.grid if grid is None else grid
+        penalty = self.penalty if penalty is None else penalty
+        flows = np.asarray(flows, dtype=float)
+        point = ExtendedPoint.from_matrix(grid, flows, net.od_sum(flows.sum(axis=1)) * grid.dt)
+        return f_map(net, point, penalty, None, grid).psi
+
     @staticmethod
     def counted(monkeypatch):
-        """The computations of effective delays, counted from here on."""
+        """The loadings whose effective delays f_map computes, from here on."""
         computed = []
-        compute = cost._effective_delay
-        monkeypatch.setattr(cost, "_effective_delay",
+        compute = solver.effective_delay
+        monkeypatch.setattr(solver, "effective_delay",
                             lambda r, f: computed.append(r) or compute(r, f))
         return computed
 
     def test_repeat_loading_equals_a_fresh_computation(self, monkeypatch):
         net = two_route_instance()
         before = (repr(net), hash(net))
-        first = effective_delay(load(net, np.full((2, 4), 10.0), self.grid), self.penalty)
+        first = self.psi(net, np.full((2, 4), 10.0))
         computed = self.counted(monkeypatch)
-        res = load(net, [[90.0, 0.0, 50.0, 5.0], [0.0, 99.0, 1.0, 0.0]], self.grid)
-        assert res.queue_free
-        again = effective_delay(res, self.penalty)
+        flows = [[90.0, 0.0, 50.0, 5.0], [0.0, 99.0, 1.0, 0.0]]
+        assert load(net, flows, self.grid).queue_free
+        again = self.psi(net, flows)
         assert computed == []
         other = fresh_copy(net)
-        fresh = effective_delay(load(other, np.full((2, 4), 3.0), self.grid), self.penalty)
+        fresh = self.psi(other, np.full((2, 4), 3.0))
         assert len(computed) == 1
         assert again.tobytes() == fresh.tobytes() == first.tobytes()
         # the memo is no field: the network compares, hashes and prints as before
         assert (repr(net), hash(net)) == before and net == other
 
-    def test_result_is_a_writeable_copy(self):
+    def test_served_psi_is_a_copy(self):
         net = two_route_instance()
-        res = load(net, np.full((2, 4), 10.0), self.grid)
-        psi = effective_delay(res, self.penalty)
-        want = psi.tobytes()
-        assert psi.flags.writeable
-        psi[:] = -1.0
-        again = effective_delay(res, self.penalty)
-        assert again.tobytes() == want
-        assert not np.shares_memory(again, net.free_flow_delays[self.grid, self.penalty])
+        flows = np.full((2, 4), 10.0)
+        first = self.psi(net, flows)
+        stored = net.free_flow_delays[self.grid, self.penalty]
+        again = self.psi(net, flows)
+        assert not stored.flags.writeable
+        assert again.tobytes() == first.tobytes() == stored.tobytes()
+        for psi in (first, again):
+            assert not np.shares_memory(psi, stored)
 
     def test_each_grid_and_penalty_has_its_own_entry(self, monkeypatch):
         net = two_route_instance()
@@ -195,9 +208,8 @@ class TestFreeFlowMemo:
                  (self.grid, SchedulePenalty(0.25, 2.0))]
         for _ in range(2):
             for grid, penalty in cases:
-                psi = effective_delay(load(net, np.full((2, grid.n), 10.0), grid), penalty)
-                fresh = effective_delay(load(fresh_copy(net), np.zeros((2, grid.n)), grid),
-                                        penalty)
+                psi = self.psi(net, np.full((2, grid.n), 10.0), grid, penalty)
+                fresh = self.psi(fresh_copy(net), np.zeros((2, grid.n)), grid, penalty)
                 assert psi.tobytes() == fresh.tobytes()
         # each case computed once on net, and every time on its fresh copies
         assert len(computed) == 3 + 2 * 3
@@ -205,29 +217,39 @@ class TestFreeFlowMemo:
 
     def test_queued_loading_is_computed_not_served(self, monkeypatch):
         net = two_route_instance()
-        effective_delay(load(net, np.full((2, 4), 10.0), self.grid), self.penalty)
-        stored = net.free_flow_delays[self.grid, self.penalty].tobytes()
+        self.psi(net, np.full((2, 4), 10.0))
+        entry = net.free_flow_delays[self.grid, self.penalty]
+        stored = entry.tobytes()
         computed = self.counted(monkeypatch)
         flows = [[400.0, 0.0, 0.0, 0.0], [10.0, 10.0, 10.0, 10.0]]  # a queues, b does not
-        res = load(net, flows, self.grid)
-        assert not res.queue_free
-        psi = effective_delay(res, self.penalty)
-        assert computed == [res]
+        psi = self.psi(net, flows)
+        assert len(computed) == 1 and not computed[0].queue_free
         assert psi.tobytes() == effective_delay(load(fresh_copy(net), flows, self.grid),
                                                 self.penalty).tobytes()
         assert psi.tobytes() != stored
-        assert net.free_flow_delays[self.grid, self.penalty].tobytes() == stored
+        assert net.free_flow_delays[self.grid, self.penalty] is entry
+        assert entry.tobytes() == stored
         assert len(net.free_flow_delays) == 1
 
-    def test_nonpositive_queue_free_delay_raises_and_stores_nothing(self):
+    def test_nonpositive_queue_free_delay_raises_and_stores_nothing(self, monkeypatch):
         net = two_route_instance()
         # exit times at the departure times: zero delay, zero penalty
         exits = np.tile(self.grid.boundaries, (2, 1))
         result = SimpleNamespace(grid=self.grid, boundary_exits=lambda: exits,
                                  queue_free=True, network=net)
+        monkeypatch.setattr(dnl, "load", lambda *args: result)
         with pytest.raises(CostInvariantError, match="path index 0"):
-            effective_delay(result, SchedulePenalty(0.0, 0.0))
+            self.psi(net, np.zeros((2, 4)), penalty=SchedulePenalty(0.0, 0.0))
         assert net.free_flow_delays == {}
+
+    def test_effective_delay_never_touches_the_memo(self):
+        net = two_route_instance()
+        res = load(net, np.full((2, 4), 10.0), self.grid)
+        assert res.queue_free
+        assert effective_delay(res, self.penalty).tobytes() == \
+            effective_delay(res, self.penalty).tobytes()
+        # free_flow_delays is a cached property: once read, it sits in vars(net)
+        assert "free_flow_delays" not in vars(net)
 
 
 class TestCostField:

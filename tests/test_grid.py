@@ -40,6 +40,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=f"horizon {field} must be finite"):
             TimeGrid(t0, tf, 4)
 
+    @pytest.mark.parametrize("t0, tf, field", [
+        (None, 1.0, "t0"),
+        (0.0, "1", "tf"),
+        (True, 2.0, "t0"),
+    ])
+    def test_rejects_a_horizon_that_is_no_real_number_naming_the_field(self, t0, tf, field):
+        with pytest.raises(ValueError, match=f"horizon {field} must be a real number"):
+            TimeGrid(t0, tf, 4)
+
 
 def _point(grid, rows, demands):
     return ExtendedPoint.from_matrix(grid, np.asarray(rows, dtype=float), demands)

@@ -135,7 +135,7 @@ def test_library_failure_modes_raise_when_built(entry, links, route, message):
 
 class TestLinkConstruction:
     @pytest.mark.parametrize("field", ["free_flow_time", "exit_capacity"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None, "1", True])
     def test_non_finite_rejected(self, field, value):
         kwargs = dict(free_flow_time=0.1, exit_capacity=100.0)
         kwargs[field] = value

@@ -505,6 +505,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", ["alpha", "gap_rtol"])
+    @pytest.mark.parametrize("value", [None, "1", True])
+    def test_non_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"solver {field} must be a real number"):
+            SolverConfig(**{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 2.5),
         ("max_iters", 3.0),
