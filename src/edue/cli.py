@@ -424,7 +424,15 @@ def _build(args: argparse.Namespace) -> Callable[[Path], int]:
     point = read_flows_csv(args.flows, scenario.network, grid)
     if args.command == "load":
         return lambda out_dir: _cmd_load(scenario, grid, point, out_dir)
-    if scenario.inv_demand is not None:
+    if scenario.pinned_demand is not None:
+        # pinned mode prices every OD at its least cost, so the residuals
+        # cannot see a volume that misses the pinned demand: reject it here
+        pinned = scenario.pinned_demand
+        miss = np.abs(point.demands - pinned) > verify.FEASIBILITY_RTOL * np.maximum(pinned, 1.0)
+        if miss.any():
+            raise ScenarioError(f"flow file: demand differs from its fixed_demand for OD pair "
+                                f"indices {np.flatnonzero(miss).tolist()}")
+    else:
         # a capped solve writes rates whose demand, rebuilt as od_sum(h) * dt,
         # can land ulps above the cap: clip overshoots within the conservation
         # slack of verify.is_feasible, reject larger ones

@@ -1,12 +1,13 @@
 """Fixed-point projection solver for the discretized equilibrium problem.
 
 The extended problem over (path flows, demands) is solved in the reduced
-parametrization: demands are induced from flows by conservation, which turns
-the step into componentwise clipping of flows against their reduced costs
-(cell cost minus the OD's inverse-demand value), then per-OD rescaling onto
-one bound vector: the demand caps, or in fixed mode the pinned demands. Only
-the step knows the mode. An active cap is flagged in the report since it is
-a technical device, not an equilibrium property.
+parametrization: demands are induced from flows by conservation, so the step
+is h = P_K[h - alpha * rc], rc the reduced costs (cell cost minus the OD's
+inverse-demand value) and P_K the Euclidean projection onto the flows whose
+volume per OD is at most its demand cap, or in fixed mode its pinned demand.
+Its fixed points are the VI's solutions for every alpha; the start is P_K of
+zero flow. Only P_K knows the mode. An active cap is flagged in the report
+since it is a technical device, not an equilibrium property.
 
 Reduced costs and residuals come from ``verify``. One iteration forms its
 reduced costs and their per-OD minimum once and shares them among the gap,
@@ -150,6 +151,29 @@ def f_map(
     return CostField(psi=psi, theta=theta)
 
 
+def _project(network: Network, grid: TimeGrid, y: np.ndarray, caps: np.ndarray,
+             pinned: bool) -> ExtendedPoint:
+    """Per OD, the Euclidean projection of rates y onto the feasible set:
+    h = max(0, y - lam), lam = 0 where the clipped volume meets the bound
+    (elastic: fits under the cap), else the root of dt * sum(max(0, y - lam))
+    = bound, found by a sort (Held, Wolfe & Crowder 1974); pinned, lam may be < 0."""
+    h = np.maximum(0.0, y)
+    vol = network.od_sum(h.sum(axis=1)) * grid.dt
+    demands = caps if pinned else np.minimum(vol, caps)
+    off = demands != vol
+    if np.count_nonzero(off):  # one C call, unlike .any()
+        rows = network.by_od(y)[off]
+        width = grid.n * np.bincount(network.path_od)[off, None]  # a narrower pair repeats a path
+        rows[np.arange(rows.shape[1]) >= width] = -np.inf
+        s = np.sort(rows, axis=1)[:, ::-1]
+        lam = (np.cumsum(s, axis=1) - demands[off, None] / grid.dt) / np.arange(1, s.shape[1] + 1)
+        rho = np.maximum(1, np.count_nonzero(s > lam, axis=1))  # >= 1: a zero bound gets h = 0
+        shift = np.zeros(len(off))
+        shift[off] = lam[np.arange(len(rho)), rho - 1]
+        h = np.maximum(0.0, y - shift[network.path_od, None])
+    return ExtendedPoint.from_matrix(grid, h, demands)
+
+
 def fixed_point_step(
     point: ExtendedPoint,
     costs: CostField,
@@ -158,27 +182,14 @@ def fixed_point_step(
     caps: np.ndarray,
     pinned: bool = False,
 ) -> ExtendedPoint:
-    """One projection step: clip flows against alpha-scaled reduced costs,
-    re-induce each OD's volume, then rescale every OD whose volume overruns
-    its cap, or with ``pinned`` misses its pinned demand in ``caps`` (an OD
-    whose flow was all clipped restarts at its cheapest cell)."""
+    """One projection step, P_K[h - alpha * rc] (``_project``): ``caps`` bound
+    each OD's volume from above, or with ``pinned`` exactly."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"step size alpha must be finite and positive, got {alpha!r}")
     verify.check_rows(network, point.flows, costs.psi)
     caps = verify.check_caps(network, caps)
-    grid = point.grid
-    h = np.maximum(0.0, point.flows - alpha * reduced_costs(costs, network))
-    vol = network.od_sum(h.sum(axis=1)) * grid.dt
-    demands = caps if pinned else np.minimum(vol, caps)
-    off = demands != vol
-    if np.count_nonzero(off):  # one C call, unlike .any()
-        empty = vol <= 0.0
-        h *= np.divide(demands, vol, out=np.ones_like(vol), where=off & ~empty)[network.path_od, None]
-        restart = off & empty
-        if np.count_nonzero(restart):
-            p, j = network.od_argmin(costs.psi)
-            h[p[restart], j[restart]] = demands[restart] / grid.dt
-    return ExtendedPoint.from_matrix(grid, h, demands)
+    y = point.flows - alpha * reduced_costs(costs, network)
+    return _project(network, point.grid, y, caps, pinned)
 
 
 def compute_gap(
@@ -189,8 +200,15 @@ def compute_gap(
     copies: int | None = None,
 ) -> float | np.ndarray:
     """Closed-form equilibrium gap: the largest violation of the variational
-    inequality over the feasible set, nonnegative and zero exactly at
-    solutions.
+    inequality over the feasible set, zero exactly at solutions.
+
+    It is nonnegative up to rounding. In exact arithmetic and with h >= 0 it
+    is at least sum_w |c_w| (cap_w - V_w), V_w = dt * sum(h) the OD's volume
+    and c_w = min(0, its least reduced cost): below zero only where a volume
+    overruns its cap, as a projection's rounding can leave it by a few ulps.
+    Evaluating the formula can lower it by up to (cells + OD pairs + 2) * eps
+    * (dt * sum|h * rc| + sum_w |c_w| (cap_w + V_w)), eps the float spacing
+    at 1. So a point whose cap binds can read a few ulps below zero.
 
     Per OD the best response concentrates on the cheapest (path, cell): the
     cap volume there if its reduced cost is negative, nothing otherwise. In
@@ -248,10 +266,10 @@ def solve(
     grid: TimeGrid,
     pinned_demand: np.ndarray | None = None,
 ) -> SolveReport:
-    """Iterate the projection step from zero flow until the gap target is met
-    or the iteration budget runs out. A halving of alpha that leaves the step
-    too small to move the largest flow by one ulp (alpha times the largest
-    reduced cost below its float spacing) ends the loop too, as not
+    """Iterate the projection step from P_K of zero flow until the gap target
+    is met or the iteration budget runs out. A halving of alpha that leaves
+    the step too small to move the largest flow by one ulp (alpha times the
+    largest reduced cost below its float spacing) ends the loop too, as not
     converged, with ``stop`` naming the reason.
 
     Elastic mode needs ``inv_demand``; fixed-demand mode passes
@@ -267,12 +285,8 @@ def solve(
         if bad.any():
             raise ValueError(f"pinned demands must be finite and nonnegative; OD pair indices "
                              f"{np.flatnonzero(bad).tolist()} are not")
-        # zero flow is infeasible under pinned demand; start uniform
-        per_cell = caps / (np.bincount(network.path_od, minlength=len(caps)) * grid.n * grid.dt)
-        h = np.repeat(per_cell[network.path_od, None], grid.n, axis=1)
-        point = ExtendedPoint.from_matrix(grid, h, caps)
-    else:
-        point = zero_point(network, grid)
+    # P_K of zero flow: zero flow itself when elastic, uniform flows when pinned
+    point = _project(network, grid, np.zeros((len(network.paths), grid.n)), caps, pinned)
 
     alpha = config.alpha
     history: list[tuple[int, float, float, float, float]] = []

@@ -131,29 +131,40 @@ def compute_gap_loop(point, costs, network, caps, pinned_demand=None):
     return gap
 
 
-def fixed_point_step_loop(point, costs, network, alpha, caps, pinned_demand=None):
-    """The stepped (flows, demands)."""
-    dt = point.grid.dt
-    h_new = np.maximum(0.0, point.flows - alpha * reduced_costs_loop(costs, network))
+def project_loop(y, network, bound, dt, pinned=False):
+    """Per OD pair w, the Euclidean projection of the rates y onto
+    {h >= 0, dt * sum(h) <= bound[w]} (with pinned: = bound[w]), as
+    (flows, demands): h = max(0, y - lam), lam = 0 where the clipped volume
+    already meets the bound, else the root of dt * sum(max(0, y - lam)) =
+    bound[w], found by bisection."""
+    h_new = np.empty_like(y)
     demands = np.empty(len(network.od_pairs))
     for w, paths in enumerate(od_paths_of(network)):
-        vol = float(sum(h_new[p].sum() for p in paths)) * dt
-        if pinned_demand is not None:
-            target = float(pinned_demand[w])
-            if vol <= 0.0:
-                p_best, j_best, _ = od_argmin_loop(costs.psi, network, w)
-                h_new[p_best, j_best] = target / dt
-            else:
-                for p in paths:
-                    h_new[p] *= target / vol
-            demands[w] = target
-        else:
-            if vol > caps[w]:
-                for p in paths:
-                    h_new[p] *= caps[w] / vol
-                vol = float(caps[w])
-            demands[w] = vol
+        entries = [float(v) for p in paths for v in y[p]]
+        volume = lambda lam: dt * sum(max(0.0, v - lam) for v in entries)
+        target = float(bound[w])
+        lam = 0.0
+        if volume(0.0) > target or (pinned and volume(0.0) != target):
+            lo, hi = min(entries) - target / dt, max(entries)  # volume(lo) >= target >= volume(hi)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if volume(mid) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            lam = 0.5 * (lo + hi)
+        for p in paths:
+            h_new[p] = [max(0.0, v - lam) for v in y[p]]
+        demands[w] = target if pinned else min(volume(0.0), target)
     return h_new, demands
+
+
+def fixed_point_step_loop(point, costs, network, alpha, caps, pinned_demand=None):
+    """The stepped (flows, demands): the projection of h - alpha * rc."""
+    y = point.flows - alpha * reduced_costs_loop(costs, network)
+    if pinned_demand is not None:
+        return project_loop(y, network, pinned_demand, point.grid.dt, pinned=True)
+    return project_loop(y, network, caps, point.grid.dt)
 
 
 def due_residuals_loop(point, costs, network, flow_threshold):

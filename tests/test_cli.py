@@ -481,19 +481,54 @@ class TestCheckAndLoad:
 
     @pytest.mark.parametrize("cap", [37.3, 61.7])
     def test_check_of_a_capped_solve_is_not_an_input_error(self, tmp_path, capsys, cap):
+        """A capped solve converges and writes rates whose rebuilt demand
+        meets its cap; nudged ulps above the cap, within the conservation
+        slack, the file still checks without an input error."""
         doc = uncongested_scenario(n=16)
         doc["demand"][0]["cap"] = cap
         path = write_scenario(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["solve", str(path), "--out", str(out)]) == EXIT_NOT_CONVERGED
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
         assert "active demand caps (OD indices): [0]" in (out / "summary.txt").read_text()
         scenario = load_scenario(path)
-        # the demand rebuilt from the written rates lands an ulp above the cap
-        assert read_flows_csv(out / "flows.csv", scenario.network, scenario.grid()).demands[0] > cap
+        point = read_flows_csv(out / "flows.csv", scenario.network, scenario.grid())
+        nudged = ExtendedPoint.from_matrix(point.grid, point.flows * (1.0 + 1e-12), point.demands)
+        write_flows_csv(tmp_path / "nudged.csv", scenario.network, nudged)
+        assert read_flows_csv(tmp_path / "nudged.csv", scenario.network,
+                              scenario.grid()).demands[0] > cap
+        for flows in (out / "flows.csv", tmp_path / "nudged.csv"):
+            capsys.readouterr()
+            code = main(["check", str(path), str(flows), "--out", str(out)])
+            assert code != EXIT_INPUT_ERROR
+            assert "input error" not in capsys.readouterr().err
+
+    def test_check_of_a_fixed_solve_passes(self, tmp_path):
+        path = write_scenario(tmp_path, fixed_scenario([300.0, 200.0]))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        assert main(["check", str(path), str(out / "flows.csv"), "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("scale, ods", [(0.5, [0, 1]), (1.0 + 1e-6, [0, 1])])
+    def test_check_of_flows_off_their_fixed_demand_is_an_input_error(self, tmp_path, capsys,
+                                                                     scale, ods):
+        """In fixed mode every OD is priced at its least cost, so the
+        residuals read 0 for any volume; a volume off the pinned demand must
+        be caught as it is read."""
+        path = write_scenario(tmp_path, fixed_scenario([300.0, 200.0]))
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        rows = read_csv(out / "flows.csv")
+        for r in rows:
+            r["flow"] = repr(float(r["flow"]) * scale)
+        with open(tmp_path / "off.csv", "w", newline="") as f:
+            w = csv.DictWriter(f, fieldnames=rows[0].keys())
+            w.writeheader()
+            w.writerows(rows)
         capsys.readouterr()
-        code = main(["check", str(path), str(out / "flows.csv"), "--out", str(out)])
-        assert code != EXIT_INPUT_ERROR
-        assert "input error" not in capsys.readouterr().err
+        code = main(["check", str(path), str(tmp_path / "off.csv"), "--out", str(out)])
+        assert code == EXIT_INPUT_ERROR
+        assert (f"input error: flow file: demand differs from its fixed_demand for OD pair "
+                f"indices {ods}") in capsys.readouterr().err
 
     def test_check_of_demand_beyond_the_conservation_slack_is_an_input_error(self, tmp_path,
                                                                             capsys):

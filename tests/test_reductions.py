@@ -9,15 +9,16 @@ from hypothesis import given, strategies as st
 from edue.cost import CostField
 from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
-from edue.solver import compute_gap, fixed_point_step
-from edue.verify import (DEFAULT_FLOW_THRESHOLD_REL, best_response, due_residuals, od_residuals,
-                         random_probe)
+from edue.solver import _project, compute_gap, fixed_point_step
+from edue.verify import (DEFAULT_FLOW_THRESHOLD_REL, FEASIBILITY_RTOL, best_response,
+                         due_residuals, is_feasible, od_residuals, random_probe)
 
 from oracles import (
     best_response_loop,
     compute_gap_loop,
     due_residuals_loop,
     fixed_point_step_loop,
+    project_loop,
     random_probe_loop,
 )
 
@@ -115,16 +116,66 @@ def test_fixed_point_step_matches_loop(problem, mode, alpha):
         caps = caps * 1e-3  # below every nonzero OD volume drawn
     else:
         # as in pinned mode, the demand value is the OD's least cost; the
-        # first OD pair carries nothing, so its flow stays clipped and the
-        # step restarts it at its cheapest cell
+        # first OD pair carries nothing, so its flow stays clipped and only
+        # the projection's shift below zero puts its demand back
         theta = od_minima(net, psi)
         h[list(net.od_paths[0])] = 0.0
         pinned = caps
     point, costs = point_of(net, grid, h), CostField(psi, theta)
     new = fixed_point_step(point, costs, net, alpha, caps, pinned=pinned is not None)
     h_ref, demands_ref = fixed_point_step_loop(point, costs, net, alpha, caps, pinned)
-    np.testing.assert_allclose(new.flows, h_ref, **TIGHT)
+    # the loop's bisection finds the shift to within an ulp of the entries
+    np.testing.assert_allclose(new.flows, h_ref, rtol=1e-12, atol=1e-12 * alpha)
     np.testing.assert_allclose(new.demands, demands_ref, **TIGHT)
+
+
+@st.composite
+def projections(draw):
+    """The network and grid of problems(), rates y of either sign, one bound
+    per OD pair (zero among them) and the mode."""
+    net, grid = draw(problems())[:2]
+    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(net.paths) * grid.n,
+                               max_size=len(net.paths) * grid.n)))
+    n_od = len(net.od_pairs)
+    bound = draw(st.lists(st.sampled_from([0.0, 0.5, 50.0]) | st.floats(0.0, 1e3),
+                          min_size=n_od, max_size=n_od))
+    return net, grid, y.reshape(len(net.paths), grid.n), np.array(bound), draw(st.booleans())
+
+
+@given(projections())
+def test_projection_meets_its_optimality_conditions(case):
+    """Per OD, h = max(0, y - lam) for one lam: lam >= 0 unless pinned, and
+    lam > 0 only where the volume sits at the bound; every volume at most
+    its cap, or pinned equal to its demand, within FEASIBILITY_RTOL."""
+    net, grid, y, bound, pinned = case
+    point = _project(net, grid, y, bound, pinned)
+    h = point.flows
+    assert (h >= 0.0).all() and is_feasible(point, net)
+    vol = net.od_sum(h.sum(axis=1)) * grid.dt
+    slack = FEASIBILITY_RTOL * np.maximum(bound, 1.0)
+    assert (np.abs(vol - bound) <= slack).all() if pinned else (vol <= bound + slack).all()
+    tol = 1e-13 * h.size * max(1.0, float(np.abs(y).max()))
+    for w, paths in enumerate(net.od_paths):
+        yw, hw = y[list(paths)], h[list(paths)]
+        used = hw > 0.0
+        if used.any():
+            lam = float((yw - hw)[used].mean())
+        else:
+            lam = float(yw.max()) if pinned else max(0.0, float(yw.max()))
+        np.testing.assert_allclose(hw, np.maximum(0.0, yw - lam), rtol=0.0, atol=tol)
+        if not pinned:
+            assert lam >= -tol
+            assert lam <= tol or vol[w] >= bound[w] - slack[w]
+
+
+@given(projections())
+def test_projection_matches_bisection(case):
+    net, grid, y, bound, pinned = case
+    point = _project(net, grid, y, bound, pinned)
+    h_ref, demands_ref = project_loop(y, net, bound, grid.dt, pinned)
+    np.testing.assert_allclose(point.flows, h_ref, rtol=1e-12,
+                               atol=1e-12 * max(1.0, float(np.abs(y).max())))
+    np.testing.assert_allclose(point.demands, demands_ref, **TIGHT)
 
 
 @given(problems())

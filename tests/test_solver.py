@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edue import dnl, verify
+from edue import dnl, solver, verify
 from edue.cost import CostField, CostInvariantError, SchedulePenalty, effective_delay
 from edue.demand import InverseDemand
 from edue.grid import ExtendedPoint, ShapeError, TimeGrid
@@ -25,6 +25,18 @@ from conftest import grid_of, single_link_network
 from oracles import bisect_demand
 
 MIN = 1 / 60.0
+
+
+def gap_rounding_bound(point, costs, network, caps):
+    """How far compute_gap's docstring lets rounding (and a volume above its
+    cap) take the gap below zero."""
+    rc = reduced_costs(costs, network)
+    short = np.abs(np.minimum(0.0, verify.least_reduced_costs(costs, network)))
+    vol = network.od_sum(point.flows.sum(axis=1)) * point.grid.dt
+    terms = point.grid.dt * float(np.abs(point.flows * rc).sum()) + float(short @ (caps + vol))
+    eps = np.finfo(float).eps
+    return (eps * (point.flows.size + len(caps) + 2) * terms
+            + float(short @ np.maximum(0.0, vol - caps)))
 
 
 class TestFMap:
@@ -138,26 +150,43 @@ class TestReducedCostAndStep:
             assert new.demands[0] <= caps[0] + 1e-12
 
 
-    def test_step_pinned_mode_rescales_onto_pinned_demand(self):
+    def test_step_pinned_mode_projects_onto_pinned_demand(self):
         grid = TimeGrid(0.0, 1.0, 2)
         net = toy_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 2.0]]), np.array([2.0]))
         costs = toy_costs([[0.3, 0.3 - 2.0]], [0.3])  # cell 1 gains 1 veh/h
         pinned = np.array([4.0])
         new = fixed_point_step(point, costs, net, alpha=0.5, caps=pinned, pinned=True)
-        # (2, 3) rescaled to carry 4 vehicles over cells of width 0.5
+        # (2, 3) shifted up by 1.5 to carry 4 vehicles over cells of width
+        # 0.5; a rescale would give (3.2, 4.8), which is not the nearest point
         assert new.demands[0] == 4.0
-        assert new.flows[0] == pytest.approx([3.2, 4.8])
+        assert new.flows[0] == pytest.approx([3.5, 4.5])
 
-    def test_step_pinned_mode_restarts_a_clipped_pair_at_its_cheapest_cell(self):
+    @pytest.mark.parametrize("psi, want", [([5.3, 4.3], [1.5, 2.5]), ([100.3, 4.3], [0.0, 4.0])],
+                             ids=["spread", "cheapest cell"])
+    def test_step_pinned_mode_projects_an_all_clipped_pair(self, psi, want):
+        """Every entry of h - alpha * rc is negative: the projection shifts
+        them up until they carry the pinned demand, so the mass goes to the
+        largest entries, the cheapest cells, and only to them when the
+        others lie far below."""
         grid = TimeGrid(0.0, 1.0, 2)
         net = toy_network()
         point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 2.0]]), np.array([2.0]))
-        costs = toy_costs([[5.3, 4.3]], [0.3])  # both cells clip to zero
-        pinned = np.array([2.0])
-        new = fixed_point_step(point, costs, net, alpha=1.0, caps=pinned, pinned=True)
+        costs = toy_costs([psi], [0.3])
+        new = fixed_point_step(point, costs, net, alpha=1.0, caps=np.array([2.0]), pinned=True)
         assert new.demands[0] == 2.0
-        assert new.flows[0] == pytest.approx([0.0, 4.0])
+        assert new.flows[0] == pytest.approx(want)
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_step_onto_a_zero_bound_carries_nothing(self, pinned):
+        grid = TimeGrid(0.0, 1.0, 2)
+        net = toy_network()
+        point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 5.0]]), np.array([3.5]))
+        costs = toy_costs([[0.3, 0.1]], [0.3])
+        new = fixed_point_step(point, costs, net, alpha=1.0, caps=np.array([0.0]), pinned=pinned)
+        assert new.flows[0].tolist() == [0.0, 0.0]
+        assert new.demands[0] == 0.0
+
 
 class TestGap:
     def test_zero_flow_gap_is_negative_parts_times_caps(self):
@@ -218,6 +247,42 @@ class TestGap:
             assert compute_gap(point, costs, net, inst["inv_demand"].cap) >= -1e-12
 
 
+    @pytest.mark.parametrize("n, cap", [(16, 37.3), (16, 50.0), (16, 61.7), (64, 50.0)])
+    def test_capped_solves_never_read_below_the_rounding_bound(self, uncongested_elastic,
+                                                               monkeypatch, n, cap):
+        """Every gap of a solve whose cap binds stays above the bound of
+        compute_gap's docstring."""
+        inst = uncongested_elastic
+        seen = []
+        real = compute_gap
+        monkeypatch.setattr(solver, "compute_gap",
+                            lambda *args: seen.append((args, real(*args))) or seen[-1][1])
+        report = solve(inst["network"], inst["penalty"], InverseDemand([1.0], [1 / 120.0], [cap]),
+                       inst["config"], grid=grid_of(inst, n))
+        assert report.converged and report.caps_active == [0]
+        assert len(seen) == report.iterations
+        for (point, costs, net, caps), gap in seen:
+            assert gap >= -gap_rounding_bound(point, costs, net, caps)
+
+    def test_random_capped_points_never_read_below_the_rounding_bound(self):
+        """Points whose whole cap volume sits on the cheapest cell have an
+        exact gap of zero, and rounding reads about half of them below it."""
+        rng = np.random.default_rng(0)
+        grid = TimeGrid(0.0, 1.0, 8)
+        net = toy_network()
+        below = 0
+        for _ in range(400):
+            costs = toy_costs(rng.uniform(0.1, 1.0, size=(1, 8)), [rng.uniform(0.5, 1.5)])
+            caps = np.array([rng.uniform(1.0, 500.0)])
+            y = np.zeros((1, 8))
+            y[0, costs.psi[0].argmin()] = rng.uniform(1.0, 1e6)
+            y += rng.uniform(0.0, 1.0) * rng.uniform(-1.0, 1.0, size=(1, 8))
+            point = solver._project(net, grid, y, caps, pinned=False)
+            gap = compute_gap(point, costs, net, caps)
+            below += gap < 0.0
+            assert gap >= -gap_rounding_bound(point, costs, net, caps)
+        assert below > 0
+
     @pytest.mark.parametrize("b", [0, 2, True], ids=["zero", "two of three", "True"])
     def test_copies_must_fit_the_stack(self, b):
         # at b = 2 the gaps of the first two copies were returned and the third
@@ -257,6 +322,32 @@ class TestFixedPointCharacterization:
         probe = ExtendedPoint.from_matrix(grid, h, np.array([h.sum() * grid.dt]))
         costs_probe = f_map(net, probe, inst["penalty"], inst["inv_demand"], grid)
         assert compute_gap(probe, costs_probe, net, inst["inv_demand"].cap) > 1e-3 * scale
+
+
+    @pytest.mark.parametrize("cap", [None, 50.0], ids=["uncapped", "cap binds"])
+    def test_criterion_1_solution_is_a_fixed_point_for_every_alpha(self, uncongested_elastic,
+                                                                   cap):
+        """Criterion 1's equilibrium, its whole volume on the cheapest cell,
+        comes back from the step within rounding whatever alpha; with a
+        binding cap the reduced cost there is negative, and the projection
+        takes the step's overshoot off again."""
+        inst = uncongested_elastic
+        net, grid = inst["network"], grid_of(inst)
+        psi = f_map(net, zero_point(net, grid), inst["penalty"], inst["inv_demand"], grid).psi
+        if cap is None:
+            inv_demand = inst["inv_demand"]
+            q = bisect_demand(theta0=1.0, theta1=1 / 120.0, v_min=float(psi.min()), q_hi=114.0)
+        else:
+            inv_demand, q = InverseDemand([1.0], [1 / 120.0], [cap]), cap
+        h = np.zeros((1, grid.n))
+        h[0, psi.argmin()] = q / grid.dt
+        point = ExtendedPoint.from_matrix(grid, h, np.array([q]))
+        costs = f_map(net, point, inst["penalty"], inv_demand, grid)
+        assert (reduced_costs(costs, net).min() < -0.1) == (cap is not None)
+        for alpha in (1.0, 400.0, 1e4):
+            stepped = fixed_point_step(point, costs, net, alpha, caps=inv_demand.cap)
+            assert np.abs(stepped.flows - h).max() <= 1e-14 * h.max()
+            assert stepped.demands[0] == pytest.approx(q, rel=1e-14)
 
 
 class TestLemma2Bound:
