@@ -44,7 +44,7 @@ such links it can be the slower way, and no workload has such a depth.
 
 A loading keeps the breakpoints s and waits w = q / M of each link that
 queues. Exit times of a path follow by s <- s + tau, then s <- s + w(s), link
-by link. The batched links' states are built on first access.
+by link. The links' states are built from each step's arrays on first access.
 cannot_queue tells, without loading, when no link can queue.
 """
 
@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import TimeGrid, finite_real
+from .grid import TimeGrid
 from .network import Link, Network, Users
 
 __all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "cannot_queue", "load",
@@ -231,10 +231,16 @@ def _step(links: list[Link], s: np.ndarray, counts: np.ndarray, last: np.ndarray
     return s, a, q, w, counts, exits, last, queued
 
 
-def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]]:
+# the arrays of one _link_step or _batch_step: its links, then their
+# breakpoints s, arrivals, queue and waits laid end to end, the index after
+# each link's row and whether each link queues
+Batch = tuple[list[Link], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int], list[bool]]
+
+
+def _link_step(link: Link, inflows: list[Curve]) -> tuple[Batch, list[Curve]]:
     """Load one link over the whole horizon: its users' inflow curves (entry
-    times) in, its queue curves and the users' downstream curves (exit times)
-    out, in the order of ``inflows``.
+    times) in, its queue curves (a Batch of the one link) and the users'
+    downstream curves (exit times) out, in the order of ``inflows``.
 
     One live user's counts go to _step as they stand; with more, each user's
     counts are interpolated on the union of their breakpoints, unless they
@@ -243,7 +249,7 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
     live = [c for c in inflows if c is not None]
     if not live:
         empty = np.empty(0)
-        return LinkState(link, empty, empty, empty, empty, False), [None] * len(inflows)
+        return ([link], empty, empty, empty, empty, [0], [False]), [None] * len(inflows)
     if len(live) == 1:
         e, n = live[0]
         counts = n[None]  # the user's own array
@@ -257,10 +263,10 @@ def _link_step(link: Link, inflows: list[Curve]) -> tuple[LinkState, list[Curve]
             # breakpoints are worth
             e = np.array(sorted(set(np.concatenate([t for t, _ in live]).tolist())))
             counts = np.array([np.interp(e, t, n) for t, n in live])
-    s, a, q, w, counts, exits, _, (queued,) = _step(
+    s, a, q, w, counts, exits, _, queued = _step(
         [link], e + link.free_flow_time, counts, np.array([len(e) - 1]))
     out = iter(counts)
-    return LinkState(link, s, a, q, w, queued), [
+    return ([link], s, a, q, w, [len(s)], queued), [
         None if c is None else (exits, next(out)) for c in inflows]
 
 
@@ -273,12 +279,6 @@ def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
     if np.count_nonzero(np.array(times) != first) or np.count_nonzero(first[1:] <= first[:-1]):
         return None
     return first
-
-
-# the arrays of one _batch_step: its links, then their breakpoints s, arrivals,
-# queue and waits laid end to end, the index after each link's row and
-# whether each link queues
-Batch = tuple[list[Link], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int], list[bool]]
 
 
 def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
@@ -298,7 +298,7 @@ def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _batch_states(batch: Batch) -> list[LinkState]:
-    """The LinkState of each link of a _batch_step, in its order."""
+    """The LinkState of each link of a Batch, in its order."""
     links, s, a, q, w, ends, queued = batch
     return [LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], queues)
             for link, lo, hi, queues in zip(links, [0] + ends, ends, queued)]
@@ -315,7 +315,7 @@ def default_horizon(network: Network, volume: float) -> float:
     departures, vehicles) in exact arithmetic: the volume over the slowest
     capacity plus the total free-flow time, both over the links that some
     path uses (the network's ``clearance_terms``, taken once per network).
-    load's default horizon adds the rounding room of _rounding_room to it."""
+    load's horizon is this plus the rounding room of _rounding_room."""
     min_cap, total_fft, _ = network.clearance_terms
     return volume / min_cap + total_fft
 
@@ -329,7 +329,7 @@ def _rounding_room(network: Network, grid: TimeGrid, roundings: int) -> float:
     free-flow times of one chain of distinct links, up to one rounding per
     link; the horizon end rounds the free-flow sum and three additions. Each
     rounding errs by at most eps T / 2, so room for used links + 2 roundings
-    in load's default horizon clears such a loading however small its volume."""
+    in load's horizon clears such a loading however small its volume."""
     total_fft = network.clearance_terms[1]
     return _EPS * max(abs(grid.t0), abs(grid.tf) + total_fft) * roundings
 
@@ -340,7 +340,7 @@ def cannot_queue(network: Network, flows: np.ndarray, grid: TimeGrid) -> bool:
     flows fail and load rejects them), the network has no succession cycle,
     every used link's exit capacity is at least the sum of its users' peak
     rates (each path's largest cell flow), and rounding cannot leave a queue
-    (below). The default horizon then clears them (_rounding_room).
+    (below). load's horizon then clears them (_rounding_room).
 
     Proof. Through links that do not queue a path's curve is its departure
     curve shifted by free-flow times, so its rate never exceeds its peak.
@@ -370,7 +370,7 @@ class LoadingResult:
         self,
         network: Network,
         grid: TimeGrid,
-        parts: dict[str, LinkState | Batch],
+        parts: dict[str, Batch],
         waits: dict[str, tuple[np.ndarray, np.ndarray]],
         total_in: float,
         total_out: float,
@@ -379,7 +379,7 @@ class LoadingResult:
         self.grid = grid
         self.total_in = total_in
         self.total_out = total_out
-        self._parts = parts  # per link, its state or the batch that holds it
+        self._parts = parts  # per link, the Batch that holds its state
         self._waits = waits  # per queued link, its breakpoints and waits
         # whether no link queues: then a path's exit times are its departure
         # times plus its free-flow times, whatever the flows
@@ -390,19 +390,9 @@ class LoadingResult:
         """Per link id, the link's curves, in the order the links were loaded."""
         states: dict[str, LinkState] = {}
         for lid, part in self._parts.items():
-            if isinstance(part, LinkState):
-                states[lid] = part
-            elif lid not in states:
+            if lid not in states:
                 states.update((st.link.id, st) for st in _batch_states(part))
         return states
-
-    @cached_property
-    def _legs(self):
-        """Per path, per link: free-flow time and the wait curve (None when the
-        link never queues)."""
-        waits = self._waits
-        return tuple(tuple((link.free_flow_time, waits.get(link.id)) for link in route)
-                     for route in self.network.routes)
 
     @property
     def conservation_residual(self) -> float:
@@ -412,11 +402,12 @@ class LoadingResult:
     def exit_times(self, path_index: int, t):
         """Clock times at which marginal travelers departing at t (a scalar or
         an array) on the path reach the destination."""
+        waits = self._waits
         s = t
-        for tau, wait in self._legs[path_index]:
-            s = s + tau
-            if wait is not None:
-                s = s + np.interp(s, *wait)
+        for link in self.network.routes[path_index]:
+            s = s + link.free_flow_time
+            if link.id in waits:
+                s = s + np.interp(s, *waits[link.id])
         return s
 
     def boundary_exits(self) -> np.ndarray:
@@ -425,19 +416,14 @@ class LoadingResult:
         return np.array([self.exit_times(p, bounds) for p in range(len(self.network.paths))])
 
 
-def load(
-    network: Network,
-    flows: np.ndarray,
-    grid: TimeGrid,
-    horizon: float | None = None,
-) -> LoadingResult:
+def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
     """Run the point-queue loading of the given path departure rates, a
     (paths, n) array with one row per path.
 
     Raises HorizonOverflowError if vehicles remain in the network past
-    tf + horizon. The horizon defaults to default_horizon plus room for its
-    own rounding (_rounding_room), so it guarantees clearance; a given one
-    must be finite and nonnegative.
+    tf + horizon, the horizon being default_horizon plus room for its own
+    rounding (_rounding_room): in exact arithmetic it clears every loading,
+    and in floats every queue-free one without a succession cycle.
     """
     flows = np.asarray(flows, dtype=float)
     if flows.shape != (len(network.paths), grid.n):
@@ -447,8 +433,6 @@ def load(
         )
     if np.count_nonzero((flows >= 0.0) & (flows < np.inf)) < flows.size:  # NaN fails both
         raise ValueError("path flows must be finite and nonnegative")
-    if horizon is not None and not finite_real(horizon, "horizon") >= 0.0:
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
 
     # curves[p][k]: path p's curve at the entry of its k-th link; the last
     # one is its arrival curve at the destination
@@ -463,21 +447,24 @@ def load(
     for row, route, volume in zip(cum, network.routes, entered):
         total_in += volume
         curves.append([(bounds, row) if volume > 0.0 else None] + [None] * len(route))
-    if horizon is None:
-        horizon = (default_horizon(network, total_in)
-                   + _rounding_room(network, grid, network.clearance_terms[2] + 2))
-    t_end = grid.tf + horizon
+    t_end = grid.tf + (default_horizon(network, total_in)
+                       + _rounding_room(network, grid, network.clearance_terms[2] + 2))
 
-    parts: dict[str, LinkState | Batch] = {}
+    parts: dict[str, Batch] = {}
     waits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
+    def record(batch: Batch) -> None:
+        links, s, _, _, w, ends, queued = batch
+        for link, lo, hi, queues in zip(links, [0] + ends, ends, queued):
+            parts[link.id] = batch
+            if queues:
+                waits[link.id] = s[lo:hi], w[lo:hi]
+            else:
+                waits.pop(link.id, None)  # a cycle's earlier pass may have queued
+
     def step(link: Link, users: Users) -> None:
-        state, outs = _link_step(link, [curves[p][k] for p, k in users])
-        parts[link.id] = state
-        if state.queued:
-            waits[link.id] = state.s, state.w
-        else:
-            waits.pop(link.id, None)  # a cycle's earlier pass may have queued
+        batch, outs = _link_step(link, [curves[p][k] for p, k in users])
+        record(batch)
         for (p, k), out in zip(users, outs):
             curves[p][k + 1] = out
 
@@ -499,13 +486,9 @@ def load(
         elif single:
             batch, outs = _batch_step([link for link, _, _ in single],
                                       [curves[p][k] for _, _, (p, k) in single])
-            for out, (link, _, (p, k)) in zip(outs, single):
-                parts[link.id] = batch
+            record(batch)
+            for out, (_, _, (p, k)) in zip(outs, single):
                 curves[p][k + 1] = out
-            _, s, _, _, w, ends, queued = batch
-            for (link, _, _), lo, hi, queues in zip(single, [0] + ends, ends, queued):
-                if queues:
-                    waits[link.id] = s[lo:hi], w[lo:hi]
 
         for cycle in depth.cycles:
             # Before a pass, every curve the cycle produces is exact up to

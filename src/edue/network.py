@@ -53,6 +53,9 @@ class Path:
     destination: str
 
     def __post_init__(self) -> None:
+        if isinstance(self.link_ids, str):  # tuple() would split it into characters
+            raise StructureError(f"path {self.id}: link_ids must be a sequence of link ids, "
+                                 f"got the string {self.link_ids!r}")
         object.__setattr__(self, "link_ids", tuple(self.link_ids))
 
 
@@ -73,7 +76,8 @@ class Network:
 
     The OD pairs are those of the paths, in order of first appearance;
     ``path_od`` holds each path's OD pair index (read-only). Construction
-    raises one StructureError that lists every structural violation."""
+    raises a ValueError for an arrival target that is no finite real number,
+    and one StructureError that lists every structural violation."""
 
     links: tuple[Link, ...]
     paths: tuple[Path, ...]
@@ -82,6 +86,7 @@ class Network:
     path_od: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        finite_real(self.arrival_target, "network arrival_target")
         links = tuple(self.links)
         paths = tuple(self.paths)
         violations = [] if paths else ["network has no paths"]

@@ -219,31 +219,39 @@ class TestInvariants:
                         assert lhs <= rhs + 1e-6, f"seed {seed}"
 
 
+def cut_horizon(monkeypatch, length):
+    """Make load's horizon ``length`` hours past tf (plus its rounding room),
+    too short for the loadings below to clear."""
+    monkeypatch.setattr(dnl, "default_horizon", lambda network, volume: length)
+
+
 class TestErrors:
-    def test_horizon_overflow_reports_residual(self):
+    def test_horizon_overflow_reports_residual(self, monkeypatch):
         net = single_link(tau_min=5.0, cap_per_min=1.0)
         grid = TimeGrid(0.0, 10 * MIN, 2)
+        cut_horizon(monkeypatch, 0.02)
         with pytest.raises(HorizonOverflowError) as exc:
-            load(net, [[6000.0, 6000.0]], grid, horizon=0.02)
+            load(net, [[6000.0, 6000.0]], grid)
         assert exc.value.residual_volume > 0.0
         assert (exc.value.path_id, exc.value.link_id) == ("p", "a")
 
-    def test_horizon_overflow_names_the_queued_link(self):
+    def test_horizon_overflow_names_the_queued_link(self, monkeypatch):
         links = (
             Link("a", "O", "M", 5 * MIN, 1e9),
             Link("b", "M", "D", 5 * MIN, 60.0),
         )
         net = Network(links=links, paths=(Path("p", ("a", "b"), "O", "D"),), arrival_target=0.5)
         grid = TimeGrid(0.0, 10 * MIN, 2)
+        cut_horizon(monkeypatch, 0.3)
         with pytest.raises(HorizonOverflowError) as exc:
-            load(net, [[600.0, 600.0]], grid, horizon=0.3)
+            load(net, [[600.0, 600.0]], grid)
         # 100 vehicles queue at b, which lets 1 veh/min out from 10 min on:
         # 18 have left by the horizon end at 28 min
         assert exc.value.residual_volume == pytest.approx(82.0, rel=1e-9)
         assert (exc.value.path_id, exc.value.link_id) == ("p", "b")
         assert "path p" in str(exc.value) and "link b" in str(exc.value)
 
-    def test_horizon_overflow_names_a_queued_link_loaded_in_a_batch(self):
+    def test_horizon_overflow_names_a_queued_link_loaded_in_a_batch(self, monkeypatch):
         # b1 and b2 each carry one path and share depth 1, so they are loaded
         # in one _batch_step; b1 queues as b does above, p2 clears
         links = (
@@ -256,12 +264,13 @@ class TestErrors:
         net = Network(links=links, paths=paths, arrival_target=0.5)
         assert [len(d.links) for d in net.loading_depths] == [2, 2]
         grid = TimeGrid(0.0, 10 * MIN, 2)
+        cut_horizon(monkeypatch, 0.3)
         with pytest.raises(HorizonOverflowError) as exc:
-            load(net, [[600.0, 600.0], [60.0, 60.0]], grid, horizon=0.3)
+            load(net, [[600.0, 600.0], [60.0, 60.0]], grid)
         assert exc.value.residual_volume == pytest.approx(82.0, rel=1e-9)
         assert (exc.value.path_id, exc.value.link_id) == ("p1", "b1")
 
-    def test_horizon_overflow_behind_a_ring_cut_short(self):
+    def test_horizon_overflow_behind_a_ring_cut_short(self, monkeypatch):
         # Paths x1 and x2 leave the ring r3 -> r1 -> r2 -> r3 on r3, which the
         # pass steps before r2. The ring's free-flow times exceed the horizon
         # end, so it gets one pass and their curves at r3's exit stay empty.
@@ -283,17 +292,19 @@ class TestErrors:
         net = Network(links=links, paths=paths, arrival_target=0.5)
         assert [len(d.links) for d in net.loading_depths] == [0, 2]
         grid = TimeGrid(0.0, 0.1, 2)
+        cut_horizon(monkeypatch, 0.01)
         with pytest.raises(HorizonOverflowError) as exc:
-            load(net, np.full((4, 2), 100.0), grid, horizon=0.01)
+            load(net, np.full((4, 2), 100.0), grid)
         assert exc.value.residual_volume == pytest.approx(40.0, rel=1e-9)
 
-    def test_horizon_overflow_tie_names_the_last_path(self):
+    def test_horizon_overflow_tie_names_the_last_path(self, monkeypatch):
         # two copies of one link carry the same flows, so both hold the same
         # volume at the horizon end; the error names the later path
         net = single_link(tau_min=5.0, cap_per_min=1.0).copies(2)
         grid = TimeGrid(0.0, 10 * MIN, 2)
+        cut_horizon(monkeypatch, 0.02)
         with pytest.raises(HorizonOverflowError) as exc:
-            load(net, np.full((2, 2), 600.0), grid, horizon=0.02)
+            load(net, np.full((2, 2), 600.0), grid)
         assert (exc.value.path_id, exc.value.link_id) == ("1#p", "1#a")
 
     @pytest.mark.parametrize("volume", [0.0, 100.0])
@@ -310,13 +321,6 @@ class TestErrors:
         got, want = load(both, flows, grid).states["a"], load(used, flows, grid).states["a"]
         for x, y in ((got.s, want.s), (got.cum_in, want.cum_in), (got.queue, want.queue)):
             assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -5.0, "1", True])
-    def test_bad_horizon_rejected(self, horizon):
-        net = single_link(tau_min=5.0, cap_per_min=50 / 60)
-        grid = TimeGrid(0.0, 10 * MIN, 2)
-        with pytest.raises(ValueError, match="horizon"):
-            load(net, [[600.0, 600.0]], grid, horizon=horizon)
 
     def test_negative_flow_rejected(self):
         net = single_link()
@@ -572,6 +576,31 @@ def test_loader_bytes_match_the_recorded_ones(name):
     assert digest == LOADER_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", ["bottleneck, n=16", "corridor, K=3", "ring"])
+def test_states_are_built_only_when_read(name, monkeypatch):
+    # a lone link, a merge link (bn) between two batches, and a cycle loaded
+    # in passes: a loading keeps each step's arrays and builds no LinkState
+    # until states is read, then one per link
+    built = []
+
+    class CountedState(dnl.LinkState):
+        def __init__(self, link, *rest):
+            built.append(link.id)
+            super().__init__(link, *rest)
+
+    monkeypatch.setattr(dnl, "LinkState", CountedState)
+    make, grid, top, _ = LOADER_CASES[name]
+    net = make()
+    flows = np.random.default_rng(1).uniform(0.0, top, size=(len(net.paths), grid.n))
+    res = load(net, flows, grid)
+    res.boundary_exits()
+    assert built == []
+    states = res.states
+    assert sorted(built) == sorted(link.id for link in net.links) == sorted(states)
+    for state in states.values():
+        assert np.array_equal(state.segments, np.column_stack((state.s[:-1], state.s[1:])))
+
+
 @st.composite
 def single_user_links(draw):
     """2-5 links, each with one inflow curve as the loader hands it on: times
@@ -677,7 +706,8 @@ class TestLoaderProperties:
     @given(data=st.data())
     def test_lone_link_step_equals_batch_step_bit_for_bit(self, grid, data):
         link, curve = data.draw(lone_link_flows(grid))
-        ref, (ref_out,) = _link_step(link, [curve])
+        ref_batch, (ref_out,) = _link_step(link, [curve])
+        (ref,) = _batch_states(ref_batch)
         batch, (out,) = _batch_step([link], [curve])
         (state,) = _batch_states(batch)
         for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
@@ -704,7 +734,8 @@ class TestLoaderProperties:
         links, curves = case
         batch, outs = _batch_step(links, curves)
         for link, curve, state, out in zip(links, curves, _batch_states(batch), outs):
-            ref, (ref_out,) = _link_step(link, [curve])
+            ref_batch, (ref_out,) = _link_step(link, [curve])
+            (ref,) = _batch_states(ref_batch)
             for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
                               (state.queue, ref.queue), (state.w, ref.w),
                               (out[0], ref_out[0]), (out[1], ref_out[1])):
@@ -715,7 +746,8 @@ class TestLoaderProperties:
     @given(under_capacity_users())
     def test_link_under_capacity_never_queues(self, case):
         link, curves = case
-        state, outs = _link_step(link, curves)
+        batch, outs = _link_step(link, curves)
+        (state,) = _batch_states(batch)
         assert not state.queued
         assert np.array_equal(state.queue, np.zeros(len(state.s)))
         assert np.array_equal(state.w, np.zeros(len(state.s)))
@@ -736,7 +768,8 @@ class TestLoaderProperties:
         lengths = np.full(3, 0.1)
         rates = link.exit_capacity * np.array([1.0, 1.0 + 1e-9, 0.5])
         curve = (np.arange(4) * 0.1, np.concatenate(([0.0], np.cumsum(rates * lengths))))
-        state, (out,) = _link_step(link, [curve])
+        batch, (out,) = _link_step(link, [curve])
+        (state,) = _batch_states(batch)
         assert state.queued
         assert state.queue.max() == pytest.approx(1500.0 * 1e-10, rel=1e-3)
         assert (out[0] > state.s).any()

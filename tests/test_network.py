@@ -25,8 +25,8 @@ def link(lid="a", tail="i", head="j", free_flow_time=0.1, exit_capacity=100.0):
 
 class TestValidate:
     """Each way a link or network can be unusable raises when it is built,
-    naming the link or path. (The arrival target needs the horizon, so the
-    scenario parser checks it.)"""
+    naming the link or path. (Whether the arrival target lies within the
+    horizon needs the horizon, so the scenario parser checks that.)"""
 
     def test_minimal_valid_network(self):
         net = make_net([Link("a", "i", "j", 0.2, 1800.0)], [Path("p", ("a",), "i", "j")])
@@ -101,6 +101,25 @@ class TestValidate:
         # destination, so the repeat is the path's only violation
         with pytest.raises(StructureError, match="^path p: repeated link$"):
             make_net([link(head="i")], [Path("p", ("a", "a"), "i", "i")])
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), None, "0.6", True])
+    def test_arrival_target_that_is_no_finite_number_rejected(self, target):
+        # built, such a network fails only in its first solve, far from the
+        # cause: with non-finite delays, or a bare TypeError inside cost
+        with pytest.raises(ValueError, match="^network arrival_target must be"):
+            make_net([link()], [Path("p", ("a",), "i", "j")], target=target)
+
+    @pytest.mark.parametrize("links", [
+        pytest.param([link(), link("b", "j", "k")], id="its characters are links"),
+        pytest.param([link("ab", "i", "k")], id="it is a link"),
+    ])
+    def test_string_of_link_ids_rejected(self, links):
+        # tuple("ab") is ("a", "b"): a two-link path, or an unknown-links
+        # error that names neither the string nor its cause
+        with pytest.raises(StructureError,
+                           match="^path p1: link_ids must be a sequence of link ids, "
+                                 "got the string 'ab'$"):
+            make_net(links, [Path("p1", "ab", "i", "k")])
 
 
 FAILURE_MODES = [
