@@ -27,7 +27,7 @@ class A1ViolationError(ValueError):
 
 
 class CostInvariantError(RuntimeError):
-    """An effective delay came out nonpositive; signals a loading bug."""
+    """An effective delay came out nonpositive or not finite; signals a loading bug."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,10 @@ class CostField:
     delays as a read-only (paths, n) array, one row per path, plus the
     inverse-demand value per OD pair (all hours).
 
+    The constructor copies both arrays and checks the delays' shape and
+    finiteness; ``_own`` adopts arrays that ``solver.f_map`` made and checked
+    itself, without a copy or a scan.
+
     ``_reduced`` is a class attribute, not a field, so equality, repr and
     ``dataclasses.replace`` ignore it; a CostField is immutable, so the memo
     it holds cannot go stale."""
@@ -86,23 +90,35 @@ class CostField:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "theta", theta)
 
+    @classmethod
+    def _own(cls, psi: np.ndarray, theta: np.ndarray) -> "CostField":
+        """A CostField holding psi and theta themselves, made read-only: for a
+        (paths, n) psi of finite positive delays that no one else holds."""
+        psi.setflags(write=False)
+        theta.setflags(write=False)
+        costs = object.__new__(cls)
+        object.__setattr__(costs, "psi", psi)
+        object.__setattr__(costs, "theta", theta)
+        return costs
+
 
 def effective_delay(result: LoadingResult, penalty: SchedulePenalty) -> np.ndarray:
     """Cell-averaged effective delays, a (paths, n) array.
 
     Each cell value averages the two endpoint evaluations of
     D(t) + f(t + D(t) - target), using the exact exit-time function and the
-    loaded network's arrival target. CostInvariantError if one is nonpositive.
+    loaded network's arrival target. CostInvariantError, naming the path, if
+    one is not a finite positive number, so every returned array is checked.
     """
     grid = result.grid
     exits = result.boundary_exits()
     psi_pts = (exits - grid.boundaries) + penalty(exits - result.network.arrival_target)
     vals = 0.5 * (psi_pts[:, :-1] + psi_pts[:, 1:])
-    nonpositive = vals <= 0.0
-    if np.count_nonzero(nonpositive):  # one C call, unlike .any()
-        p = int(np.argmax(nonpositive.any(axis=1)))
+    bad = ~((vals > 0.0) & (vals < np.inf))  # True for nan
+    if np.count_nonzero(bad):  # one C call, unlike .any()
+        p = int(np.argmax(bad.any(axis=1)))
         raise CostInvariantError(
-            f"nonpositive effective delay on path index {p}; "
+            f"effective delay on path index {p} is not a finite positive number; "
             "free-flow times must be positive and the penalty nonnegative"
         )
     return vals

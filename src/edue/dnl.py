@@ -355,9 +355,12 @@ def cannot_queue(network: Network, flows: np.ndarray, grid: TimeGrid) -> bool:
     cycle's passes shift its merged breakpoints on past these bounds, so
     cycles always load."""
     caps, users, starts, steps = network.queue_bound_terms
-    if steps is None or flows.shape != (len(network.paths), grid.n) or not flows.min() >= 0.0:
+    # the ufunc reductions of .min() and .max(), without their Python wrappers
+    if (steps is None or flows.shape != (len(network.paths), grid.n)
+            or not np.minimum.reduce(flows, axis=None) >= 0.0):
         return False
-    if np.count_nonzero(np.add.reduceat(flows.max(axis=1)[users], starts) <= caps) < len(caps):
+    peaks = np.maximum.reduce(flows, axis=1)
+    if np.count_nonzero(np.add.reduceat(peaks[users], starts) <= caps) < len(caps):
         return False
     return _rounding_room(network, grid, steps + 2 * grid.n + 8) < _MIN_PARCEL_LEN
 

@@ -129,26 +129,33 @@ def f_map(
     delays of a loading in which no link queues there, read-only, under
     (grid, penalty). Once they are stored, flows that ``dnl.cannot_queue``
     shows cannot queue run no loading: the loading would report queue_free,
-    and its delays would be the stored ones bit for bit. CostField copies
-    them, so the stored array is never handed out.
+    and its delays would be the stored ones bit for bit. f_map serves a copy
+    of the stored entry and stores a copy of the delays it computed, so the
+    stored array is never handed out. Each array it builds its CostField from
+    is its own and already checked (``effective_delay`` rejects a delay that
+    is not a finite positive number), so ``CostField._own`` takes them as
+    they are, with no second copy or scan.
 
     With ``inv_demand=None`` (pinned-demand mode) the OD value is the current
     minimum cell cost, which reduces every downstream formula to the
     fixed-demand equilibrium conditions.
     """
     key = (grid, penalty)
-    psi = network.free_flow_delays.get(key)
-    if psi is None or not dnl.cannot_queue(network, point.flows, grid):
+    stored = network.free_flow_delays.get(key)
+    if stored is not None and dnl.cannot_queue(network, point.flows, grid):
+        psi = stored.copy()
+    else:
         result = dnl.load(network, point.flows, grid)
         psi = effective_delay(result, penalty)
         if result.queue_free:
-            psi.setflags(write=False)
-            network.free_flow_delays[key] = psi
+            stored = psi.copy()
+            stored.setflags(write=False)
+            network.free_flow_delays[key] = stored
     if inv_demand is not None:
         theta = inv_demand.theta(point.demands)
     else:
         theta = network.od_min(psi)
-    return CostField(psi=psi, theta=theta)
+    return CostField._own(psi, theta)
 
 
 def _project(network: Network, grid: TimeGrid, y: np.ndarray, caps: np.ndarray,
@@ -300,7 +307,9 @@ def solve(
         costs = f_map(network, point, penalty, inv_demand, grid)
         gap = compute_gap(point, costs, network, caps)
         r1, r2 = verify.od_residuals(point.flows, costs, network, grid.dt)
-        history.append((iteration, gap, float(r1.max()), float(r2.max()), alpha))
+        # .max()'s ufunc reduction, without its Python wrapper
+        history.append((iteration, gap, float(np.maximum.reduce(r1)),
+                        float(np.maximum.reduce(r2)), alpha))
         converged = gap <= config.gap_rtol * max(history[0][1], 0.0)
         if converged or best_costs is None or gap < best_gap - 1e-15 * max(1.0, abs(best_gap)):
             best_gap, best_point, best_costs = gap, point, costs

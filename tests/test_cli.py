@@ -502,6 +502,30 @@ class TestCheckAndLoad:
             assert code != EXIT_INPUT_ERROR
             assert "input error" not in capsys.readouterr().err
 
+    def test_check_of_a_solve_held_at_its_cap_exits_2(self, tmp_path):
+        """A demand cap is a technical device, not an equilibrium property: at
+        an active cap theta(cap) exceeds the least used cost v, so the capped
+        point is no elastic equilibrium. The solve converges (its gap is over
+        the capped set) and exits 0; check reports r2 = demand_gap = theta - v
+        and exits 2, as the solve's own summary does under converged: True."""
+        doc = congested_scenario(n=16)
+        doc["demand"][0]["cap"] = 50.0
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "converged: True" in summary
+        assert "active demand caps (OD indices): [0]" in summary
+        code = main(["check", str(path), str(out / "flows.csv"), "--out", str(out)])
+        assert code == EXIT_NOT_CONVERGED
+        line = (out / "check.txt").read_text().strip()
+        assert line in summary
+        fields = dict(f.split("=") for f in line.split(": ", 1)[1].split())
+        v, theta, r1, r2, gap = (float(fields[k]) for k in
+                                 ("v", "theta", "r1", "r2", "demand_gap"))
+        assert theta == 1.0 - 0.002 * 50.0 and v == pytest.approx(0.115625)
+        assert r1 == 0.0 and r2 == gap == pytest.approx(theta - v) == pytest.approx(0.784375)
+
     def test_check_of_a_fixed_solve_passes(self, tmp_path):
         path = write_scenario(tmp_path, fixed_scenario([300.0, 200.0]))
         out = tmp_path / "out"

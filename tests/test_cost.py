@@ -127,6 +127,18 @@ class TestEffectiveDelay:
         with pytest.raises(A1ViolationError):
             effective_delay(res, SchedulePenalty(1.5, 2.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_effective_delay_names_the_path(self, bad):
+        """A delay that is no finite number is rejected where it is computed,
+        as a nonpositive one is, so f_map may adopt the array unscanned."""
+        grid = TimeGrid(0.0, 1.0, 2)
+        exits = np.array([[0.5, 1.0, 1.5], [0.5, bad, 1.5]])
+        result = SimpleNamespace(grid=grid, boundary_exits=lambda: exits,
+                                 network=SimpleNamespace(arrival_target=2.0))
+        with pytest.raises(CostInvariantError,
+                           match="path index 1 is not a finite positive number"):
+            effective_delay(result, SchedulePenalty(0.5, 2.0))
+
     def test_positivity(self):
         rng = np.random.default_rng(7)
         net = bottleneck_instance()

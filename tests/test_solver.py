@@ -81,6 +81,49 @@ class TestFMap:
         costs = f_map(inst["network"], point, inst["penalty"], None, grid)
         assert costs.theta[0] == pytest.approx(float(costs.psi[0].min()))
 
+    @pytest.mark.parametrize("elastic", [True, False])
+    def test_costs_hold_the_arrays_f_map_made_read_only(self, uncongested_elastic,
+                                                        monkeypatch, elastic):
+        """On a loading, the CostField holds the delays effective_delay
+        returned and the demand values theta or od_min returned, with no
+        second copy; on a memo hit, a copy of the stored delays. Either way
+        both arrays are read-only."""
+        inst = uncongested_elastic
+        net, grid, penalty = inst["network"], grid_of(inst), inst["penalty"]
+        made = []
+
+        def keep(f):
+            return lambda *args: made.append(f(*args)) or made[-1]
+
+        monkeypatch.setattr(solver, "effective_delay", keep(effective_delay))
+        monkeypatch.setattr(InverseDemand, "theta", keep(InverseDemand.theta))
+        monkeypatch.setattr(Network, "od_min", keep(Network.od_min))
+        point = zero_point(net, grid)
+        for served in (False, True):
+            made.clear()
+            costs = f_map(net, point, penalty, inst["inv_demand"] if elastic else None, grid)
+            assert not costs.psi.flags.writeable and not costs.theta.flags.writeable
+            assert costs.theta is made.pop()
+            if served:
+                assert made == []
+                assert not np.shares_memory(costs.psi, net.free_flow_delays[grid, penalty])
+            else:
+                assert len(made) == 1 and costs.psi is made[0]
+
+    def test_solve_builds_no_cost_field_through_the_public_constructor(
+            self, uncongested_elastic, monkeypatch):
+        """Every CostField of a solve holds arrays f_map made and checked, so
+        none pays the public constructor's copy and finiteness scan."""
+        inst = uncongested_elastic
+        checked = []
+        post_init = CostField.__post_init__
+        monkeypatch.setattr(CostField, "__post_init__",
+                            lambda self: checked.append(self) or post_init(self))
+        report = solve(inst["network"], inst["penalty"], inst["inv_demand"], inst["config"],
+                       grid=grid_of(inst))
+        assert report.converged and report.iterations > 1
+        assert checked == []
+
 
 def toy_costs(psi_vals, theta):
     return CostField(psi=psi_vals, theta=theta)
