@@ -66,9 +66,9 @@ class CostField:
     delays as a read-only (paths, n) array, one row per path, plus the
     inverse-demand value per OD pair (all hours).
 
-    The constructor copies both arrays and checks the delays' shape and
-    finiteness; ``_own`` adopts arrays that ``solver.f_map`` made and checked
-    itself, without a copy or a scan.
+    The constructor copies both arrays and checks the delays' shape and that
+    every delay and demand value is finite; ``_own`` adopts arrays that
+    ``solver.f_map`` made and checked itself, without a copy or a scan.
 
     ``_reduced`` is a class attribute, not a field, so equality, repr and
     ``dataclasses.replace`` ignore it; a CostField is immutable, so the memo
@@ -85,6 +85,8 @@ class CostField:
         if np.count_nonzero(np.isfinite(psi)) < psi.size:  # one C call, unlike .all()
             raise ValueError("effective delays must all be finite")
         theta = np.array(self.theta, dtype=float)
+        if np.count_nonzero(np.isfinite(theta)) < theta.size:
+            raise ValueError("demand values theta must all be finite")
         psi.setflags(write=False)
         theta.setflags(write=False)
         object.__setattr__(self, "psi", psi)

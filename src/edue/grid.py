@@ -69,8 +69,9 @@ class TimeGrid:
         if not self.tf > self.t0:
             raise ValueError(f"horizon end {self.tf} must exceed start {self.t0}")
 
-    @property
+    @cached_property
     def dt(self) -> float:
+        """The cell width, (tf - t0) / n."""
         return (self.tf - self.t0) / self.n
 
     @cached_property
@@ -109,6 +110,8 @@ class ExtendedPoint:
         demands = np.array(self.demands, dtype=float)
         if demands.ndim != 1:
             raise ShapeError("demands must be a flat vector, one entry per OD pair")
+        if np.count_nonzero(np.isfinite(demands)) < demands.size:
+            raise ValueError("demands must all be finite")
         flows.setflags(write=False)
         demands.setflags(write=False)
         object.__setattr__(self, "flows", flows)
@@ -118,3 +121,18 @@ class ExtendedPoint:
     def from_matrix(grid: TimeGrid, h: np.ndarray, demands: np.ndarray) -> "ExtendedPoint":
         """The point with (paths, n) flow matrix h and the given demands (both copied)."""
         return ExtendedPoint(grid, h, demands)
+
+    @classmethod
+    def _own(cls, grid: TimeGrid, flows: np.ndarray, demands: np.ndarray) -> "ExtendedPoint":
+        """A point holding flows and demands themselves, made read-only: for a
+        (paths, grid.n) float flows array and a flat float demands vector that
+        no one else holds. Only the flows are checked, for finiteness."""
+        if np.count_nonzero(np.isfinite(flows)) < flows.size:
+            raise ValueError("path flows must all be finite")
+        flows.setflags(write=False)
+        demands.setflags(write=False)
+        point = object.__new__(cls)
+        object.__setattr__(point, "grid", grid)
+        object.__setattr__(point, "flows", flows)
+        object.__setattr__(point, "demands", demands)
+        return point

@@ -153,7 +153,7 @@ class Network:
     def od_min(self, x: np.ndarray) -> np.ndarray:
         """Per OD pair, the least entry of a (paths, n) array over the pair's
         paths and cells."""
-        return self.by_od(x).min(axis=1)
+        return np.minimum.reduce(self.by_od(x), axis=1)  # .min without its wrapper
 
     def od_argmin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per OD pair, the (path index, cell) of the least entry of a

@@ -7,7 +7,10 @@ inverse-demand value) and P_K the Euclidean projection onto the flows whose
 volume per OD is at most its demand cap, or in fixed mode its pinned demand.
 Its fixed points are the VI's solutions for every alpha; the start is P_K of
 zero flow. Only P_K knows the mode. An active cap is flagged in the report
-since it is a technical device, not an equilibrium property.
+since it is a technical device, not an equilibrium property. Only the start
+is built by the public ``ExtendedPoint`` constructor, with its copies and
+scans; each step's point adopts the arrays P_K has just made
+(``ExtendedPoint._own``), scanning only the flows for finiteness.
 
 Reduced costs and residuals come from ``verify``. One iteration forms its
 reduced costs and their per-OD minimum once and shares them among the gap,
@@ -159,13 +162,16 @@ def f_map(
 
 
 def _project(network: Network, grid: TimeGrid, y: np.ndarray, caps: np.ndarray,
-             pinned: bool) -> ExtendedPoint:
+             pinned: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per OD, the Euclidean projection of rates y onto the feasible set:
     h = max(0, y - lam), lam = 0 where the clipped volume meets the bound
     (elastic: fits under the cap), else the root of dt * sum(max(0, y - lam))
-    = bound, found by a sort (Held, Wolfe & Crowder 1974); pinned, lam may be < 0."""
+    = bound, found by a sort (Held, Wolfe & Crowder 1974); pinned, lam may be < 0.
+    Returns (h, demands): h is a new array, and so are the demands when
+    elastic; pinned, they are ``caps`` itself."""
     h = np.maximum(0.0, y)
-    vol = network.od_sum(h.sum(axis=1)) * grid.dt
+    # .sum's ufunc reduction, without its Python wrapper
+    vol = network.od_sum(np.add.reduce(h, axis=1)) * grid.dt
     demands = caps if pinned else np.minimum(vol, caps)
     off = demands != vol
     if np.count_nonzero(off):  # one C call, unlike .any()
@@ -177,8 +183,8 @@ def _project(network: Network, grid: TimeGrid, y: np.ndarray, caps: np.ndarray,
         rho = np.maximum(1, np.count_nonzero(s > lam, axis=1))  # >= 1: a zero bound gets h = 0
         shift = np.zeros(len(off))
         shift[off] = lam[np.arange(len(rho)), rho - 1]
-        h = np.maximum(0.0, y - shift[network.path_od, None])
-    return ExtendedPoint.from_matrix(grid, h, demands)
+        h = np.maximum(0.0, y - shift[network.path_od][:, None])
+    return h, demands
 
 
 def fixed_point_step(
@@ -190,13 +196,18 @@ def fixed_point_step(
     pinned: bool = False,
 ) -> ExtendedPoint:
     """One projection step, P_K[h - alpha * rc] (``_project``): ``caps`` bound
-    each OD's volume from above, or with ``pinned`` exactly."""
+    each OD's volume from above, or with ``pinned`` exactly.
+
+    The new point holds the arrays ``_project`` made (``ExtendedPoint._own``:
+    no copy, only the flows' finiteness scan); pinned demands are the caller's
+    caps, so they are copied first."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"step size alpha must be finite and positive, got {alpha!r}")
     verify.check_rows(network, point.flows, costs.psi)
     caps = verify.check_caps(network, caps)
     y = point.flows - alpha * reduced_costs(costs, network)
-    return _project(network, point.grid, y, caps, pinned)
+    h, demands = _project(network, point.grid, y, caps, pinned)
+    return ExtendedPoint._own(point.grid, h, demands.copy() if pinned else demands)
 
 
 def compute_gap(
@@ -293,7 +304,8 @@ def solve(
             raise ValueError(f"pinned demands must be finite and nonnegative; OD pair indices "
                              f"{np.flatnonzero(bad).tolist()} are not")
     # P_K of zero flow: zero flow itself when elastic, uniform flows when pinned
-    point = _project(network, grid, np.zeros((len(network.paths), grid.n)), caps, pinned)
+    point = ExtendedPoint.from_matrix(
+        grid, *_project(network, grid, np.zeros((len(network.paths), grid.n)), caps, pinned))
 
     alpha = config.alpha
     history: list[tuple[int, float, float, float, float]] = []

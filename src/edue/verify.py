@@ -127,7 +127,7 @@ def _reduced(costs: CostField, network: Network) -> tuple[Network, np.ndarray, n
 def _form_reduced_costs(costs: CostField, network: Network) -> tuple[np.ndarray, np.ndarray]:
     """The reduced costs and their per-OD minimum, formed anew (read-only)."""
     theta = check_caps(network, costs.theta, "demand values")
-    rc = costs.psi - theta[network.path_od, None]
+    rc = costs.psi - theta[network.path_od][:, None]  # faster than theta[path_od, None]
     least = network.od_min(rc)
     rc.setflags(write=False)
     least.setflags(write=False)
@@ -140,7 +140,8 @@ def od_residuals(
     """Per OD pair, r1 and r2 of ResidualReport from the flows and their
     costs."""
     _, rc, least = _reduced(costs, network)
-    r1 = network.od_sum((flows * np.maximum(0.0, rc)).sum(axis=1)) * dt
+    # .sum's ufunc reduction, without its Python wrapper
+    r1 = network.od_sum(np.add.reduce(flows * np.maximum(0.0, rc), axis=1)) * dt
     # 0.0 - m, not -m: where the least reduced cost m is +0.0, -m is -0.0, but
     # theta - min(psi) reads +0.0
     r2 = np.maximum(0.0, 0.0 - least)

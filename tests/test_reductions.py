@@ -148,7 +148,7 @@ def test_projection_meets_its_optimality_conditions(case):
     lam > 0 only where the volume sits at the bound; every volume at most
     its cap, or pinned equal to its demand, within FEASIBILITY_RTOL."""
     net, grid, y, bound, pinned = case
-    point = _project(net, grid, y, bound, pinned)
+    point = ExtendedPoint.from_matrix(grid, *_project(net, grid, y, bound, pinned))
     h = point.flows
     assert (h >= 0.0).all() and is_feasible(point, net)
     vol = net.od_sum(h.sum(axis=1)) * grid.dt
@@ -171,7 +171,7 @@ def test_projection_meets_its_optimality_conditions(case):
 @given(projections())
 def test_projection_matches_bisection(case):
     net, grid, y, bound, pinned = case
-    point = _project(net, grid, y, bound, pinned)
+    point = ExtendedPoint.from_matrix(grid, *_project(net, grid, y, bound, pinned))
     h_ref, demands_ref = project_loop(y, net, bound, grid.dt, pinned)
     np.testing.assert_allclose(point.flows, h_ref, rtol=1e-12,
                                atol=1e-12 * max(1.0, float(np.abs(y).max())))

@@ -124,6 +124,20 @@ class TestFMap:
         assert report.converged and report.iterations > 1
         assert checked == []
 
+    def test_solve_builds_one_point_through_the_public_constructor(
+            self, uncongested_elastic, monkeypatch):
+        """Only the start pays the public constructor's copies and scans;
+        each step's point adopts the arrays its projection made."""
+        inst = uncongested_elastic
+        checked = []
+        post_init = ExtendedPoint.__post_init__
+        monkeypatch.setattr(ExtendedPoint, "__post_init__",
+                            lambda self: checked.append(self) or post_init(self))
+        report = solve(inst["network"], inst["penalty"], inst["inv_demand"], inst["config"],
+                       grid=grid_of(inst))
+        assert report.converged and report.iterations > 1
+        assert len(checked) == 1
+
 
 def toy_costs(psi_vals, theta):
     return CostField(psi=psi_vals, theta=theta)
@@ -219,6 +233,23 @@ class TestReducedCostAndStep:
         new = fixed_point_step(point, costs, net, alpha=1.0, caps=np.array([2.0]), pinned=True)
         assert new.demands[0] == 2.0
         assert new.flows[0] == pytest.approx(want)
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["elastic", "pinned"])
+    @pytest.mark.parametrize("cap", [3.0, 4.0], ids=["cap-binds", "cap-slack"])
+    def test_step_point_holds_read_only_arrays_of_its_own(self, pinned, cap):
+        grid = TimeGrid(0.0, 1.0, 2)
+        net = toy_network()
+        point = ExtendedPoint.from_matrix(grid, np.array([[2.0, 5.0]]), np.array([3.5]))
+        costs = toy_costs([[0.3, 0.1]], [0.3])
+        caps = np.array([cap])
+        new = fixed_point_step(point, costs, net, alpha=1.0, caps=caps, pinned=pinned)
+        inputs = (point.flows, point.demands, costs.psi, costs.theta,
+                  reduced_costs(costs, net), caps)
+        for a in (new.flows, new.demands):
+            assert not a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in inputs)
+        # pinned, the projection's demands are the caller's caps themselves
+        assert caps.flags.writeable
 
     @pytest.mark.parametrize("pinned", [True, False])
     def test_step_onto_a_zero_bound_carries_nothing(self, pinned):
@@ -320,7 +351,8 @@ class TestGap:
             y = np.zeros((1, 8))
             y[0, costs.psi[0].argmin()] = rng.uniform(1.0, 1e6)
             y += rng.uniform(0.0, 1.0) * rng.uniform(-1.0, 1.0, size=(1, 8))
-            point = solver._project(net, grid, y, caps, pinned=False)
+            point = ExtendedPoint.from_matrix(grid, *solver._project(net, grid, y, caps,
+                                                                     pinned=False))
             gap = compute_gap(point, costs, net, caps)
             below += gap < 0.0
             assert gap >= -gap_rounding_bound(point, costs, net, caps)
@@ -563,9 +595,20 @@ class TestInputChecks:
             ExtendedPoint(TimeGrid(0.0, 1.0, 2), [[1.0, 2.0], [3.0, bad]], [0.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_point_rejects_non_finite_demands(self, bad):
+        with pytest.raises(ValueError, match="demands must all be finite"):
+            ExtendedPoint(TimeGrid(0.0, 1.0, 2), [[1.0, 2.0]], [bad])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_cost_field_rejects_non_finite_delays(self, bad):
         with pytest.raises(ValueError, match="effective delays must all be finite"):
             CostField(psi=[[0.5, bad], [0.5, 0.5]], theta=[0.3])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_cost_field_rejects_non_finite_demand_values(self, bad):
+        # unchecked, the gap reads nan and the step blames the path flows
+        with pytest.raises(ValueError, match="demand values theta must all be finite"):
+            CostField(psi=[[0.5, 0.6]], theta=[bad])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_load_rejects_flows_that_are_not_finite(self, bad):
