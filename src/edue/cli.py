@@ -96,12 +96,11 @@ class Scenario:
 
         sol = _block(doc, "solver", SOLVER_KEYS)
         self.n = _integer(sol, "n")  # grid cells
-        # SolverConfig's defaults stand for the keys the scenario leaves out;
-        # "halve_on_stall": null counts as left out
+        # SolverConfig's defaults stand for the keys the scenario leaves out
         given = {"alpha": _number(sol, "alpha"), "max_iters": _integer(sol, "max_iters")}
         if "gap_rtol" in sol:
             given["gap_rtol"] = _number(sol, "gap_rtol")
-        if sol.get("halve_on_stall") is not None:
+        if "halve_on_stall" in sol:
             given["halve_on_stall"] = _integer(sol, "halve_on_stall")
         self.config = SolverConfig(**given)
 
@@ -142,7 +141,7 @@ class Scenario:
                 intercept.append(_number(e, "intercept"))
                 slope.append(_number(e, "slope"))
                 cap.append(_number(e, "cap") if "cap" in e else None)
-            self.inv_demand = InverseDemand.build(intercept, slope, cap)
+            self.inv_demand = InverseDemand(intercept, slope, cap)
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.t0, self.tf, self.n)

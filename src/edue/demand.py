@@ -26,25 +26,38 @@ class DemandDomainError(ValueError):
 @dataclass(frozen=True)
 class InverseDemand:
     """Per-OD linear inverse demand: intercepts (hours), slopes (hours per
-    vehicle) and demand caps (vehicles)."""
+    vehicle) and demand caps (vehicles). A cap left out, or given as None
+    for one OD pair, defaults to a fixed fraction of the choke demand
+    intercept/slope; a zero-slope OD pair needs an explicit cap."""
 
     intercept: np.ndarray
     slope: np.ndarray
-    cap: np.ndarray
+    cap: "np.ndarray | list[float | None] | None" = None
 
     def __post_init__(self) -> None:
         intercept = np.asarray(self.intercept, dtype=float).copy()
         slope = np.asarray(self.slope, dtype=float).copy()
-        cap = np.asarray(self.cap, dtype=float).copy()
+        given = (np.full(intercept.shape, None) if self.cap is None
+                 else np.asarray(self.cap, dtype=object))
+        missing = np.equal(given, None)
+        cap = np.where(missing, 0.0, given).astype(float)
         if not (intercept.shape == slope.shape == cap.shape) or intercept.ndim != 1:
             raise ValueError("intercept, slope and cap must be flat vectors of equal length")
-        for name, a in (("intercept", intercept), ("slope", slope), ("cap", cap)):
+        for name, a in (("intercept", intercept), ("slope", slope)):
             if not np.isfinite(a).all():
                 raise ValueError(f"inverse-demand {name} must be finite, got {a.tolist()}")
         if np.any(intercept <= 0.0):
             raise ValueError("inverse-demand intercepts must be strictly positive")
         if np.any(slope < 0.0):
             raise ValueError("inverse-demand slopes must be nonnegative")
+        if missing.any():
+            uncapped = np.flatnonzero(missing & (slope == 0.0))
+            if uncapped.size:
+                raise ValueError(f"OD pair index {uncapped[0]}: a demand cap is required "
+                                 "when the slope is zero")
+            cap[missing] = DEFAULT_CAP_FRACTION * intercept[missing] / slope[missing]
+        if not np.isfinite(cap).all():
+            raise ValueError(f"inverse-demand cap must be finite, got {cap.tolist()}")
         if np.any(cap <= 0.0):
             raise ValueError("demand caps must be strictly positive")
         if np.any(intercept - slope * cap <= 0.0):
@@ -57,29 +70,6 @@ class InverseDemand:
         object.__setattr__(self, "intercept", intercept)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "cap", cap)
-
-    @staticmethod
-    def build(
-        intercept: "np.ndarray | list[float]",
-        slope: "np.ndarray | list[float]",
-        cap: "np.ndarray | list[float | None] | None" = None,
-    ) -> "InverseDemand":
-        """Build with default caps: a fixed fraction of the choke demand when
-        the slope is positive. Zero-slope OD pairs need an explicit cap."""
-        intercept = np.asarray(intercept, dtype=float)
-        slope = np.asarray(slope, dtype=float)
-        raw = list(cap) if cap is not None else [None] * intercept.shape[0]
-        filled = []
-        for w, c in enumerate(raw):
-            if c is not None:
-                filled.append(float(c))
-            elif slope[w] > 0.0:
-                filled.append(DEFAULT_CAP_FRACTION * intercept[w] / slope[w])
-            else:
-                raise ValueError(
-                    f"OD pair index {w}: a demand cap is required when the slope is zero"
-                )
-        return InverseDemand(intercept, slope, np.array(filled))
 
     def theta(self, demand: np.ndarray) -> np.ndarray:
         """Inverse demand values at the given demand vector (hours); ShapeError

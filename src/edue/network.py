@@ -187,8 +187,11 @@ class Network:
         (dnl.default_horizon and the room load adds to it)."""
         used = {link.id for route in self.routes for link in route}
         links = [l for l in self.links if l.id in used]
-        return (min(l.exit_capacity for l in links), sum(l.free_flow_time for l in links),
-                len(links))
+        # a loop, as in dnl.load: from Python 3.12, sum() of floats is compensated
+        total_fft = 0.0
+        for link in links:
+            total_fft += link.free_flow_time
+        return min(l.exit_capacity for l in links), total_fft, len(links)
 
     @cached_property
     def queue_bound_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:

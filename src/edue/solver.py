@@ -56,17 +56,15 @@ class SolverConfig:
     alpha: float = 100.0  # step size, (veh/h) per hour of reduced cost
     max_iters: int = 500
     gap_rtol: float = 1e-6  # gap target, relative to the initial gap
-    halve_on_stall: int | None = 40  # halve alpha after this many non-improving iters
+    halve_on_stall: int = 40  # halve alpha after this many non-improving iters
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gap_rtol"):
             finite_real(getattr(self, name), f"solver {name}")
         if self.alpha <= 0.0:
             raise ValueError("step size must be positive")
-        object.__setattr__(self, "max_iters", positive_int(self.max_iters, "solver max_iters"))
-        if self.halve_on_stall is not None:
-            object.__setattr__(self, "halve_on_stall",
-                               positive_int(self.halve_on_stall, "solver halve_on_stall"))
+        for name in ("max_iters", "halve_on_stall"):
+            object.__setattr__(self, name, positive_int(getattr(self, name), f"solver {name}"))
         if self.gap_rtol < 0.0:
             raise ValueError("solver gap_rtol must be nonnegative")
 
@@ -328,7 +326,7 @@ def solve(
             stall = 0
         else:
             stall += 1
-            if config.halve_on_stall is not None and stall >= config.halve_on_stall:
+            if stall >= config.halve_on_stall:
                 alpha *= 0.5
                 stall = 0
                 largest_move = alpha * np.abs(reduced_costs(costs, network)).max()

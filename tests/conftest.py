@@ -50,7 +50,7 @@ def uncongested_elastic():
         network=single_link_network(tau=1 / 6, capacity=1e6, arrival_target=7 / 6),
         grid_bounds=(0.0, 2.0),
         penalty=SchedulePenalty(early=0.5, late=2.0),
-        inv_demand=InverseDemand.build([1.0], [1 / 120.0]),  # choke demand 120 veh
+        inv_demand=InverseDemand([1.0], [1 / 120.0]),  # choke demand 120 veh
         n=64,
         config=SolverConfig(alpha=400.0, max_iters=4000, gap_rtol=1e-6, halve_on_stall=25),
     )

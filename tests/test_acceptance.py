@@ -192,7 +192,7 @@ def test_criterion_5_cell_flow_bound():
     dem = InverseDemand([1.0], [0.002], [200.0])
     grid = TimeGrid(0.0, 1.0, 4)
     bound = lemma2_bound(net, penalty)  # 3 * 100 / 0.5 = 600 veh/h
-    cfg = SolverConfig(alpha=400.0, max_iters=6000, gap_rtol=1e-6, halve_on_stall=None)
+    cfg = SolverConfig(alpha=400.0, max_iters=6000, gap_rtol=1e-6)
     rep = solve(net, penalty, dem, cfg, grid=grid)
     costs0 = f_map(net, zero_point(net, grid), penalty, dem, grid)
     br = best_response(costs0, net, dem.cap, grid)

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,65 @@ def fixed_scenario(demands):
     return doc
 
 
+def _links(*rows):
+    return [{"id": lid, "from": tail, "to": head, "free_flow_time": fft, "exit_capacity": cap}
+            for lid, tail, head, fft, cap in rows]
+
+
+def _paths_and_demands(doc, rows, slope, cap):
+    """Set one path (id, links, origin, destination, intercept) per OD pair,
+    each with an elastic demand entry."""
+    doc["network"]["paths"] = [{"id": pid, "links": links, "origin": o, "destination": d}
+                               for pid, links, o, d, _ in rows]
+    doc["demand"] = [{"origin": o, "destination": d, "intercept": intercept, "slope": slope,
+                      "cap": cap} for _, _, o, d, intercept in rows]
+
+
+def corridor_scenario():
+    """Two OD pairs whose feeders, loaded as one batch, share the bottleneck
+    bn, which queues."""
+    doc = congested_scenario(n=8)
+    doc["horizon"] = {"t0": 0.0, "tf": 1.6, "arrival_target": 0.8}
+    doc["solver"]["max_iters"] = 60
+    doc["network"]["links"] = _links(
+        ("in1", "O1", "A", 0.01, 1e5), ("in2", "O2", "A", 0.01, 1e5), ("bn", "A", "B", 0.1, 300.0),
+        ("out1", "B", "D1", 0.01, 1e5), ("out2", "B", "D2", 0.01, 1e5))
+    _paths_and_demands(doc, [("a1", ["in1", "bn", "out1"], "O1", "D1", 1.2),
+                             ("a2", ["in2", "bn", "out2"], "O2", "D2", 1.3)], 0.004, 250.0)
+    return doc
+
+
+def ring_scenario():
+    """Three links that feed each other, so they load in passes; r2 is tight
+    enough to queue."""
+    doc = congested_scenario(n=8)
+    doc["horizon"]["arrival_target"] = 0.5
+    doc["solver"]["max_iters"] = 60
+    doc["network"]["links"] = _links(("r1", "A", "B", 0.1, 300.0), ("r2", "B", "C", 0.15, 100.0),
+                                     ("r3", "C", "A", 0.12, 400.0))
+    _paths_and_demands(doc, [("p12", ["r1", "r2"], "A", "C", 1.0),
+                             ("p23", ["r2", "r3"], "B", "A", 1.0),
+                             ("p31", ["r3", "r1"], "C", "B", 1.0)], 0.002, 450.0)
+    return doc
+
+
+# solve, load and check of every scenario in argv[1], each writing to its own
+# directory under argv[2], with the exit codes in argv[2]/exit_codes.json
+SOLVE_LOAD_CHECK = """
+import json, sys
+from pathlib import Path
+from edue.cli import main
+scenarios, root = Path(sys.argv[1]), Path(sys.argv[2])
+codes = {}
+for scenario in sorted(scenarios.glob("*.json")):
+    out = root / scenario.stem
+    flows = str(out / "flows.csv")
+    codes[scenario.stem] = [main([*command, "--out", str(out)]) for command in (
+        ["solve", str(scenario)], ["load", str(scenario), flows], ["check", str(scenario), flows])]
+(root / "exit_codes.json").write_text(json.dumps(codes))
+"""
+
+
 def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -174,13 +237,10 @@ class TestScenarioParsing:
         assert ("horizon.arrival_target must precede horizon.tf 2.0, got 2.0"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("halve_on_stall", ["absent", None])
-    def test_solver_defaults_come_from_solver_config(self, tmp_path, halve_on_stall):
+    def test_solver_defaults_come_from_solver_config(self, tmp_path):
         doc = uncongested_scenario()
         for key in ("gap_rtol", "halve_on_stall"):
             doc["solver"].pop(key, None)
-        if halve_on_stall is None:
-            doc["solver"]["halve_on_stall"] = None
         sc = load_scenario(write_scenario(tmp_path, doc))
         assert sc.config == SolverConfig(alpha=400.0, max_iters=4000)
 
@@ -294,6 +354,9 @@ class TestScenarioParsing:
         pytest.param("halve_on_stall", value, "halve_on_stall must be an integer >= 1",
                      id=f"halve_on_stall={value}")
         for value in (0, -3)
+    ] + [
+        pytest.param("halve_on_stall", None, "field 'halve_on_stall' must be a number, got None",
+                     id="halve_on_stall=null")
     ])
     def test_non_integer_count_rejected_naming_the_field(self, tmp_path, capsys, field, value,
                                                          message):
@@ -440,6 +503,38 @@ class TestSolveCommand:
         main(["solve", str(path), "--out", str(out2)])
         for name in ("flows.csv", "costs.csv", "gap.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # one interpreter per hash seed: reruns in one process share its seed,
+        # so they cannot catch a result that follows the order of a set
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        for name, doc in [("elastic", congested_scenario()),
+                          ("fixed", fixed_scenario([300.0, 200.0])),
+                          ("corridor", corridor_scenario()), ("ring", ring_scenario())]:
+            write_scenario(scenarios, doc, f"{name}.json")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        roots = [tmp_path / f"hash{seed}" for seed in (1, 2)]
+        for seed, root in zip((1, 2), roots):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            command = [sys.executable, "-c", SOLVE_LOAD_CHECK, str(scenarios), str(root)]
+            run = subprocess.run(command, env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+
+        outputs = ["costs.csv", "flows.csv", "gap.csv", "summary.txt", "curves.csv", "check.txt"]
+        files = sorted(str(f.relative_to(roots[0])) for f in roots[0].rglob("*") if f.is_file())
+        assert files == sorted(["exit_codes.json"] + [
+            f"{name}/{output}" for name in ("corridor", "elastic", "fixed", "ring")
+            for output in outputs])
+        for f in files:
+            assert (roots[0] / f).read_bytes() == (roots[1] / f).read_bytes(), f
+        codes = json.loads((roots[0] / "exit_codes.json").read_text())
+        assert codes["elastic"] == codes["fixed"] == [EXIT_OK] * 3
+        assert EXIT_INPUT_ERROR not in codes["corridor"] + codes["ring"]
+        for name, links in (("corridor", {"bn"}), ("ring", {"r1", "r2", "r3"})):
+            assert any(row["link_id"] in links and float(row["queue"]) > 0.0
+                       for row in read_csv(roots[0] / name / "curves.csv")), name
 
 
 class TestCheckAndLoad:

@@ -7,14 +7,19 @@ from edue.grid import ShapeError
 
 
 class TestConstruction:
-    def test_default_cap(self):
-        d = InverseDemand.build(intercept=[60.0], slope=[0.5])
-        assert d.cap[0] == pytest.approx(0.95 * 60.0 / 0.5)
+    @pytest.mark.parametrize("cap", ["omitted", None, [None, None], [None, 80.0]])
+    def test_default_cap(self, cap):
+        intercept, slope = [1.0, 1.0], [1 / 120.0, 0.01]
+        args = () if cap == "omitted" else (cap,)
+        d = InverseDemand(intercept, slope, *args)
+        # bit-equal: computed in this order
+        assert d.cap[0] == 0.95 * 1.0 / (1 / 120.0)
+        assert d.cap[1] == (80.0 if cap == [None, 80.0] else 0.95 * 1.0 / 0.01)
 
     def test_zero_slope_needs_explicit_cap(self):
-        with pytest.raises(ValueError):
-            InverseDemand.build(intercept=[60.0], slope=[0.0])
-        d = InverseDemand.build(intercept=[60.0], slope=[0.0], cap=[500.0])
+        with pytest.raises(ValueError, match="OD pair index 1: a demand cap is required"):
+            InverseDemand(intercept=[1.0, 60.0], slope=[0.01, 0.0])
+        d = InverseDemand(intercept=[60.0], slope=[0.0], cap=[500.0])
         assert d.cap[0] == 500.0
 
     def test_nonpositive_intercept_rejected(self):
@@ -43,6 +48,7 @@ class TestConstruction:
         ([np.nan], [0.01], [80.0], "intercept"),
         ([1.0], [np.nan], [80.0], "slope"),
         ([1.0], [0.0], [np.inf], "cap"),
+        ([1.0], [0.01], [np.nan], "cap"),  # a nan cap is no missing one
     ])
     def test_non_finite_rejected_naming_the_field(self, intercept, slope, cap, field):
         with pytest.raises(ValueError, match=f"inverse-demand {field} must be finite"):

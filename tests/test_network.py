@@ -211,6 +211,15 @@ class TestStructure:
         (od,) = net.od_paths
         assert [net.paths[i].id for i in od] == ["pA", "pB"]
 
+    def test_clearance_terms_add_free_flow_times_left_to_right(self):
+        # math.fsum, and sum() from Python 3.12, give 1.0000000000000002;
+        # added left to right, each 1e-16 falls below half an ulp of 1.0
+        links = [Link("a", "i", "j", 1.0, 5.0), Link("b", "j", "k", 1e-16, 3.0),
+                 Link("c", "k", "l", 1e-16, 4.0)]
+        net = make_net(links, [Path("p", ("a", "b", "c"), "i", "l")])
+        assert net.clearance_terms == (3.0, 1.0, 3)
+        assert math.fsum(l.free_flow_time for l in links) == 1.0000000000000002
+
     def test_copies_repeat_the_od_structure(self):
         # "p" sorts before "p!", but "p!#0" would sort before "p#0": the
         # copies' prefixed ids keep each OD pair's path order

@@ -696,6 +696,7 @@ class TestConfigValidation:
         ("halve_on_stall", -3),
         ("max_iters", True),
         ("halve_on_stall", True),
+        ("halve_on_stall", None),
     ])
     def test_non_integer_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
