@@ -215,7 +215,7 @@ class Network:
             return caps, paths, starts, None
         return caps, paths, starts, len(depths) + max(map(len, users.values()))
 
-    def copies(self, b: int) -> "Network":
+    def copies(self, b: int, stack: "Network | None" = None) -> "Network":
         """b disjoint copies of the network, laid copy after copy: copy k
         holds every link, node and path with its id prefixed by "k#", so path
         p of copy k is path k * len(paths) + p and OD pair w of copy k is OD
@@ -226,7 +226,38 @@ class Network:
         gives each copy bit for bit the curves of its own loading. The
         stack's default horizon exceeds any one copy's, which changes
         nothing: the default horizon already guarantees that each copy
-        clears, ring roads included, so no count is cut at its end."""
+        clears, ring roads included, so no count is cut at its end.
+
+        Given ``stack``, this network's copies(B) for some B >= b, the result
+        is its first b copies: the stack's own first links and paths, through
+        the constructor, with routes, od_paths, od_rows, queue_bound_terms and
+        loading_depths sliced from the stack's. Those of copy k lie after
+        copy k-1's, except at each depth of loading_depths, where the copies
+        lie last first, so the first b are the last b/B share. The rest, the
+        free-flow memo included, is the copies' own."""
+        if stack is not None:
+            n_copies = len(stack.paths) // len(self.paths)
+            if not 1 <= b <= n_copies:
+                raise ValueError(f"b must be between 1 and the stack's {n_copies} copies, "
+                                 f"got {b!r}")
+            n_paths, n_od = b * len(self.paths), b * len(self.od_pairs)
+            net = Network(stack.links[:b * len(self.links)], stack.paths[:n_paths],
+                          self.arrival_target)
+            caps, users, starts, bound = stack.queue_bound_terms
+            n_used = len(caps) // n_copies * b
+            od_take = stack._od_take
+            net.__dict__.update(
+                routes=stack.routes[:n_paths],
+                od_paths=stack.od_paths[:n_od],
+                od_rows=stack.od_rows[:n_od],
+                _od_take=od_take if isinstance(od_take, slice) else od_take[:n_od],
+                queue_bound_terms=(caps[:n_used], users[:len(users) // n_copies * b],
+                                   starts[:n_used], bound),
+                loading_depths=tuple(
+                    Depth(d.links[len(d.links) // n_copies * (n_copies - b):],
+                          d.cycles[len(d.cycles) // n_copies * (n_copies - b):])
+                    for d in stack.loading_depths))
+            return net
         links = tuple(Link(f"{k}#{l.id}", f"{k}#{l.tail}", f"{k}#{l.head}", l.free_flow_time,
                            l.exit_capacity) for k in range(b) for l in self.links)
         paths = tuple(Path(f"{k}#{p.id}", tuple(f"{k}#{lid}" for lid in p.link_ids),

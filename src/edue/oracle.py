@@ -15,11 +15,15 @@ the current sweep and the sweeps after it, up to LOOKAHEAD sweeps from one
 incumbent, are scored together, and the trials after the first better one
 are discarded. Most sweeps improve nothing and only halve the step, so the
 criterion-2 instances score 38, 43 and 192 batches instead of 90, 100 and
-223. On a 2-core Xeon host one batch of the one-path instances costs about
-190 us plus 18 us per point, and a batch of a new size first builds its
-network copies (120 us for 8). Timed against one sweep per batch, both
-one-path oracle runs took 0.77x at depth 2, 0.66x at 3, 0.65x at 4, 0.83x
-at 8 and 1.33x at 16.
+223. A run builds one stack of network copies, at its first batch: as many
+copies as the largest batch can hold, 25 on those instances. A batch of
+another size is scored on the stack's first b copies (Network.copies with
+the stack), which share its links, paths and derived structure. On a 2-core
+Xeon host the 25-copy stack takes about 360 us to build and 8 first copies
+27 us, against 155 us for 8 new copies. One batch of the congested one-path
+instance whose flows queue costs about 130 us at 1 point, 195 us at 8 and
+285 us at 25. Timed against one sweep per batch, both one-path oracle runs
+took 0.77x at depth 2, 0.66x at 3, 0.65x at 4, 0.83x at 8 and 1.33x at 16.
 """
 
 from __future__ import annotations
@@ -84,13 +88,19 @@ class _GapObjective:
         self.inst = inst
         self.shape = (len(inst.network.paths), inst.grid.n)
         self.evaluations = 0
+        # the most points one batch holds: a lattice chunk or a compass batch
+        dim = self.shape[0] * self.shape[1]
+        self._most = max(min(RESOLUTION**dim, RESOLUTION**2), LOOKAHEAD * 2 * dim)
         # per number of copies: the network copies and their inverse demand
         self._stacks: dict[int, tuple[Network, InverseDemand]] = {}
 
     def _stack(self, b: int) -> tuple[Network, InverseDemand]:
         if b not in self._stacks:
+            # the first batch builds the largest stack; every smaller one is
+            # its first b copies
+            stack = None if b == self._most else self._stack(self._most)[0]
             inv = self.inst.inv_demand
-            self._stacks[b] = (self.inst.network.copies(b), InverseDemand(
+            self._stacks[b] = (self.inst.network.copies(b, stack), InverseDemand(
                 np.tile(inv.intercept, b), np.tile(inv.slope, b), np.tile(inv.cap, b)))
         return self._stacks[b]
 
@@ -115,8 +125,13 @@ class _GapObjective:
         b = int(np.count_nonzero(feasible))
         if b:
             network, inv_demand = self._stack(b)
-            point = ExtendedPoint.from_matrix(
-                self.inst.grid, xs[feasible].reshape(-1, self.inst.grid.n), demands[feasible].ravel())
+            # fresh arrays that no one else holds: the point adopts them,
+            # with the checks from_matrix would make
+            demands = demands[feasible].ravel()
+            if np.count_nonzero(np.isfinite(demands)) < demands.size:
+                raise ValueError("demands must all be finite")
+            point = ExtendedPoint._own(self.inst.grid, xs[feasible].reshape(-1, self.inst.grid.n),
+                                       demands)
             costs = f_map(network, point, self.inst.penalty, inv_demand, self.inst.grid)
             gaps[feasible] = compute_gap(point, costs, network, inv_demand.cap, copies=b)
         return gaps

@@ -496,6 +496,31 @@ class TestSolveCommand:
         rows = read_csv(out / "flows.csv")
         assert len({r["cell_index"] for r in rows}) == 8
 
+    def test_calls_in_one_process_each_behave_as_alone(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser on its first call and keeps it: a usage
+        # error, an override and a plain run leave nothing for the next call
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        doc = congested_scenario()
+        doc["solver"]["max_iters"] = 7
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(path), "--out", str(out), "--max-iters", "x"])
+        assert info.value.code == EXIT_INPUT_ERROR and not out.exists()
+        assert main(["solve", str(path), "--out", str(out), "--max-iters", "3"]) \
+            == EXIT_NOT_CONVERGED
+        assert len(read_csv(out / "gap.csv")) == 3
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_NOT_CONVERGED
+        assert len(read_csv(out / "gap.csv")) == 7
+        assert main(["check", str(path), str(out / "flows.csv"), "--out", str(out)]) \
+            == EXIT_NOT_CONVERGED
+        assert (out / "check.txt").exists()
+        assert "input error" not in capsys.readouterr().err
+        assert builds == [1]
+
     def test_determinism_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path, congested_scenario())
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edue.cost import SchedulePenalty
 from edue.demand import InverseDemand
@@ -13,6 +14,8 @@ from edue.oracle import TinyInstance
 from edue.solver import SolverConfig, lemma2_bound, solve
 
 from conftest import corridor_network
+from test_dnl import layered_loadings, ring_loadings, ring_network
+from test_reductions import problems
 
 
 def make_net(links, paths, target=1.5):
@@ -240,6 +243,59 @@ class TestStructure:
         assert net.od_paths[0] == (2, 0)
 
 
+def fed_ring():
+    """f feeds a ring r1 -> r2 -> r3 -> r1 that x leaves; u is unused."""
+    links = [
+        Link("x", "C", "E", 0.1, 100.0),
+        Link("r3", "C", "A", 0.1, 100.0),
+        Link("u", "E", "F", 0.1, 100.0),
+        Link("r2", "B", "C", 0.1, 100.0),
+        Link("r1", "A", "B", 0.1, 100.0),
+        Link("f", "S", "A", 0.1, 100.0),
+    ]
+    paths = [
+        Path("in", ("f", "r1", "r2"), "S", "C"),
+        Path("a", ("r2", "r3"), "B", "A"),
+        Path("b", ("r3", "r1"), "C", "B"),
+        Path("out", ("r1", "r2", "x"), "A", "E"),
+    ]
+    return make_net(links, paths)
+
+
+@settings(deadline=None)
+@given(st.one_of(problems(), layered_loadings(), ring_loadings()).map(lambda case: case[0])
+       | st.sampled_from([ring_network, fed_ring, lambda: corridor_network(2)]).map(
+           lambda build: build()),
+       st.integers(1, 5))
+def test_first_copies_of_a_stack_equal_fresh_copies(net, n_copies):
+    """Random path sets (multi-OD one-link paths under shuffled ids, layered
+    paths that merge and diverge, runs around a ring), the three-link ring,
+    a ring with an acyclic feeder and the corridor: the first b copies of a
+    stack hold the stack's own links and paths, and every derived structure
+    is that of a fresh copies(b)."""
+    stack = net.copies(n_copies)
+    for b in range(1, n_copies + 1):
+        first, fresh = net.copies(b, stack), net.copies(b)
+        assert all(a is s for a, s in zip(first.links, stack.links))
+        assert all(a is s for a, s in zip(first.paths, stack.paths))
+        assert (first.links, first.paths) == (fresh.links, fresh.paths)
+        for name in ("routes", "od_paths", "loading_depths", "clearance_terms", "od_pairs"):
+            assert getattr(first, name) == getattr(fresh, name), name
+        *arrays, bound = first.queue_bound_terms
+        *want, want_bound = fresh.queue_bound_terms
+        assert bound == want_bound
+        for a, w in zip(arrays + [first.od_rows, first.path_od], want + [fresh.od_rows,
+                                                                         fresh.path_od]):
+            assert a.dtype == w.dtype and np.array_equal(a, w) and not a.flags.writeable
+        take = fresh._od_take
+        assert type(first._od_take) is type(take)
+        assert first._od_take == take if isinstance(take, slice) else \
+            np.array_equal(first._od_take, take)
+        assert first.free_flow_delays is not stack.free_flow_delays
+    with pytest.raises(ValueError, match="between 1 and the stack's"):
+        net.copies(n_copies + 1, stack)
+
+
 def depth_of(net):
     """Per link id, the index of its depth in net.loading_depths."""
     return {link.id: d for d, depth in enumerate(net.loading_depths)
@@ -262,22 +318,7 @@ def assert_predecessors_shallower(net):
 
 class TestLoadingOrder:
     def test_components_in_succession_order(self):
-        # f feeds a ring r1 -> r2 -> r3 -> r1 that x leaves; u is unused
-        links = [
-            Link("x", "C", "E", 0.1, 100.0),
-            Link("r3", "C", "A", 0.1, 100.0),
-            Link("u", "E", "F", 0.1, 100.0),
-            Link("r2", "B", "C", 0.1, 100.0),
-            Link("r1", "A", "B", 0.1, 100.0),
-            Link("f", "S", "A", 0.1, 100.0),
-        ]
-        paths = [
-            Path("in", ("f", "r1", "r2"), "S", "C"),
-            Path("a", ("r2", "r3"), "B", "A"),
-            Path("b", ("r3", "r1"), "C", "B"),
-            Path("out", ("r1", "r2", "x"), "A", "E"),
-        ]
-        net = make_net(links, paths)
+        net = fed_ring()
         depths = [(sorted(link.id for link, _ in d.links),
                    [[link.id for link, _ in c] for c in d.cycles])
                   for d in net.loading_depths]

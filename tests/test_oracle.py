@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from edue.cost import SchedulePenalty
 from edue.demand import InverseDemand
-from edue.grid import TimeGrid
+from edue.dnl import load
+from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
 from edue.oracle import TinyInstance, _compass_search, _GapObjective, brute_force_equilibrium
 from edue.solver import f_map, zero_point
@@ -130,18 +131,42 @@ GAPS_CALLS = {"uncongested": 38, "congested bottleneck": 43, "two parallel paths
 
 @pytest.mark.parametrize("name,inst", tiny_instances(), ids=[n for n, _ in tiny_instances()])
 def test_results_match_the_recorded_ones(name, inst, monkeypatch):
-    calls = []
-    gaps = _GapObjective.gaps
+    calls, builds = [], []
+    gaps, copies = _GapObjective.gaps, Network.copies
 
     def counted(self, xs):
         calls.append(len(xs))
         return gaps(self, xs)
 
+    def counted_copies(self, b, stack=None):
+        if stack is None:
+            builds.append(b)
+        return copies(self, b, stack)
+
     monkeypatch.setattr(_GapObjective, "gaps", counted)
+    monkeypatch.setattr(Network, "copies", counted_copies)
     res = brute_force_equilibrium(inst)
     assert (repr(res.gap), res.certified, res.evaluations,
             hashlib.sha256(res.point.flows.tobytes()).hexdigest()) == ORACLE_RESULTS[name]
     assert len(calls) == GAPS_CALLS[name]
+    # one stack is built, of the most points a batch can hold; every batch
+    # is scored on its first copies
+    assert builds == [25] and max(calls) <= 25
+
+
+def test_first_copies_load_as_a_fresh_stack():
+    # queued flows on the congested instance (capacity 80 veh/h): the first
+    # b copies of a stack give the costs of a fresh copies(b) byte for byte
+    inst = dict(tiny_instances())["congested bottleneck"]
+    stack = inst.network.copies(6)
+    rates = np.random.default_rng(5).uniform(0.0, 300.0, size=(6, inst.grid.n))
+    for b in range(1, 7):
+        first, fresh = inst.network.copies(b, stack), inst.network.copies(b)
+        point = ExtendedPoint.from_matrix(inst.grid, rates[:b],
+                                          rates[:b].sum(axis=1) * inst.grid.dt)
+        assert not load(first, point.flows, inst.grid).queue_free
+        psi = [f_map(net, point, inst.penalty, None, inst.grid).psi for net in (first, fresh)]
+        assert psi[0].tobytes() == psi[1].tobytes()
 
 
 def test_demands_of_sums_each_point_alone():
