@@ -71,6 +71,18 @@ class InverseDemand:
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "cap", cap)
 
+    @classmethod
+    def _own(cls, intercept: np.ndarray, slope: np.ndarray, cap: np.ndarray) -> "InverseDemand":
+        """An inverse demand holding the given arrays themselves: read-only
+        float vectors of equal length that already passed the checks above,
+        such as the first entries of another InverseDemand's. Nothing is
+        checked or copied."""
+        inv = object.__new__(cls)
+        object.__setattr__(inv, "intercept", intercept)
+        object.__setattr__(inv, "slope", slope)
+        object.__setattr__(inv, "cap", cap)
+        return inv
+
     def theta(self, demand: np.ndarray) -> np.ndarray:
         """Inverse demand values at the given demand vector (hours); ShapeError
         unless it holds one entry per OD pair."""

@@ -15,15 +15,30 @@ the current sweep and the sweeps after it, up to LOOKAHEAD sweeps from one
 incumbent, are scored together, and the trials after the first better one
 are discarded. Most sweeps improve nothing and only halve the step, so the
 criterion-2 instances score 38, 43 and 192 batches instead of 90, 100 and
-223. A run builds one stack of network copies, at its first batch: as many
-copies as the largest batch can hold, 25 on those instances. A batch of
-another size is scored on the stack's first b copies (Network.copies with
-the stack), which share its links, paths and derived structure. On a 2-core
-Xeon host the 25-copy stack takes about 360 us to build and 8 first copies
-27 us, against 155 us for 8 new copies. One batch of the congested one-path
-instance whose flows queue costs about 130 us at 1 point, 195 us at 8 and
-285 us at 25. Timed against one sweep per batch, both one-path oracle runs
-took 0.77x at depth 2, 0.66x at 3, 0.65x at 4, 0.83x at 8 and 1.33x at 16.
+223.
+
+A run scores each distinct point once. A table maps the bytes of every
+scored point to its gap, so it holds at most the distinct points that the
+run scores: 162, 318 and 3872 on the criterion-2 instances, whose batches
+hold 350, 528 and 3996 feasible points. The repeats (54%, 40% and 3%) are
+nearly all compass trials: a move clipped at a bound of the box lands on
+the incumbent, and others land on points scored before. A batch scores the feasible points it
+holds for the first time, in one cost mapping, and reads the rest from the
+table; a batch with none runs no cost mapping.
+
+A run builds one stack of network copies, with one inverse demand, at its
+first batch: as many copies as the largest batch can hold, 25 on those
+instances. A batch of b new points is scored on the stack's first b copies
+(Network.copies with the stack), which share its links, paths and derived
+structure, priced by the first b copies' entries of the stack's checked
+inverse demand, adopted as they are. On a 2-core Xeon host the 25-copy stack
+takes about 190 us to build and 8 first copies 26 us with their inverse
+demand, against 65 us with a tiled and checked one and 55 us for 8 new
+copies. One batch of the congested one-path instance whose flows queue costs
+about 150 us at 1 new point, 235 us at 8 and 335 us at 25, and 15 to 22 us
+when every point comes from the table. Timed against one sweep per batch,
+before the table, both one-path oracle runs took 0.77x at depth 2, 0.66x at
+3, 0.65x at 4, 0.83x at 8 and 1.33x at 16.
 """
 
 from __future__ import annotations
@@ -81,8 +96,10 @@ def _problem_scale(inst: TinyInstance) -> float:
 
 class _GapObjective:
     """The equilibrium gap at candidate flow points, scored in batches: the
-    feasible points of a batch are stacked as disjoint copies of the network
-    and go through one cost mapping."""
+    feasible points of a batch that were not scored before are stacked as
+    disjoint copies of the network and go through one cost mapping. Each
+    gap is kept in a table by the bytes of its point, which holds at most
+    the distinct points that a run scores."""
 
     def __init__(self, inst: TinyInstance):
         self.inst = inst
@@ -93,15 +110,23 @@ class _GapObjective:
         self._most = max(min(RESOLUTION**dim, RESOLUTION**2), LOOKAHEAD * 2 * dim)
         # per number of copies: the network copies and their inverse demand
         self._stacks: dict[int, tuple[Network, InverseDemand]] = {}
+        # the gap of every point scored, by the bytes of its row
+        self._scored: dict[bytes, float] = {}
 
     def _stack(self, b: int) -> tuple[Network, InverseDemand]:
         if b not in self._stacks:
-            # the first batch builds the largest stack; every smaller one is
-            # its first b copies
-            stack = None if b == self._most else self._stack(self._most)[0]
             inv = self.inst.inv_demand
-            self._stacks[b] = (self.inst.network.copies(b, stack), InverseDemand(
-                np.tile(inv.intercept, b), np.tile(inv.slope, b), np.tile(inv.cap, b)))
+            if b == self._most:
+                # the first batch builds the largest stack
+                self._stacks[b] = (self.inst.network.copies(b), InverseDemand(
+                    np.tile(inv.intercept, b), np.tile(inv.slope, b), np.tile(inv.cap, b)))
+            else:
+                # every smaller one is its first b copies, priced by the
+                # first b copies' entries of its checked inverse demand
+                network, tiled = self._stack(self._most)
+                n_od = b * len(inv.cap)
+                self._stacks[b] = (self.inst.network.copies(b, network), InverseDemand._own(
+                    tiled.intercept[:n_od], tiled.slope[:n_od], tiled.cap[:n_od]))
         return self._stacks[b]
 
     def demands_of(self, xs: np.ndarray) -> np.ndarray:
@@ -118,22 +143,36 @@ class _GapObjective:
     def gaps(self, xs: np.ndarray) -> np.ndarray:
         """The gap at each point (row of xs); inf where a demand exceeds its
         cap. The search never makes a negative flow (every lattice axis and
-        compass trial is clipped at 0), so only the caps can fail."""
+        compass trial is clipped at 0), so only the caps can fail.
+
+        Each distinct feasible point not scored before is scored once, all
+        of them in one cost mapping; the rest are read from the table. Every
+        copy of a stack loads and prices as it would alone, so a gap from the
+        table is the float a new scoring would give."""
         demands = self.demands_of(xs)
         feasible = ~(demands > self.inst.inv_demand.cap).any(axis=1)
         gaps = np.full(len(xs), np.inf)
-        b = int(np.count_nonzero(feasible))
-        if b:
-            network, inv_demand = self._stack(b)
+        rows = np.flatnonzero(feasible).tolist()
+        keys = [xs[k].tobytes() for k in rows]
+        scored = self._scored
+        new: dict[bytes, int] = {}  # the first row of each point not scored before
+        for k, key in zip(rows, keys):
+            if key not in scored:
+                new.setdefault(key, k)
+        if new:
+            fresh = list(new.values())
+            network, inv_demand = self._stack(len(fresh))
             # fresh arrays that no one else holds: the point adopts them,
             # with the checks from_matrix would make
-            demands = demands[feasible].ravel()
+            demands = demands[fresh].ravel()
             if np.count_nonzero(np.isfinite(demands)) < demands.size:
                 raise ValueError("demands must all be finite")
-            point = ExtendedPoint._own(self.inst.grid, xs[feasible].reshape(-1, self.inst.grid.n),
+            point = ExtendedPoint._own(self.inst.grid, xs[fresh].reshape(-1, self.inst.grid.n),
                                        demands)
             costs = f_map(network, point, self.inst.penalty, inv_demand, self.inst.grid)
-            gaps[feasible] = compute_gap(point, costs, network, inv_demand.cap, copies=b)
+            scored.update(zip(new, compute_gap(point, costs, network, inv_demand.cap,
+                                               copies=len(fresh)).tolist()))
+        gaps[feasible] = [scored[key] for key in keys]
         return gaps
 
     def compare(self, gaps: np.ndarray) -> None:

@@ -142,7 +142,9 @@ def ring_scenario():
 
 
 # solve, load and check of every scenario in argv[1], each writing to its own
-# directory under argv[2], with the exit codes in argv[2]/exit_codes.json
+# directory under argv[2], then the oracle at two cells on the scenario
+# argv[1]/argv[3], writing to argv[2]/oracle, with the exit codes in
+# argv[2]/exit_codes.json
 SOLVE_LOAD_CHECK = """
 import json, sys
 from pathlib import Path
@@ -154,6 +156,8 @@ for scenario in sorted(scenarios.glob("*.json")):
     flows = str(out / "flows.csv")
     codes[scenario.stem] = [main([*command, "--out", str(out)]) for command in (
         ["solve", str(scenario)], ["load", str(scenario), flows], ["check", str(scenario), flows])]
+codes["oracle"] = [main(["oracle", str(scenarios / sys.argv[3]), "--n", "2",
+                         "--out", str(root / "oracle")])]
 (root / "exit_codes.json").write_text(json.dumps(codes))
 """
 
@@ -543,19 +547,24 @@ class TestSolveCommand:
         for seed, root in zip((1, 2), roots):
             env = {**os.environ, "PYTHONHASHSEED": str(seed),
                    "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            command = [sys.executable, "-c", SOLVE_LOAD_CHECK, str(scenarios), str(root)]
+            command = [sys.executable, "-c", SOLVE_LOAD_CHECK, str(scenarios), str(root),
+                       "elastic.json"]
             run = subprocess.run(command, env=env, capture_output=True, text=True)
             assert run.returncode == 0, run.stderr
 
         outputs = ["costs.csv", "flows.csv", "gap.csv", "summary.txt", "curves.csv", "check.txt"]
         files = sorted(str(f.relative_to(roots[0])) for f in roots[0].rglob("*") if f.is_file())
-        assert files == sorted(["exit_codes.json"] + [
+        assert files == sorted(["exit_codes.json", "oracle/flows.csv", "oracle/oracle.txt"] + [
             f"{name}/{output}" for name in ("corridor", "elastic", "fixed", "ring")
             for output in outputs])
         for f in files:
             assert (roots[0] / f).read_bytes() == (roots[1] / f).read_bytes(), f
         codes = json.loads((roots[0] / "exit_codes.json").read_text())
         assert codes["elastic"] == codes["fixed"] == [EXIT_OK] * 3
+        # the oracle's gap table is a dict keyed by each point's bytes
+        assert codes["oracle"] == [EXIT_OK]
+        assert (roots[0] / "oracle" / "oracle.txt").read_text() == (
+            "gap: 1.4224732503012403e-12\ncertified: True\nevaluations: 336\n")
         assert EXIT_INPUT_ERROR not in codes["corridor"] + codes["ring"]
         for name, links in (("corridor", {"bn"}), ("ring", {"r1", "r2", "r3"})):
             assert any(row["link_id"] in links and float(row["queue"]) > 0.0

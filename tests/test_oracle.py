@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edue.oracle
 from edue.cost import SchedulePenalty
 from edue.demand import InverseDemand
 from edue.dnl import load
@@ -128,6 +129,11 @@ ORACLE_RESULTS = {
 # one compass sweep at a time, they were 90, 100 and 223.
 GAPS_CALLS = {"uncongested": 38, "congested bottleneck": 43, "two parallel paths": 192}
 
+# The flow rows (points times paths) each search sends to f_map. Every point
+# of a run is scored once; scored per batch, repeats included, they were
+# 350, 528 and 7992.
+F_MAP_ROWS = {"uncongested": 162, "congested bottleneck": 318, "two parallel paths": 7744}
+
 
 @pytest.mark.parametrize("name,inst", tiny_instances(), ids=[n for n, _ in tiny_instances()])
 def test_results_match_the_recorded_ones(name, inst, monkeypatch):
@@ -143,21 +149,96 @@ def test_results_match_the_recorded_ones(name, inst, monkeypatch):
             builds.append(b)
         return copies(self, b, stack)
 
+    rows, checks = [], []
+    cost_map, check = edue.oracle.f_map, InverseDemand.__post_init__
+
+    def counted_f_map(network, point, *args):
+        rows.append(len(point.flows))
+        return cost_map(network, point, *args)
+
+    def counted_check(self):
+        checks.append(len(self.cap))
+        check(self)
+
     monkeypatch.setattr(_GapObjective, "gaps", counted)
     monkeypatch.setattr(Network, "copies", counted_copies)
+    monkeypatch.setattr(edue.oracle, "f_map", counted_f_map)
+    monkeypatch.setattr(InverseDemand, "__post_init__", counted_check)
     res = brute_force_equilibrium(inst)
     assert (repr(res.gap), res.certified, res.evaluations,
             hashlib.sha256(res.point.flows.tobytes()).hexdigest()) == ORACLE_RESULTS[name]
     assert len(calls) == GAPS_CALLS[name]
-    # one stack is built, of the most points a batch can hold; every batch
-    # is scored on its first copies
-    assert builds == [25] and max(calls) <= 25
+    assert sum(rows) == F_MAP_ROWS[name]
+    # one stack is built, of the most points a batch can hold, with the one
+    # inverse demand a run checks; every batch is scored on its first copies
+    assert builds == [25] and checks == [25] and max(calls) <= 25
+
+
+def congested_tiny():
+    return dict(tiny_instances())["congested bottleneck"]
+
+
+def two_od_tiny():
+    """Two OD pairs, of two paths and one (3 paths x 2 cells, a lattice
+    within the search budget), with inverse demands of their own."""
+    net = corridor_network(2)
+    net = Network(net.links, net.paths[:3], net.arrival_target)
+    return TinyInstance(net, TimeGrid(0.0, 1.0, 2), SchedulePenalty(0.5, 2.0),
+                        InverseDemand([1.0, 1.2], [0.01, 0.02], [80.0, 55.0]))
+
+
+# congested: points of at most 160 veh/h in all are feasible (cap 80 veh,
+# dt 0.5 h), rates above 80 veh/h queue
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0)), min_size=1, max_size=6),
+       st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=4))
+def test_a_gap_from_the_table_is_the_gap_of_the_point_scored_alone(pool, batches):
+    # batches with repeats, within one call and across calls: each row gets
+    # the bytes a fresh objective gives it alone
+    inst = congested_tiny()
+    pool = np.array(pool)
+    alone = [_GapObjective(inst).gaps(x[None])[0] for x in pool]
+    objective = _GapObjective(inst)
+    for batch in batches:
+        picks = [i % len(pool) for i in batch]
+        assert objective.gaps(pool[picks]).tobytes() == np.array([alone[i] for i in picks]).tobytes()
+
+
+def test_a_batch_of_points_scored_before_runs_no_cost_mapping(monkeypatch):
+    objective = _GapObjective(congested_tiny())
+    xs = np.array([[10.0, 20.0], [100.0, 50.0], [300.0, 300.0]])  # the last above the cap
+    first = objective.gaps(xs)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return f_map(*args)
+
+    monkeypatch.setattr(edue.oracle, "f_map", counted)
+    again = objective.gaps(xs[[1, 2, 0, 1]])
+    assert calls == []
+    assert again.tobytes() == first[[1, 2, 0, 1]].tobytes()
+    assert np.isinf(again[1]) and np.isfinite(again[[0, 2, 3]]).all()
+
+
+@pytest.mark.parametrize("inst", [congested_tiny(), two_od_tiny()], ids=["congested", "two OD"])
+def test_every_batch_size_takes_the_stacks_inverse_demand(inst):
+    # the first b copies' entries of the stack's inverse demand are np.tile
+    # of the base arrays, bit for bit, and read-only
+    objective = _GapObjective(inst)
+    base = inst.inv_demand
+    for b in range(1, objective._most + 1):
+        inv = objective._stack(b)[1]
+        for name in ("intercept", "slope", "cap"):
+            got = getattr(inv, name)
+            assert got.dtype == float and not got.flags.writeable
+            assert got.tobytes() == np.tile(getattr(base, name), b).tobytes()
 
 
 def test_first_copies_load_as_a_fresh_stack():
     # queued flows on the congested instance (capacity 80 veh/h): the first
     # b copies of a stack give the costs of a fresh copies(b) byte for byte
-    inst = dict(tiny_instances())["congested bottleneck"]
+    inst = congested_tiny()
     stack = inst.network.copies(6)
     rates = np.random.default_rng(5).uniform(0.0, 300.0, size=(6, inst.grid.n))
     for b in range(1, 7):
@@ -170,13 +251,10 @@ def test_first_copies_load_as_a_fresh_stack():
 
 
 def test_demands_of_sums_each_point_alone():
-    # two OD pairs, of two paths and one (3 paths x 2 cells, a lattice within
-    # the search budget): every point's demands are its own od_sum, bit for
-    # bit, and no network copies are built to get them
-    net = corridor_network(2)
-    net = Network(net.links, net.paths[:3], net.arrival_target)
-    inst = TinyInstance(net, TimeGrid(0.0, 1.0, 2), SchedulePenalty(0.5, 2.0),
-                        InverseDemand([1.0, 1.0], [0.01, 0.01], [80.0, 80.0]))
+    # two OD pairs: every point's demands are its own od_sum, bit for bit,
+    # and no network copies are built to get them
+    inst = two_od_tiny()
+    net = inst.network
     objective = _GapObjective(inst)
     xs = np.random.default_rng(3).uniform(0.0, 100.0, size=(7, len(net.paths) * inst.grid.n))
     want = [net.od_sum(x.reshape(objective.shape).sum(axis=1)) * inst.grid.dt for x in xs]
