@@ -3,7 +3,8 @@
 Theta_w(Q) = intercept_w - slope_w * Q must stay strictly positive on
 [0, cap_w], which keeps the demand function invertible (when the slope is
 positive) and the inverse-demand image strictly positive as the equilibrium
-theory requires.
+theory requires. intercept_w * cap_w, which bounds OD pair w's term of the
+equilibrium gap, must be a finite float.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ class InverseDemand:
             raise ValueError(f"inverse-demand cap must be finite, got {cap.tolist()}")
         if np.any(cap <= 0.0):
             raise ValueError("demand caps must be strictly positive")
+        # the gap's best-response term sums up to intercept * cap per OD pair
+        with np.errstate(over="ignore"):
+            unscaled = np.flatnonzero(~np.isfinite(intercept * cap))
+        if unscaled.size:
+            raise ValueError(f"OD pair index {unscaled[0]}: intercept * cap must be finite")
         if np.any(intercept - slope * cap <= 0.0):
             raise ValueError(
                 "inverse demand must stay strictly positive up to the cap: "

@@ -228,25 +228,36 @@ class Network:
         nothing: the default horizon already guarantees that each copy
         clears, ring roads included, so no count is cut at its end.
 
-        Given ``stack``, this network's copies(B) for some B >= b, the result
-        is its first b copies: the stack's own first links and paths, through
-        the constructor, with routes, od_paths, od_rows, queue_bound_terms and
-        loading_depths sliced from the stack's. Those of copy k lie after
-        copy k-1's, except at each depth of loading_depths, where the copies
-        lie last first, so the first b are the last b/B share. The rest, the
-        free-flow memo included, is the copies' own."""
+        Given ``stack``, this network's own copies(B) for some B >= b, the
+        result is its first b copies. It adopts the stack's first links and
+        paths, OD pairs and path_od as they stand, validated when the stack
+        was built, so it runs no constructor; routes, od_paths, od_rows,
+        queue_bound_terms and loading_depths are sliced from the stack's.
+        Those of copy k lie after copy k-1's, except at each depth of
+        loading_depths, where the copies lie last first, so the first b are
+        the last b/B share. The rest, the free-flow memo included, is the
+        copies' own. A stack that this network's copies(B) did not build (a
+        copy of an equal network, the network itself, or first copies) is a
+        ValueError."""
         if stack is not None:
+            if stack.__dict__.get("_copies_of") is not self:
+                raise ValueError("stack must be this network's own copies(B), built by "
+                                 "copies without a stack")
             n_copies = len(stack.paths) // len(self.paths)
             if not 1 <= b <= n_copies:
                 raise ValueError(f"b must be between 1 and the stack's {n_copies} copies, "
                                  f"got {b!r}")
             n_paths, n_od = b * len(self.paths), b * len(self.od_pairs)
-            net = Network(stack.links[:b * len(self.links)], stack.paths[:n_paths],
-                          self.arrival_target)
             caps, users, starts, bound = stack.queue_bound_terms
             n_used = len(caps) // n_copies * b
             od_take = stack._od_take
+            net = object.__new__(Network)
             net.__dict__.update(
+                links=stack.links[:b * len(self.links)],
+                paths=stack.paths[:n_paths],
+                arrival_target=self.arrival_target,
+                od_pairs=stack.od_pairs[:n_od],
+                path_od=stack.path_od[:n_paths],
                 routes=stack.routes[:n_paths],
                 od_paths=stack.od_paths[:n_od],
                 od_rows=stack.od_rows[:n_od],
@@ -263,7 +274,9 @@ class Network:
         paths = tuple(Path(f"{k}#{p.id}", tuple(f"{k}#{lid}" for lid in p.link_ids),
                            f"{k}#{p.origin}", f"{k}#{p.destination}")
                       for k in range(b) for p in self.paths)
-        return Network(links, paths, self.arrival_target)
+        net = Network(links, paths, self.arrival_target)
+        net.__dict__["_copies_of"] = self  # the provenance a stack argument must show
+        return net
 
     @cached_property
     def loading_depths(self) -> tuple[Depth, ...]:

@@ -11,34 +11,37 @@ Points are scored in batches, each batch as disjoint copies of the network in
 one cost mapping; the search visits and compares exactly the points it would
 one by one. A lattice batch is a chunk of the lattice. A compass batch looks
 ahead: until a move improves, the trials to come are known, so the rest of
-the current sweep and the sweeps after it, up to LOOKAHEAD sweeps from one
-incumbent, are scored together, and the trials after the first better one
-are discarded. Most sweeps improve nothing and only halve the step, so the
-criterion-2 instances score 38, 43 and 192 batches instead of 90, 100 and
-223.
+the current sweep and the whole sweeps after it from one incumbent, as many
+as the run's stack of copies holds and never fewer than LOOKAHEAD, are scored
+together, and the trials after the first better one are discarded. Most
+sweeps improve nothing and only halve the step, so the criterion-2 instances
+score 29, 32 and 192 batches, against 90, 100 and 223 one sweep at a time and
+38, 43 and 192 three sweeps at a time.
 
 A run scores each distinct point once. A table maps the bytes of every
 scored point to its gap, so it holds at most the distinct points that the
-run scores: 162, 318 and 3872 on the criterion-2 instances, whose batches
-hold 350, 528 and 3996 feasible points. The repeats (54%, 40% and 3%) are
+run scores: 241, 418 and 3872 on the criterion-2 instances, whose batches
+hold 482, 684 and 3996 feasible points. The repeats (50%, 39% and 3%) are
 nearly all compass trials: a move clipped at a bound of the box lands on
-the incumbent, and others land on points scored before. A batch scores the feasible points it
-holds for the first time, in one cost mapping, and reads the rest from the
-table; a batch with none runs no cost mapping.
+the incumbent, and others land on points scored before. A batch scores the
+feasible points it holds for the first time, in one cost mapping, and reads
+the rest from the table; a batch with none runs no cost mapping.
 
 A run builds one stack of network copies, with one inverse demand, at its
 first batch: as many copies as the largest batch can hold, 25 on those
 instances. A batch of b new points is scored on the stack's first b copies
-(Network.copies with the stack), which share its links, paths and derived
+(Network.copies with the stack), which adopt its links, paths and derived
 structure, priced by the first b copies' entries of the stack's checked
 inverse demand, adopted as they are. On a 2-core Xeon host the 25-copy stack
-takes about 190 us to build and 8 first copies 26 us with their inverse
-demand, against 65 us with a tiled and checked one and 55 us for 8 new
-copies. One batch of the congested one-path instance whose flows queue costs
-about 150 us at 1 new point, 235 us at 8 and 335 us at 25, and 15 to 22 us
-when every point comes from the table. Timed against one sweep per batch,
-before the table, both one-path oracle runs took 0.77x at depth 2, 0.66x at
-3, 0.65x at 4, 0.83x at 8 and 1.33x at 16.
+takes about 160 us to build, and its first b copies 4 to 8 us at any b
+(13 us at 1 and 56 us at 24 through the Network constructor). One batch of
+the congested one-path instance whose flows queue costs about 155 us at 1
+new point, 230 us at 8 and 300 to 375 us at 24, and 13 to 30 us when every
+point comes from the table: the fixed cost dominates, so fewer and fuller
+batches are faster. Timed over 40 alternating rounds in one process, both
+one-path oracle runs took 0.91x and 0.90x at 6 sweeps per batch against 3,
+0.94x at 4 and 0.98x at 5; at one cell (dim 1) 2 sweeps took 1.22x of 3, so
+LOOKAHEAD stays the floor.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ __all__ = ["TinyInstance", "OracleResult", "brute_force_equilibrium"]
 MAX_LATTICE_POINTS = 200_000
 RESOLUTION = 5  # lattice points per coordinate
 REFINE_ROUNDS = 6
-LOOKAHEAD = 3  # compass sweeps scored per batch
+LOOKAHEAD = 3  # the fewest compass sweeps scored per batch
 CERTIFY_REL = 1e-8
 
 
@@ -108,6 +111,8 @@ class _GapObjective:
         # the most points one batch holds: a lattice chunk or a compass batch
         dim = self.shape[0] * self.shape[1]
         self._most = max(min(RESOLUTION**dim, RESOLUTION**2), LOOKAHEAD * 2 * dim)
+        # compass sweeps per batch: as many whole sweeps as the stack holds
+        self.sweeps = max(LOOKAHEAD, self._most // (2 * dim))
         # per number of copies: the network copies and their inverse demand
         self._stacks: dict[int, tuple[Network, InverseDemand]] = {}
         # the gap of every point scored, by the bytes of its row
@@ -224,19 +229,20 @@ def _compass_search(
     The trials compared next are known until a move improves: the rest of
     the current sweep, then whole sweeps from the same incumbent, each at
     half the step of the one before (the first at the same step if the
-    current sweep has improved). Up to LOOKAHEAD sweeps of them, depth 3
-    being the fastest measured (see the module docstring), are scored as one
-    batch and read in order. Only the trials up to the first better one
-    count; that move is accepted at its own step, the sweep goes on from it,
-    and the rest are discarded. Without one, every trial counts and the step
-    halves after each sweep as it would one at a time: after three sweeps
-    from the start of one, the step is an eighth of what it was."""
+    current sweep has improved). Up to objective.sweeps sweeps of them, as
+    many whole sweeps as the stack holds and at least LOOKAHEAD (6 at dim 2,
+    4 at dim 3, 3 at dim 1 and from dim 4 on), are scored as one batch and
+    read in order. Only the trials up to the first better one count; that
+    move is accepted at its own step, the sweep goes on from it, and the
+    rest are discarded. Without one, every trial counts and the step halves
+    after each sweep as it would one at a time: after three sweeps from the
+    start of one, the step is an eighth of what it was."""
     moves = [(i, sign) for i in range(x.shape[0]) for sign in (1.0, -1.0)]
     done = 0  # moves of the current sweep compared; nonzero only after one was accepted
     while step > min_step:
         plan: list[tuple[float, int]] = []  # (step, move index) of each trial, in order
         s, start = step, done
-        for _ in range(LOOKAHEAD):
+        for _ in range(objective.sweeps):
             plan += [(s, m) for m in range(start, len(moves))]
             # a sweep that fails from its start halves the step
             s, start = s * 0.5 if start == 0 else s, 0

@@ -330,6 +330,10 @@ class TestScenarioParsing:
                      "field 'alpha' must be a number, got '400'", id="string"),
         pytest.param(lambda doc: doc["penalty"].update(late=True),
                      "field 'late' must be a number, got True", id="bool"),
+        # both finite, but the gap's term intercept * cap overflows: the
+        # solve used to report converged at an inf gap
+        pytest.param(lambda doc: doc["demand"][0].update(intercept=1e300, cap=1e300),
+                     "OD pair index 0: intercept * cap must be finite", id="overflowing scale"),
     ])
     def test_malformed_scenario_rejected_naming_the_problem(self, tmp_path, capsys, edit,
                                                             message):
@@ -913,6 +917,17 @@ class TestOracleCommand:
         assert main(["oracle", str(path), "--out", str(out)]) == EXIT_INPUT_ERROR
         assert (capsys.readouterr().err
                 == "input error: the oracle subcommand needs an elastic-demand scenario\n")
+        assert not out.exists()
+
+    def test_overflowing_demand_scale_is_an_input_error(self, tmp_path, capsys):
+        # every gap would be inf, and the lattice search found no incumbent
+        doc = tiny_scenario()
+        doc["demand"][0].update(intercept=1e300, cap=1e300)
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["oracle", str(path), "--n", "1", "--out", str(out)]) == EXIT_INPUT_ERROR
+        assert (capsys.readouterr().err
+                == "input error: OD pair index 0: intercept * cap must be finite\n")
         assert not out.exists()
 
     def test_oracle_output_verifies_clean(self, tmp_path):

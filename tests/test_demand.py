@@ -22,6 +22,17 @@ class TestConstruction:
         d = InverseDemand(intercept=[60.0], slope=[0.0], cap=[500.0])
         assert d.cap[0] == 500.0
 
+    @pytest.mark.parametrize("intercept, cap", [([1.0, 1e300], [80.0, 1e300]),
+                                                ([1.0, 1e200], [80.0, 1e200])])
+    def test_overflowing_demand_scale_rejected_naming_the_pair(self, intercept, cap):
+        # each value finite, but the gap's term intercept * cap overflows
+        with pytest.raises(ValueError, match=r"^OD pair index 1: intercept \* cap must be finite$"):
+            InverseDemand(intercept, [0.01, 0.0], cap)
+        d = InverseDemand([1e150, 1.0], [0.0, 0.01], [1e150, 80.0])  # 1e300: finite
+        assert d.cap.tolist() == [1e150, 80.0]
+        # a tiled stack of the one copy passes too: the check is per pair
+        InverseDemand(np.tile(d.intercept, 25), np.tile(d.slope, 25), np.tile(d.cap, 25))
+
     def test_nonpositive_intercept_rejected(self):
         with pytest.raises(ValueError):
             InverseDemand(np.array([0.0]), np.array([0.5]), np.array([10.0]))

@@ -279,7 +279,8 @@ def test_first_copies_of_a_stack_equal_fresh_copies(net, n_copies):
         assert all(a is s for a, s in zip(first.links, stack.links))
         assert all(a is s for a, s in zip(first.paths, stack.paths))
         assert (first.links, first.paths) == (fresh.links, fresh.paths)
-        for name in ("routes", "od_paths", "loading_depths", "clearance_terms", "od_pairs"):
+        for name in ("routes", "od_paths", "loading_depths", "clearance_terms", "od_pairs",
+                     "arrival_target"):
             assert getattr(first, name) == getattr(fresh, name), name
         *arrays, bound = first.queue_bound_terms
         *want, want_bound = fresh.queue_bound_terms
@@ -294,6 +295,13 @@ def test_first_copies_of_a_stack_equal_fresh_copies(net, n_copies):
         assert first.free_flow_delays is not stack.free_flow_delays
     with pytest.raises(ValueError, match="between 1 and the stack's"):
         net.copies(n_copies + 1, stack)
+    # only this network's own stack is adopted: not an equal network's, not
+    # the network itself, not first copies
+    equal = Network(net.links, net.paths, net.arrival_target)
+    assert equal == net
+    for other in (equal.copies(n_copies), net, net.copies(1, stack)):
+        with pytest.raises(ValueError, match="stack must be this network's own copies"):
+            net.copies(1, other)
 
 
 def depth_of(net):

@@ -126,13 +126,14 @@ ORACLE_RESULTS = {
 
 
 # The number of batches (_GapObjective.gaps calls) each search scores. Scored
-# one compass sweep at a time, they were 90, 100 and 223.
-GAPS_CALLS = {"uncongested": 38, "congested bottleneck": 43, "two parallel paths": 192}
+# one compass sweep at a time, they were 90, 100 and 223; three sweeps per
+# compass batch, 38, 43 and 192.
+GAPS_CALLS = {"uncongested": 29, "congested bottleneck": 32, "two parallel paths": 192}
 
 # The flow rows (points times paths) each search sends to f_map. Every point
 # of a run is scored once; scored per batch, repeats included, they were
-# 350, 528 and 7992.
-F_MAP_ROWS = {"uncongested": 162, "congested bottleneck": 318, "two parallel paths": 7744}
+# 350, 528 and 7992; three sweeps per compass batch, 162, 318 and 7744.
+F_MAP_ROWS = {"uncongested": 241, "congested bottleneck": 418, "two parallel paths": 7744}
 
 
 @pytest.mark.parametrize("name,inst", tiny_instances(), ids=[n for n, _ in tiny_instances()])
@@ -172,6 +173,41 @@ def test_results_match_the_recorded_ones(name, inst, monkeypatch):
     # one stack is built, of the most points a batch can hold, with the one
     # inverse demand a run checks; every batch is scored on its first copies
     assert builds == [25] and checks == [25] and max(calls) <= 25
+
+
+@pytest.mark.parametrize("n, sweeps", [(1, 3), (2, 6), (3, 4), (4, 3), (5, 3)])
+def test_compass_batches_hold_as_many_whole_sweeps_as_the_stack(n, sweeps):
+    # one path, so dim = n: never fewer than LOOKAHEAD sweeps, never more
+    # trials than the stack's copies
+    objective = _GapObjective(uncongested_tiny(n))
+    assert objective.sweeps == sweeps
+    assert objective.sweeps * 2 * n <= objective._most
+
+
+@pytest.mark.parametrize("sweeps", range(1, 7))
+@pytest.mark.parametrize("name,inst", tiny_instances()[:2], ids=[n for n, _ in tiny_instances()[:2]])
+def test_every_compass_batch_depth_finds_the_recorded_result(name, inst, sweeps, monkeypatch):
+    # the one-path instances (dim 2) fill their batches with 6 sweeps; at
+    # any depth the search compares the same points and ends on the same one
+    objectives, calls = [], []
+    init, gaps = _GapObjective.__init__, _GapObjective.gaps
+
+    def fixed_depth(self, inst):
+        init(self, inst)
+        self.sweeps = sweeps
+        objectives.append(self)
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return gaps(self, xs)
+
+    monkeypatch.setattr(_GapObjective, "__init__", fixed_depth)
+    monkeypatch.setattr(_GapObjective, "gaps", counted)
+    res = brute_force_equilibrium(inst)
+    assert (repr(res.gap), res.certified, res.evaluations,
+            hashlib.sha256(res.point.flows.tobytes()).hexdigest()) == ORACLE_RESULTS[name]
+    [objective] = objectives
+    assert objective._most == 25 and max(calls) <= objective._most
 
 
 def congested_tiny():
@@ -267,8 +303,9 @@ class _RecordingObjective:
     deterministic function of x, inf outside a box as at an infeasible point.
     Keeps every point the search compares."""
 
-    def __init__(self, box: float):
+    def __init__(self, box: float, sweeps: int):
         self.box = box
+        self.sweeps = sweeps
         self.evaluations = 0
         self.scored = np.empty((0, 0))  # the last batch
         self.compared: list[np.ndarray] = []
@@ -295,13 +332,14 @@ class _RecordingObjective:
     st.floats(1e-3, 1.0),
     # min_step / step; at a power of 2 some halving lands on min_step exactly
     st.one_of(st.floats(1e-6, 1e-2), st.integers(1, 20).map(lambda k: 2.0**-k)),
-    st.floats(0.2, 1.2))))
+    st.floats(0.2, 1.2),
+    st.integers(1, 8))))  # compass sweeps per batch
 def test_batched_compass_compares_what_the_sequential_one_does(case):
-    upper, start, step_share, min_share, box_share = case
+    upper, start, step_share, min_share, box_share, sweeps = case
     x0 = np.array(start) * upper
     step = step_share * upper
     min_step = min_share * step
-    objective = _RecordingObjective(box_share * upper)
+    objective = _RecordingObjective(box_share * upper, sweeps)
     gap0 = objective.score(x0)
     x, gap = _compass_search(objective, x0, gap0, step, upper, min_step)
     want_x, want_gap, want_compared = compass_search_loop(
