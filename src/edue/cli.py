@@ -143,6 +143,10 @@ class Scenario:
                 slope.append(_number(e, "slope"))
                 cap.append(_number(e, "cap") if "cap" in e else None)
             self.inv_demand = InverseDemand(intercept, slope, cap)
+            try:
+                self.inv_demand.gap_scale()
+            except ValueError as exc:
+                raise ScenarioError(f"demand entries: {exc}") from None
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.t0, self.tf, self.n)

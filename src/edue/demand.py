@@ -4,7 +4,7 @@ Theta_w(Q) = intercept_w - slope_w * Q must stay strictly positive on
 [0, cap_w], which keeps the demand function invertible (when the slope is
 positive) and the inverse-demand image strictly positive as the equilibrium
 theory requires. intercept_w * cap_w, which bounds OD pair w's term of the
-equilibrium gap, must be a finite float.
+equilibrium gap, must be a finite float, as its sum must where a gap is taken.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class InverseDemand:
             if uncapped.size:
                 raise ValueError(f"OD pair index {uncapped[0]}: a demand cap is required "
                                  "when the slope is zero")
-            cap[missing] = DEFAULT_CAP_FRACTION * intercept[missing] / slope[missing]
+            with np.errstate(over="ignore"):  # an overflow is the ValueError below
+                cap[missing] = DEFAULT_CAP_FRACTION * intercept[missing] / slope[missing]
         if not np.isfinite(cap).all():
             raise ValueError(f"inverse-demand cap must be finite, got {cap.tolist()}")
         if np.any(cap <= 0.0):
@@ -88,6 +89,17 @@ class InverseDemand:
         object.__setattr__(inv, "slope", slope)
         object.__setattr__(inv, "cap", cap)
         return inv
+
+    def gap_scale(self) -> float:
+        """Sum over OD pairs of intercept * cap, which bounds the gap; a
+        ValueError unless finite. Construction checks each pair alone, so
+        that the oracle's stack of many copies passes where one copy does."""
+        with np.errstate(over="ignore"):
+            scale = float(np.dot(self.intercept, self.cap))
+        if not scale < np.inf:
+            raise ValueError(f"inverse demand: intercept * cap summed over the OD pairs is "
+                             f"{scale}, and must be finite")
+        return scale
 
     def theta(self, demand: np.ndarray) -> np.ndarray:
         """Inverse demand values at the given demand vector (hours); ShapeError

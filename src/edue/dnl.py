@@ -20,27 +20,24 @@ downstream curve (exit time, its own cumulative count), which is exact by
 FIFO. Where g never rises, the inflow never exceeds capacity: the queue is
 exactly zero, the exit times are the breakpoints s, and _queue is skipped.
 
-Two entry points hand _step its rows. _link_step loads one link: a lone link
-at its depth, whose one live user's counts go in as they stand; a merge
-link, whose live users' curves are first interpolated on the union of their
-breakpoints (unless all share one time array); and the links of a
-succession cycle (a ring road), which feed each other and so are loaded in
-passes: nothing leaves a link sooner than tau after entering it, so each
-pass makes the cycle's curves exact for one more min-tau of time. No link
-at a depth feeds another at it, so when two or more links of a depth have
-one live user each (a path whose inflow curve there carries flow),
-_batch_step lays their curves end to end and loads them in one _step, whose
-cost is almost all fixed. Batched links do queue: the
-oracle scores the copies of its congested instance in batches (oracle-tiny).
+One rule, at a depth and in a cycle pass alike, picks a link's step by its
+live users (paths whose inflow curve there is not None). Links with one go
+through _batch_step, which lays their curves end to end for one _step whose
+cost is almost all fixed: no link at a depth feeds another at it, so a
+depth's such links are one batch, and a lone link is a batch of one. A link
+with more goes through _link_step, which merges their curves on the union
+of their breakpoints. A link with none gets an empty state. The links of a
+succession cycle (a ring road) feed each other and so are loaded in passes,
+link by link: nothing leaves a link sooner than tau after entering it, so
+each pass makes the cycle's curves exact for one more min-tau of time.
 
 On a 2-core Xeon host (least of 30 interleaved runs of 200 calls; k identical
 links of 17 breakpoints, fed at half their capacity, or at 1.8 and 0.2 times
-it by turns for a queue), k links take one by one / in one batch: without a
-queue 15 / 19 us for k = 2, 23 / 20 us for 3, 31 / 20 us for 4 and 62 / 26 us
-for 8; with a queue 50 / 46, 74 / 46, 100 / 48 and 202 / 56 us. A lone link
-takes 8 us alone and 14 us as a batch of one (25 and 31 us with a queue).
-So the batch pays from k = 3 on, but load batches from k = 2: at exactly two
-such links it can be the slower way, and no workload has such a depth.
+it by turns for a queue), k links take as k batches of one / as one batch:
+without a queue 23 / 16 us for k = 2, 35 / 17 us for 3, 47 / 18 us for 4 and
+95 / 22 us for 8; with a queue 70 / 47, 105 / 48, 139 / 49 and 288 / 55 us.
+A batch of one takes 11 us (34 us with a queue), 6 us more than the bare
+_step of its curve: the price a lone link pays for the one rule.
 
 A loading keeps the breakpoints s and waits w = q / M of each link that
 queues. Exit times of a path follow by s <- s + tau, then s <- s + w(s), link
@@ -68,9 +65,10 @@ __all__ = ["HorizonOverflowError", "LinkState", "LoadingResult", "cannot_queue",
 _MIN_PARCEL_LEN = 1e-12
 _EPS = float(np.finfo(float).eps)  # the float spacing at 1
 
-# A path's cumulative curve at one point of its route: (times, counts), both
-# nondecreasing and linear between samples; None when the path carries nothing.
-Curve = Optional[tuple[np.ndarray, np.ndarray]]
+# A path's cumulative curve at one point of its route, (times, counts), both
+# nondecreasing and linear between samples; None when it carries nothing.
+Live = tuple[np.ndarray, np.ndarray]
+Curve = Optional[Live]
 
 
 class HorizonOverflowError(RuntimeError):
@@ -237,37 +235,25 @@ def _step(links: list[Link], s: np.ndarray, counts: np.ndarray, last: np.ndarray
 Batch = tuple[list[Link], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int], list[bool]]
 
 
-def _link_step(link: Link, inflows: list[Curve]) -> tuple[Batch, list[Curve]]:
-    """Load one link over the whole horizon: its users' inflow curves (entry
-    times) in, its queue curves (a Batch of the one link) and the users'
-    downstream curves (exit times) out, in the order of ``inflows``.
-
-    One live user's counts go to _step as they stand; with more, each user's
-    counts are interpolated on the union of their breakpoints, unless they
-    all share one strictly increasing time array, at whose own breakpoints
-    np.interp would return their counts unchanged."""
-    live = [c for c in inflows if c is not None]
-    if not live:
-        empty = np.empty(0)
-        return ([link], empty, empty, empty, empty, [0], [False]), [None] * len(inflows)
-    if len(live) == 1:
-        e, n = live[0]
-        counts = n[None]  # the user's own array
+def _link_step(link: Link, inflows: list[Live]) -> tuple[Batch, list[Live]]:
+    """Load a merge link over the whole horizon: its two or more live users'
+    inflow curves (entry times) in, its queue curves (a Batch of the one
+    link) and their downstream curves (exit times) out, in order. Their
+    counts are interpolated on the union of their breakpoints, unless all
+    share one strictly increasing time array, at whose own breakpoints
+    np.interp would return them unchanged."""
+    e = _shared_axis([t for t, _ in inflows])
+    if e is not None:
+        counts = np.array([n for _, n in inflows])
     else:
-        e = _shared_axis([t for t, _ in live])
-        if e is not None:
-            counts = np.array([n for _, n in live])
-        else:
-            # sorted in Python: the first use of numpy's sort kernels adds
-            # about 0.3 MB of resident memory, more than a few hundred
-            # breakpoints are worth
-            e = np.array(sorted(set(np.concatenate([t for t, _ in live]).tolist())))
-            counts = np.array([np.interp(e, t, n) for t, n in live])
+        # sorted in Python: the first use of numpy's sort kernels adds about
+        # 0.3 MB of resident memory, more than a few hundred breakpoints are
+        # worth
+        e = np.array(sorted(set(np.concatenate([t for t, _ in inflows]).tolist())))
+        counts = np.array([np.interp(e, t, n) for t, n in inflows])
     s, a, q, w, counts, exits, _, queued = _step(
         [link], e + link.free_flow_time, counts, np.array([len(e) - 1]))
-    out = iter(counts)
-    return ([link], s, a, q, w, [len(s)], queued), [
-        None if c is None else (exits, next(out)) for c in inflows]
+    return ([link], s, a, q, w, [len(s)], queued), [(exits, n) for n in counts]
 
 
 def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
@@ -281,12 +267,12 @@ def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
     return first
 
 
-def _batch_step(links: list[Link], inflows: list[tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[Batch, list[Curve]]:
-    """_link_step of links that have one user each, that user's inflow curve
+def _batch_step(links: list[Link], inflows: list[Live]) -> tuple[Batch, list[Live]]:
+    """Load links that have one live user each, that user's inflow curve
     given per link: one _step over the links' curves laid end to end, each
-    link's free-flow time repeated over its row. The links' states stay in
-    the returned Batch until _batch_states builds them."""
+    link's free-flow time repeated over its row (a batch of one is _step on
+    the curve as it stands). The links' states stay in the returned Batch
+    until _batch_states builds them."""
     sizes = np.array([len(t) for t, _ in inflows])
     tau = np.array([link.free_flow_time for link in links])
     s, a, q, w, _, exits, last, queued = _step(
@@ -456,7 +442,7 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
     parts: dict[str, Batch] = {}
     waits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def record(batch: Batch) -> None:
+    def record(batch: Batch, outs: list[Live], users: list[tuple[int, int]]) -> None:
         links, s, _, _, w, ends, queued = batch
         for link, lo, hi, queues in zip(links, [0] + ends, ends, queued):
             parts[link.id] = batch
@@ -464,42 +450,41 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
                 waits[link.id] = s[lo:hi], w[lo:hi]
             else:
                 waits.pop(link.id, None)  # a cycle's earlier pass may have queued
-
-    def step(link: Link, users: Users) -> None:
-        batch, outs = _link_step(link, [curves[p][k] for p, k in users])
-        record(batch)
         for (p, k), out in zip(users, outs):
             curves[p][k + 1] = out
 
-    for depth in network.loading_depths:
-        # links with one live user (an inflow curve that is not None) go
-        # through _batch_step together; the curves of their other users stay
-        # None. Behind a cycle cut short at the horizon end, a path with flow
-        # can have no curve here; step() loads its link as one without users.
-        single: list[tuple[Link, Users, tuple[int, int]]] = []
-        for link, users in depth.links:
-            live_users = [(p, k) for p, k in users if curves[p][k] is not None]
-            if len(live_users) == 1:
-                single.append((link, users, live_users[0]))
+    def step(links: tuple[tuple[Link, Users], ...]) -> None:
+        # each link by its live users (the module docstring); behind a cycle
+        # cut short at the horizon end, a path with flow can have no curve here
+        single: list[tuple[Link, tuple[int, int]]] = []
+        for link, users in links:
+            live = [(p, k) for p, k in users if curves[p][k] is not None]
+            if len(live) == 1:
+                single.append((link, live[0]))
+            elif live:
+                record(*_link_step(link, [curves[p][k] for p, k in live]), live)
             else:
-                step(link, users)
-        if len(single) == 1:
-            link, users, _ = single[0]
-            step(link, users)
-        elif single:
-            batch, outs = _batch_step([link for link, _, _ in single],
-                                      [curves[p][k] for _, _, (p, k) in single])
-            record(batch)
-            for out, (_, _, (p, k)) in zip(outs, single):
-                curves[p][k + 1] = out
+                empty = np.empty(0)
+                record(([link], empty, empty, empty, empty, [0], [False]), [], [])
+        if single:
+            batch, outs = _batch_step([link for link, _ in single],
+                                      [curves[p][k] for _, (p, k) in single])
+            record(batch, outs, [user for _, user in single])
+
+    for depth in network.loading_depths:
+        step(depth.links)  # no link at a depth feeds another at it
 
         for cycle in depth.cycles:
             # Before a pass, every curve the cycle produces is exact up to
             # `exact_until`: at first the empty curves are, since nothing
             # leaves a link sooner than min tau after the cycle's first entry.
-            # A pass of the per-link step moves that time on by min tau. The
-            # cycle is done once every curve it produces has reached its final
-            # count before that time.
+            # A pass that steps the links one by one moves that time on by min
+            # tau. The cycle is done once every curve it produces has reached
+            # its final count before that time. A user live at a link stays
+            # live in every later pass: the entries from outside the cycle are
+            # fixed, and by induction over passes and route positions a curve
+            # that is not None stays so. So a user that is not live was live
+            # in no earlier pass, and its downstream curve is still None.
             width = min(link.free_flow_time for link, _ in cycle)
             # the curves that enter from outside the cycle: those from its
             # own links are made by the passes below
@@ -509,8 +494,8 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
                         if curves[p][0] is not None]
             exact_until = min(entries, default=t_end) + width
             while True:
-                for link, users in cycle:
-                    step(link, users)
+                for link_users in cycle:
+                    step((link_users,))
                 exact_until += width
                 if exact_until > t_end + width or all(
                     curves[p][k] is not None and _settle_time(curves[p][k]) < exact_until

@@ -232,10 +232,9 @@ class Network:
         result is its first b copies. It adopts the stack's first links and
         paths, OD pairs and path_od as they stand, validated when the stack
         was built, so it runs no constructor; routes, od_paths, od_rows,
-        queue_bound_terms and loading_depths are sliced from the stack's.
-        Those of copy k lie after copy k-1's, except at each depth of
-        loading_depths, where the copies lie last first, so the first b are
-        the last b/B share. The rest, the free-flow memo included, is the
+        queue_bound_terms and loading_depths are sliced from the stack's: in
+        each of them copy k lies after copy k-1, so the first b copies are
+        the first b/B share. The rest, the free-flow memo included, is the
         copies' own. A stack that this network's copies(B) did not build (a
         copy of an equal network, the network itself, or first copies) is a
         ValueError."""
@@ -264,10 +263,9 @@ class Network:
                 _od_take=od_take if isinstance(od_take, slice) else od_take[:n_od],
                 queue_bound_terms=(caps[:n_used], users[:len(users) // n_copies * b],
                                    starts[:n_used], bound),
-                loading_depths=tuple(
-                    Depth(d.links[len(d.links) // n_copies * (n_copies - b):],
-                          d.cycles[len(d.cycles) // n_copies * (n_copies - b):])
-                    for d in stack.loading_depths))
+                loading_depths=tuple(Depth(d.links[:len(d.links) // n_copies * b],
+                                           d.cycles[:len(d.cycles) // n_copies * b])
+                                     for d in stack.loading_depths))
             return net
         links = tuple(Link(f"{k}#{l.id}", f"{k}#{l.tail}", f"{k}#{l.head}", l.free_flow_time,
                            l.exit_capacity) for k in range(b) for l in self.links)
@@ -287,7 +285,8 @@ class Network:
         nothing at a depth feeds anything else at it. Each link comes with its
         users: the (path index, position on the path) of every path through
         it. A component lies on a succession cycle exactly when it has more
-        than one link: no path repeats a link, so no link succeeds itself."""
+        than one link: no path repeats a link, so no link succeeds itself.
+        A depth lists its links, and its cycles by their first, in network order."""
         users: dict[str, list[tuple[int, int]]] = {l.id: [] for l in self.links}
         succ: dict[str, dict[str, None]] = {l.id: {} for l in self.links}  # ordered sets
         pred: dict[str, dict[str, None]] = {l.id: {} for l in self.links}
@@ -318,7 +317,7 @@ class Network:
                     finished.append(node)
         position = {lid: i for i, lid in enumerate(succ)}
         depth_of: dict[str, int] = {}
-        depths: list[tuple[list, list]] = []  # per depth: acyclic links, cycles
+        depths: list[list] = []  # per depth, the links of each component
         seen.clear()
         for root in reversed(finished):
             if root in seen:
@@ -338,14 +337,14 @@ class Network:
                             default=-1)
             depth_of.update(dict.fromkeys(comp, depth))
             if depth == len(depths):
-                depths.append(([], []))
-            links = tuple((self.link_by_id[lid], tuple(users[lid]))
-                          for lid in sorted(comp, key=position.__getitem__))
-            if len(links) > 1:
-                depths[depth][1].append(links)
-            else:
-                depths[depth][0].extend(links)
-        return tuple(Depth(tuple(links), tuple(cycles)) for links, cycles in depths)
+                depths.append([])
+            depths[depth].append(tuple((self.link_by_id[lid], tuple(users[lid]))
+                                       for lid in sorted(comp, key=position.__getitem__)))
+        for comps in depths:
+            comps.sort(key=lambda links: position[links[0][0].id])
+        return tuple(Depth(tuple(links[0] for links in comps if len(links) == 1),
+                           tuple(links for links in comps if len(links) > 1))
+                     for comps in depths)
 
 
 

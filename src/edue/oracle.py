@@ -81,6 +81,7 @@ class TinyInstance:
         if RESOLUTION**dim > MAX_LATTICE_POINTS:
             raise ValueError(f"lattice of {RESOLUTION}^{dim} = {RESOLUTION**dim} points "
                              f"exceeds the search budget of {MAX_LATTICE_POINTS}")
+        self.inv_demand.gap_scale()
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,6 @@ class OracleResult:
     # the feasible points the search compared; trials scored ahead of an
     # accepted compass move are discarded and not counted
     evaluations: int
-
-
-def _problem_scale(inst: TinyInstance) -> float:
-    return float(np.dot(inst.inv_demand.intercept, inst.inv_demand.cap))
 
 
 class _GapObjective:
@@ -292,7 +289,7 @@ def brute_force_equilibrium(inst: TinyInstance) -> OracleResult:
             x, gap = x_cand, gap_cand
         half_width /= 10.0
 
-    scale = _problem_scale(inst)
+    scale = inst.inv_demand.gap_scale()
     return OracleResult(
         point=objective.point_of(x),
         gap=gap,

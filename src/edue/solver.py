@@ -288,8 +288,8 @@ def solve(
     largest reduced cost below its float spacing) ends the loop too, as not
     converged, with ``stop`` naming the reason.
 
-    Elastic mode needs ``inv_demand``; fixed-demand mode passes
-    ``inv_demand=None`` with ``pinned_demand`` set.
+    Elastic mode needs ``inv_demand``, whose gap_scale must be finite;
+    fixed-demand mode passes ``inv_demand=None`` with ``pinned_demand`` set.
     """
     if (inv_demand is None) == (pinned_demand is None):
         raise ValueError("pass exactly one of inv_demand (elastic) or pinned_demand (fixed)")
@@ -301,6 +301,8 @@ def solve(
         if bad.any():
             raise ValueError(f"pinned demands must be finite and nonnegative; OD pair indices "
                              f"{np.flatnonzero(bad).tolist()} are not")
+    else:
+        inv_demand.gap_scale()
     # P_K of zero flow: zero flow itself when elastic, uniform flows when pinned
     point = ExtendedPoint.from_matrix(
         grid, *_project(network, grid, np.zeros((len(network.paths), grid.n)), caps, pinned))

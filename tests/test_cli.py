@@ -903,6 +903,29 @@ class TestFlowFieldConversion:
         assert str(info.value) == f"flow file line {ln}: {error}"
 
 
+def overflowing_two_od_scenario():
+    """The fixed-demand scenario made elastic with a demand whose terms
+    intercept * cap are each finite (1.5e308) and sum to inf."""
+    doc = fixed_scenario([300.0, 200.0])
+    for entry in doc["demand"]:
+        del entry["fixed_demand"]
+        entry.update(intercept=1e8, slope=0.0, cap=1.5e300)
+    return doc
+
+
+@pytest.mark.parametrize("args", [["solve"], ["oracle", "--n", "1"]])
+def test_demand_scale_that_overflows_only_in_sum_is_an_input_error(tmp_path, capsys, args):
+    # the solve used to report converged at an inf gap, and the oracle's
+    # lattice search found no incumbent
+    path = write_scenario(tmp_path, overflowing_two_od_scenario())
+    out = tmp_path / "out"
+    assert main([args[0], str(path), *args[1:], "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == ("input error: demand entries: inverse demand: intercept "
+                                       "* cap summed over the OD pairs is inf, and must be "
+                                       "finite\n")
+    assert not out.exists()
+
+
 class TestOracleCommand:
     def test_oversized_instance_is_an_input_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, tiny_scenario())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,15 @@ class TestConstruction:
         assert d.cap.tolist() == [1e150, 80.0]
         # a tiled stack of the one copy passes too: the check is per pair
         InverseDemand(np.tile(d.intercept, 25), np.tile(d.slope, 25), np.tile(d.cap, 25))
+
+    def test_default_cap_that_overflows_raises_no_warning(self):
+        # the choke demand 0.95 * 1e10 / 1e-300 overflows to inf: the cap
+        # error, not a RuntimeWarning ahead of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^inverse-demand cap must be finite, "
+                                                 r"got \[inf\]$"):
+                InverseDemand([1e10], [1e-300])
 
     def test_nonpositive_intercept_rejected(self):
         with pytest.raises(ValueError):

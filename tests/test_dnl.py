@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from edue.cli import write_curves_csv
 from edue.cost import CostField, SchedulePenalty, effective_delay
 from edue.demand import InverseDemand
 from edue import dnl
 from edue.dnl import (_MIN_PARCEL_LEN, HorizonOverflowError, _batch_states, _batch_step,
-                      _link_step, cannot_queue, default_horizon, load)
+                      _link_step, _step, cannot_queue, default_horizon, load)
 from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
 from edue.solver import compute_gap, f_map
@@ -418,6 +419,41 @@ class TestCyclicSuccession:
         assert_loading_invariants(net, grid, flows, res)
 
 
+# Exit times at the cell boundaries per path, and the sha256 of curves.csv,
+# from the loader that reset the downstream curves of users without flow in
+# every pass, on ring_network() with flows uniform on [0, 900) veh/h from
+# default_rng(0) on p12 alone: r1 and r2 have one live user, r3 none.
+ONE_PATH_RING_EXITS = (
+    (0.25, 0.6321770123928725, 0.7940490406511946, 0.8186331550129116, 0.9166666666666666,
+     1.40462881018683, 1.952282156553463),
+    (0.27, 0.44999999999999996, 0.6499999999999999, 0.85, 0.9425997875397585,
+     1.1166666666666667, 1.3166666666666669),
+    (0.32930620743572353, 0.5156040606157203, 0.5681246691596923, 0.72, 1.0594439527787647,
+     1.501893794086782, 1.6296795749056636),
+)
+ONE_PATH_RING_CURVES = "5204045389e90176b17ba9cff923e027a44741dd034b7a9065053b80ca6cfc8a"
+
+
+def one_path_ring_loading():
+    net = ring_network()
+    grid = TimeGrid(0.0, 1.0, 6)
+    flows = np.zeros((len(net.paths), grid.n))
+    flows[0] = np.random.default_rng(0).uniform(0.0, 900.0, size=grid.n)
+    return net, grid, flows
+
+
+def test_ring_with_one_live_path_matches_the_recorded_bytes(tmp_path):
+    net, grid, flows = one_path_ring_loading()
+    res = load(net, flows, grid)
+    assert tuple(tuple(res.exit_times(p, grid.boundaries).tolist())
+                 for p in range(len(net.paths))) == ONE_PATH_RING_EXITS
+    assert [res.states[lid].queued for lid in ("r1", "r2", "r3")] == [True, True, False]
+    write_curves_csv(tmp_path / "curves.csv", res)
+    assert hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest() \
+        == ONE_PATH_RING_CURVES
+    assert_loading_invariants(net, grid, flows, res)
+
+
 @st.composite
 def ring_loadings(draw):
     """Paths along a ring of m links r0 -> r1 -> ... (node i to node i+1 mod
@@ -601,6 +637,51 @@ def test_states_are_built_only_when_read(name, monkeypatch):
         assert np.array_equal(state.segments, np.column_stack((state.s[:-1], state.s[1:])))
 
 
+def spy_steps(monkeypatch):
+    """The link ids of every _batch_step call and every _link_step call of
+    the loadings that follow, in call order."""
+    calls = {"batch": [], "merge": []}
+    batch_step, link_step = dnl._batch_step, dnl._link_step
+
+    def batch(links, inflows):
+        calls["batch"].append([link.id for link in links])
+        return batch_step(links, inflows)
+
+    def merge(link, inflows):
+        calls["merge"].append(link.id)
+        return link_step(link, inflows)
+
+    monkeypatch.setattr(dnl, "_batch_step", batch)
+    monkeypatch.setattr(dnl, "_link_step", merge)
+    return calls
+
+
+@pytest.mark.parametrize("flows, batched, merged", [
+    # the lone link a, with one live user, is a batch of one; c merges two
+    ([[600.0, 900.0], [300.0, 0.0]], [["a"]], ["c"]),
+    # c's other user carries nothing, so c has one live user too
+    ([[600.0, 900.0], [0.0, 0.0]], [["a"], ["c"]], []),
+    # a has no live user and reaches neither step
+    ([[0.0, 0.0], [300.0, 0.0]], [["c"]], []),
+])
+def test_links_are_stepped_by_their_live_users(flows, batched, merged, monkeypatch):
+    calls = spy_steps(monkeypatch)
+    res = load(feeder_and_merge(), flows, TimeGrid(0.0, 1.0, 2))
+    assert (calls["batch"], calls["merge"]) == (batched, merged)
+    assert (res.states["a"].s.size == 0) == (flows[0] == [0.0, 0.0])  # the empty state
+
+
+def test_cycle_links_are_stepped_by_their_live_users(monkeypatch):
+    # on the one-path ring, r1 and r2 have one live user each and r3 none:
+    # each pass loads r1, then r2, as a batch of one
+    calls = spy_steps(monkeypatch)
+    net, grid, flows = one_path_ring_loading()
+    load(net, flows, grid)
+    passes = len(calls["batch"]) // 2
+    assert passes > 1
+    assert calls == {"batch": [["r1"], ["r2"]] * passes, "merge": []}
+
+
 @st.composite
 def single_user_links(draw):
     """2-5 links, each with one inflow curve as the loader hands it on: times
@@ -626,14 +707,14 @@ def single_user_links(draw):
 
 @st.composite
 def under_capacity_users(draw):
-    """One link and 1-4 users whose summed inflow rate never exceeds its
-    capacity, each user on breakpoints of its own: every user has a share of
-    the capacity, the shares sum to it, and each piece carries nothing, the
-    user's full share (so the link runs exactly at capacity where all users
-    do) or part of it; some pieces are shorter than _MIN_PARCEL_LEN. A user
-    without a curve (None) may sit among them."""
+    """One link and 2-4 live users, the merge that _link_step loads, whose
+    summed inflow rate never exceeds its capacity, each user on breakpoints
+    of its own: every user has a share of the capacity, the shares sum to
+    it, and each piece carries nothing, the user's full share (so the link
+    runs exactly at capacity where all users do) or part of it; some pieces
+    are shorter than _MIN_PARCEL_LEN."""
     link = Link("a", "O", "D", draw(st.floats(0.01, 0.3)), draw(st.floats(50.0, 1500.0)))
-    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4))
     curves = []
     for weight in weights:
         share = link.exit_capacity * weight / sum(weights)
@@ -647,8 +728,6 @@ def under_capacity_users(draw):
             min_size=pieces, max_size=pieces))
         t = draw(st.floats(0.0, 1.0)) + np.concatenate(([0.0], np.cumsum(lengths)))
         curves.append((t, np.concatenate(([0.0], np.cumsum(np.multiply(rates, lengths))))))
-    if draw(st.booleans()):
-        curves.insert(draw(st.integers(0, len(curves))), None)
     return link, curves
 
 
@@ -705,16 +784,17 @@ class TestLoaderProperties:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_lone_link_step_equals_batch_step_bit_for_bit(self, grid, data):
+        # a batch of one is the bare step of the user's curve as it stands
         link, curve = data.draw(lone_link_flows(grid))
-        ref_batch, (ref_out,) = _link_step(link, [curve])
-        (ref,) = _batch_states(ref_batch)
+        t, n = curve
+        s, a, q, w, counts, exits, _, queued = _step(
+            [link], t + link.free_flow_time, n[None], np.array([len(t) - 1]))
         batch, (out,) = _batch_step([link], [curve])
         (state,) = _batch_states(batch)
-        for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
-                          (state.queue, ref.queue), (state.w, ref.w),
-                          (out[0], ref_out[0]), (out[1], ref_out[1])):
+        for got, want in ((state.s, s), (state.cum_in, a), (state.queue, q), (state.w, w),
+                          (out[0], exits), (out[1], counts[0])):
             assert got.tobytes() == want.tobytes()
-        assert state.queued == ref.queued
+        assert [state.queued] == queued
 
     @settings(max_examples=60, deadline=None)
     @given(ring_loadings())
@@ -730,11 +810,11 @@ class TestLoaderProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(single_user_links())
-    def test_batch_step_equals_link_step_bit_for_bit(self, case):
+    def test_batch_rows_equal_batches_of_one_bit_for_bit(self, case):
         links, curves = case
         batch, outs = _batch_step(links, curves)
         for link, curve, state, out in zip(links, curves, _batch_states(batch), outs):
-            ref_batch, (ref_out,) = _link_step(link, [curve])
+            ref_batch, (ref_out,) = _batch_step([link], [curve])
             (ref,) = _batch_states(ref_batch)
             for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
                               (state.queue, ref.queue), (state.w, ref.w),
@@ -752,13 +832,10 @@ class TestLoaderProperties:
         assert np.array_equal(state.queue, np.zeros(len(state.s)))
         assert np.array_equal(state.w, np.zeros(len(state.s)))
         # the users' breakpoints merged as the loader merges them
-        e = np.unique(np.concatenate([c[0] for c in curves if c is not None]))
+        e = np.unique(np.concatenate([c[0] for c in curves]))
         s = e + link.free_flow_time
         keep = np.append(s[1:] - s[:-1] > _MIN_PARCEL_LEN, True)
         for curve, out in zip(curves, outs):
-            if curve is None:
-                assert out is None
-                continue
             assert np.array_equal(out[0], s[keep])
             assert np.array_equal(out[1], np.interp(e[keep], *curve))
 
@@ -768,7 +845,7 @@ class TestLoaderProperties:
         lengths = np.full(3, 0.1)
         rates = link.exit_capacity * np.array([1.0, 1.0 + 1e-9, 0.5])
         curve = (np.arange(4) * 0.1, np.concatenate(([0.0], np.cumsum(rates * lengths))))
-        batch, (out,) = _link_step(link, [curve])
+        batch, (out,) = _batch_step([link], [curve])
         (state,) = _batch_states(batch)
         assert state.queued
         assert state.queue.max() == pytest.approx(1500.0 * 1e-10, rel=1e-3)

@@ -344,3 +344,20 @@ class TestLoadingOrder:
         assert all(not d.cycles for d in net.loading_depths)
         assert [link.id for link, _ in net.loading_depths[1].links] == ["bn"]
         assert_predecessors_shallower(net)
+
+    @settings(deadline=None)
+    @given(st.one_of(problems(), layered_loadings(), ring_loadings()).map(lambda case: case[0])
+           | st.sampled_from([ring_network, fed_ring, lambda: corridor_network(2)]).map(
+               lambda build: build()),
+           st.integers(1, 3))
+    def test_depths_list_their_links_in_network_order(self, net, n_copies):
+        # so copy k lies after copy k-1 at every depth of a stack
+        for net in (net, net.copies(n_copies)):
+            position = {link.id: i for i, link in enumerate(net.links)}
+            for depth in net.loading_depths:
+                acyclic = [position[link.id] for link, _ in depth.links]
+                cycles = [[position[link.id] for link, _ in cycle] for cycle in depth.cycles]
+                assert acyclic == sorted(acyclic)
+                assert all(cycle == sorted(cycle) for cycle in cycles)
+                assert [cycle[0] for cycle in cycles] == sorted(cycle[0] for cycle in cycles)
+            assert_predecessors_shallower(net)

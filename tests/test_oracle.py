@@ -59,6 +59,25 @@ class TestConstruction:
             )
 
 
+    def test_demand_scale_must_be_finite_in_sum(self):
+        # each pair's intercept * cap is finite (1.5e308), their sum is not
+        with pytest.raises(ValueError, match=r"intercept \* cap summed over the OD pairs is inf"):
+            TinyInstance(two_od_tiny().network, TimeGrid(0.0, 1.0, 1), SchedulePenalty(0.5, 2.0),
+                         InverseDemand([1e8, 1e8], [0.0, 0.0], [1.5e300, 1.5e300]))
+
+    def test_a_stack_passes_where_its_sum_overflows(self):
+        # one copy's scale is finite; the 6 copies of the largest stack sum
+        # to inf, yet their inverse demand is built, as it checks each pair
+        inst = uncongested_tiny(n=1)
+        inst = TinyInstance(inst.network, inst.grid, inst.penalty,
+                            InverseDemand([1e8], [0.0], [1e300]))
+        objective = _GapObjective(inst)
+        _, inv = objective._stack(objective._most)
+        assert len(inv.cap) == objective._most == 6
+        with pytest.raises(ValueError, match="summed over the OD pairs is inf"):
+            inv.gap_scale()
+
+
 class TestBruteForce:
     def test_uncongested_matches_bisection(self):
         inst = uncongested_tiny()

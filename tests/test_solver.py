@@ -533,6 +533,14 @@ class TestSolve:
         with pytest.raises(ShapeError, match=r"inv_demand.cap .* per OD pair \(2\)"):
             solve(net, inst["penalty"], inst["inv_demand"], inst["config"], grid=grid)
 
+    def test_demand_scale_must_be_finite_in_sum(self, two_od_bottlenecks):
+        # each pair's intercept * cap is finite (1.5e308), their sum is not
+        net, grid, inst = two_od_bottlenecks
+        inv = InverseDemand([1e8, 1e8], [0.0, 0.0], [1.5e300, 1.5e300])
+        with pytest.raises(ValueError, match=r"^inverse demand: intercept \* cap summed over "
+                                             r"the OD pairs is inf, and must be finite$"):
+            solve(net, inst["penalty"], inv, inst["config"], grid=grid)
+
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_pinned_demand_must_be_finite_and_nonnegative(self, two_od_bottlenecks, bad):
         net, grid, inst = two_od_bottlenecks
