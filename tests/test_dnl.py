@@ -558,27 +558,36 @@ def feeder_and_merge():
 
 
 # Loadings that reach every branch of the link step, each with flows uniform
-# on [0, top) veh/h from default_rng(1): (network, grid, top, links that must
-# queue). On the tiny grids the breakpoints of the lone link a and the merge
-# link c merge: all of them where cells are shorter than _MIN_PARCEL_LEN,
-# some where rounding of the entry times meets cells of about its length.
+# on [0, top) veh/h from default_rng(1) and the paths ``dead`` at zero flow:
+# (network, grid, top, links that must queue, dead). On the tiny grids the
+# breakpoints of the lone link a and the merge link c merge: all of them where
+# cells are shorter than _MIN_PARCEL_LEN, some where rounding of the entry
+# times meets cells of about its length. With a1 and b2 dead the corridor's
+# first depth has dead rows, bn two live users and out1 none; the dead
+# bottleneck copies are the shape of the oracle's padded stacks.
 LOADER_CASES = {
     "criterion-1 link, n=64": (lambda: single_link_network(1 / 6, 1e6, 7 / 6),
-                               TimeGrid(0.0, 2.0, 64), 900.0, ()),
+                               TimeGrid(0.0, 2.0, 64), 900.0, (), ()),
     "bottleneck, n=16": (lambda: single_link_network(0.1, 1000.0, 0.6),
-                         TimeGrid(0.0, 1.0, 16), 3000.0, ("a",)),
-    "corridor, K=3": (lambda: corridor_network(3), TimeGrid(0.0, 1.0, 16), 900.0, ("bn",)),
-    "merged breakpoints": (feeder_and_merge, TimeGrid(0.0, 1e-11, 16), 1e6, ()),
+                         TimeGrid(0.0, 1.0, 16), 3000.0, ("a",), ()),
+    "corridor, K=3": (lambda: corridor_network(3), TimeGrid(0.0, 1.0, 16), 900.0, ("bn",), ()),
+    "corridor, K=3, a1 and b2 dead": (lambda: corridor_network(3), TimeGrid(0.0, 1.0, 16),
+                                      900.0, ("bn", "by0", "by1"), ("a1", "b2")),
+    "merged breakpoints": (feeder_and_merge, TimeGrid(0.0, 1e-11, 16), 1e6, (), ()),
     "partly merged breakpoints": (feeder_and_merge, TimeGrid(0.0, 64 * _MIN_PARCEL_LEN, 64),
-                                  1e6, ("a", "c")),
+                                  1e6, ("a", "c"), ()),
     "4 bottleneck copies": (lambda: single_link_network(0.1, 1000.0, 0.6).copies(4),
-                            TimeGrid(0.0, 1.0, 8), 3000.0, ("0#a", "3#a")),
-    "ring": (ring_network, TimeGrid(0.0, 1.0, 6), 900.0, ()),
+                            TimeGrid(0.0, 1.0, 8), 3000.0, ("0#a", "3#a"), ()),
+    "4 bottleneck copies, 1 and 3 dead": (lambda: single_link_network(0.1, 1000.0, 0.6).copies(4),
+                                          TimeGrid(0.0, 1.0, 8), 3000.0, ("0#a", "2#a"),
+                                          ("1#p1", "3#p1")),
+    "ring": (ring_network, TimeGrid(0.0, 1.0, 6), 900.0, (), ()),
 }
 
 # sha256 of every link's s, cum_in, queue and w, in network order, then of
 # boundary_exits(), as the loader gave them before the lone-link, merge-link
-# and batch steps shared one step routine
+# and batch steps shared one step routine (the cases with dead paths: as the
+# loader that dispatched each link by its live users on every call gave them)
 LOADER_DIGESTS = {
     "criterion-1 link, n=64": "ed86eb3dc1d6b3ca75568c365bfc2fb4288f98000aef767c9204e4eccbaa96a2",
     "bottleneck, n=16": "096a5e6f92f74b2d7e3bb1e19d789976eef8a908a8db27cb343e50707088d85b",
@@ -587,8 +596,22 @@ LOADER_DIGESTS = {
     "partly merged breakpoints":
         "d6ccbfd9959b0f57db3520e677304e0a83d8db45bbd9fab201cb95a1e576d0a3",
     "4 bottleneck copies": "4bb656922e6a37dde33f64d49c7a24cd8a1c16daef2f291c3371ae75ae409575",
+    "corridor, K=3, a1 and b2 dead":
+        "2b39b913031b2db97f12a8ed0525e180c81d3de3b7148de0e3b171fb39480596",
+    "4 bottleneck copies, 1 and 3 dead":
+        "294f3cd3e65466b9831fc6f643c9b573dd7fc76e449b59f4910dfdfa0f02eb3e",
     "ring": "9a87b417f602158b0e5c601ab24844544b1f363c5f0b244176d14a8d3723086a",
 }
+
+
+def loader_case(name):
+    """The network, grid, flows and links that must queue of a LOADER_CASES
+    entry."""
+    make, grid, top, queued, dead = LOADER_CASES[name]
+    net = make()
+    flows = np.random.default_rng(1).uniform(0.0, top, size=(len(net.paths), grid.n))
+    flows[[p for p, path in enumerate(net.paths) if path.id in dead]] = 0.0
+    return net, grid, flows, queued
 
 
 def loader_digest(net, grid, flows):
@@ -604,18 +627,17 @@ def loader_digest(net, grid, flows):
 
 @pytest.mark.parametrize("name", sorted(LOADER_CASES))
 def test_loader_bytes_match_the_recorded_ones(name):
-    make, grid, top, queued = LOADER_CASES[name]
-    net = make()
-    flows = np.random.default_rng(1).uniform(0.0, top, size=(len(net.paths), grid.n))
+    net, grid, flows, queued = loader_case(name)
     res, digest = loader_digest(net, grid, flows)
     assert all(res.states[lid].queued for lid in queued)
     assert digest == LOADER_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["bottleneck, n=16", "corridor, K=3", "ring"])
+@pytest.mark.parametrize("name", ["bottleneck, n=16", "corridor, K=3",
+                                  "corridor, K=3, a1 and b2 dead", "ring"])
 def test_states_are_built_only_when_read(name, monkeypatch):
-    # a lone link, a merge link (bn) between two batches, and a cycle loaded
-    # in passes: a loading keeps each step's arrays and builds no LinkState
+    # a lone link, a merge link (bn) between two batches, links with no live
+    # user, and a cycle loaded in passes: a loading keeps each step's arrays and builds no LinkState
     # until states is read, then one per link
     built = []
 
@@ -625,9 +647,7 @@ def test_states_are_built_only_when_read(name, monkeypatch):
             super().__init__(link, *rest)
 
     monkeypatch.setattr(dnl, "LinkState", CountedState)
-    make, grid, top, _ = LOADER_CASES[name]
-    net = make()
-    flows = np.random.default_rng(1).uniform(0.0, top, size=(len(net.paths), grid.n))
+    net, grid, flows, _ = loader_case(name)
     res = load(net, flows, grid)
     res.boundary_exits()
     assert built == []
