@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import random
@@ -124,6 +125,28 @@ def corridor_scenario():
         ("out1", "B", "D1", 0.01, 1e5), ("out2", "B", "D2", 0.01, 1e5))
     _paths_and_demands(doc, [("a1", ["in1", "bn", "out1"], "O1", "D1", 1.2),
                              ("a2", ["in2", "bn", "out2"], "O2", "D2", 1.3)], 0.004, 250.0)
+    return doc
+
+
+def bypass_corridor_scenario(k=3, n=8):
+    """K OD pairs, each with path a{i} through feeder in{i}, the shared
+    bottleneck bn and feeder out{i}, and path b{i} on its own bypass by{i}:
+    the corridor of tests/conftest.py with the solver settings of the
+    benchmark's corridor workload."""
+    doc = congested_scenario(n=n)
+    doc["horizon"] = {"t0": 0.0, "tf": 1.6, "arrival_target": 0.8}
+    doc["solver"].update(alpha=300.0, max_iters=400, gap_rtol=4e-2, halve_on_stall=25)
+    doc["network"]["links"] = _links(("bn", "A", "B", 0.1, 1500.0), *(
+        row for i in range(k) for row in ((f"in{i}", f"O{i}", "A", 0.01, 1e5),
+                                          (f"out{i}", "B", f"D{i}", 0.01, 1e5),
+                                          (f"by{i}", f"O{i}", f"D{i}", 0.3, 300.0))))
+    doc["network"]["paths"] = [
+        path for i in range(k) for path in (
+            {"id": f"a{i}", "links": [f"in{i}", "bn", f"out{i}"], "origin": f"O{i}",
+             "destination": f"D{i}"},
+            {"id": f"b{i}", "links": [f"by{i}"], "origin": f"O{i}", "destination": f"D{i}"})]
+    doc["demand"] = [{"origin": f"O{i}", "destination": f"D{i}", "intercept": 1.2,
+                      "slope": 0.004, "cap": 250.0} for i in range(k)]
     return doc
 
 
@@ -528,6 +551,18 @@ class TestSolveCommand:
         assert (out / "check.txt").exists()
         assert "input error" not in capsys.readouterr().err
         assert builds == [1]
+
+    def test_corridor_solve_matches_the_recorded_bytes(self, tmp_path):
+        # the bypasses carry nothing at first, so dead paths are loaded end
+        # to end; recorded on the loader that dispatched each link by its
+        # live users on every call
+        path = write_scenario(tmp_path, bypass_corridor_scenario())
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("flows.csv", "gap.csv")} == {
+            "flows.csv": "7ed5d0d1150ffe5d5715868eae3a41c2bc66f083be353bddd7e7b32d28dad103",
+            "gap.csv": "a043a0747ba6b66e5512226ebaff095b04bb9d30bd4937eee26868b52ad3b9cf"}
 
     def test_determinism_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path, congested_scenario())
