@@ -20,24 +20,30 @@ downstream curve (exit time, its own cumulative count), which is exact by
 FIFO. Where g never rises, the inflow never exceeds capacity: the queue is
 exactly zero, the exit times are the breakpoints s, and _queue is skipped.
 
-One rule, at a depth and in a cycle pass alike, picks a link's step by its
-live users (paths whose inflow curve there is not None). Links with one go
-through _batch_step, which lays their curves end to end for one _step whose
-cost is almost all fixed: no link at a depth feeds another at it, so a
-depth's such links are one batch, and a lone link is a batch of one. A link
-with more goes through _link_step, which merges their curves on the union
-of their breakpoints. A link with none gets an empty state. The links of a
-succession cycle (a ring road) feed each other and so are loaded in passes,
-link by link: nothing leaves a link sooner than tau after entering it, so
-each pass makes the cycle's curves exact for one more min-tau of time.
+What a loading needs of the network and grid besides the flows is laid out
+once per pair (_layout, kept in Network.loading_layouts). The links of a
+depth that one path each uses are one batch: no link at a depth feeds
+another at it, and _batch_step runs one _step over their live users' rows
+laid end to end, a step whose cost is almost all fixed. At the first depth
+each row is a path's cumulative departures on the cell boundaries, so the
+batch takes the rows of the layout's shifted boundaries and of the counts
+as they stand. A user is live where its inflow curve is not None; a dead
+user's row is left out and its link gets an empty state. Every other link,
+one that no path or several paths use and every link of a succession cycle,
+is stepped by its live users: one is a batch of one, more go through
+_link_step, which merges their curves on the union of their breakpoints,
+and none gives an empty state. The links of a cycle (a ring road) feed
+each other and so are loaded in passes, link by link: nothing leaves a link
+sooner than tau after entering it, so each pass makes the cycle's curves
+exact for one more min-tau of time.
 
 On a 2-core Xeon host (least of 30 interleaved runs of 200 calls; k identical
-links of 17 breakpoints, fed at half their capacity, or at 1.8 and 0.2 times
-it by turns for a queue), k links take as k batches of one / as one batch:
-without a queue 23 / 16 us for k = 2, 35 / 17 us for 3, 47 / 18 us for 4 and
-95 / 22 us for 8; with a queue 70 / 47, 105 / 48, 139 / 49 and 288 / 55 us.
-A batch of one takes 11 us (34 us with a queue), 6 us more than the bare
-_step of its curve: the price a lone link pays for the one rule.
+links of 17 breakpoints laid out as a first depth, fed at half their
+capacity, or at 1.8 and 0.2 times it by turns for a queue), k links take as
+k batches of one / as one batch: without a queue 14 / 9 us for k = 2, 21 / 9
+us for 3, 29 / 10 us for 4 and 58 / 12 us for 8; with a queue 47 / 32,
+68 / 31, 91 / 32 and 180 / 35 us. A batch of one takes 7 us (23 us with a
+queue), 2 us (4 us) more than the bare _step of its curve.
 
 A loading keeps the breakpoints s and waits w = q / M of each link that
 queues. Exit times of a path follow by s <- s + tau, then s <- s + w(s), link
@@ -48,7 +54,8 @@ cannot_queue tells, without loading, when no link can queue.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from itertools import compress
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -186,10 +193,11 @@ def _queue(s: np.ndarray, a: np.ndarray, g: np.ndarray, counts: np.ndarray, cap,
     return s, a, q, w, counts, _row_accumulate(np.maximum, s + w, last), last
 
 
-def _step(links: list[Link], s: np.ndarray, counts: np.ndarray, last: np.ndarray):
+def _step(cap, s: np.ndarray, counts: np.ndarray, last: np.ndarray):
     """The point-queue step of links whose rows of queue-arrival times s lie
     end to end, the last point of each row at the indices ``last``, with the
-    cumulative counts of the users, one row per user over all of s.
+    cumulative counts of the users, one row per user over all of s, and the
+    exit capacity of each row (an array, or a float for one row).
 
     It merges breakpoints closer than _MIN_PARCEL_LEN, keeping each cluster's
     last and each row's last, and sums the users' counts into the arrivals.
@@ -212,18 +220,15 @@ def _step(links: list[Link], s: np.ndarray, counts: np.ndarray, last: np.ndarray
         s, counts = s[keep], counts[:, keep]
         last = keep.cumsum()[last] - 1
     a = counts[0] if len(counts) == 1 else counts.sum(axis=0)  # one row sums to itself
-    if len(links) == 1:
-        cap = links[0].exit_capacity
-    else:
-        sizes = last - np.concatenate(([-1], last[:-1]))
-        cap = np.array([link.exit_capacity for link in links]).repeat(sizes)
+    if len(last) > 1:
+        cap = cap.repeat(last - np.concatenate(([-1], last[:-1])))
     g = a - cap * s
     rises = g[1:] > g[:-1]
     if len(last) > 1:
         rises[last[:-1]] = False
     if not np.count_nonzero(rises):
         q = np.zeros(len(s))
-        return s, a, q, q, counts, s, last, [False] * len(links)
+        return s, a, q, q, counts, s, last, [False] * len(last)
     s, a, q, w, counts, exits, last = _queue(s, a, g, counts, cap, last)
     queued = np.logical_or.reduceat(q > 0.0, np.concatenate(([0], last[:-1] + 1))).tolist()
     return s, a, q, w, counts, exits, last, queued
@@ -232,7 +237,8 @@ def _step(links: list[Link], s: np.ndarray, counts: np.ndarray, last: np.ndarray
 # the arrays of one _link_step or _batch_step: its links, then their
 # breakpoints s, arrivals, queue and waits laid end to end, the index after
 # each link's row and whether each link queues
-Batch = tuple[list[Link], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int], list[bool]]
+Batch = tuple[tuple[Link, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int],
+              list[bool]]
 
 
 def _link_step(link: Link, inflows: list[Live]) -> tuple[Batch, list[Live]]:
@@ -252,8 +258,8 @@ def _link_step(link: Link, inflows: list[Live]) -> tuple[Batch, list[Live]]:
         e = np.array(sorted(set(np.concatenate([t for t, _ in inflows]).tolist())))
         counts = np.array([np.interp(e, t, n) for t, n in inflows])
     s, a, q, w, counts, exits, _, queued = _step(
-        [link], e + link.free_flow_time, counts, np.array([len(e) - 1]))
-    return ([link], s, a, q, w, [len(s)], queued), [(exits, n) for n in counts]
+        link.exit_capacity, e + link.free_flow_time, counts, np.array([len(e) - 1]))
+    return ((link,), s, a, q, w, [len(s)], queued), [(exits, n) for n in counts]
 
 
 def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
@@ -267,20 +273,28 @@ def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
     return first
 
 
-def _batch_step(links: list[Link], inflows: list[Live]) -> tuple[Batch, list[Live]]:
-    """Load links that have one live user each, that user's inflow curve
-    given per link: one _step over the links' curves laid end to end, each
-    link's free-flow time repeated over its row (a batch of one is _step on
-    the curve as it stands). The links' states stay in the returned Batch
-    until _batch_states builds them."""
-    sizes = np.array([len(t) for t, _ in inflows])
-    tau = np.array([link.free_flow_time for link in links])
-    s, a, q, w, _, exits, last, queued = _step(
-        links, np.concatenate([t for t, _ in inflows]) + tau.repeat(sizes),
-        np.concatenate([n for _, n in inflows])[None], sizes.cumsum() - 1)
+def _batch_step(links: tuple[Link, ...], cap, s: np.ndarray, n: np.ndarray,
+                last: np.ndarray) -> tuple[Batch, list[Live]]:
+    """Load links that have one live user each in one _step: the users'
+    queue-arrival times s (entry times plus the link's free-flow time) and
+    counts n laid end to end, one row per link, the last point of each row
+    at the indices ``last``, with the exit capacity of each row (an array,
+    or a float for one row). The links' states stay in the returned Batch
+    until _batch_states builds them; the users' downstream curves follow."""
+    s, a, q, w, _, exits, last, queued = _step(cap, s, n[None], last)
     ends = (last + 1).tolist()
     outs = [(exits[lo:hi], a[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return (links, s, a, q, w, ends, queued), outs
+
+
+def _end_to_end(inflows: list[Live], tau: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                               np.ndarray]:
+    """Curves laid end to end as the rows of a _batch_step: the entry times
+    of each plus the free-flow time of its row, the counts, and the index of
+    each row's last point."""
+    sizes = np.array([len(t) for t, _ in inflows])
+    return (np.concatenate([t for t, _ in inflows]) + tau.repeat(sizes),
+            np.concatenate([n for _, n in inflows]), sizes.cumsum() - 1)
 
 
 def _batch_states(batch: Batch) -> list[LinkState]:
@@ -288,6 +302,99 @@ def _batch_states(batch: Batch) -> list[LinkState]:
     links, s, a, q, w, ends, queued = batch
     return [LinkState(link, s[lo:hi], a[lo:hi], q[lo:hi], w[lo:hi], queues)
             for link, lo, hi, queues in zip(links, [0] + ends, ends, queued)]
+
+
+# a link that load steps by its live users, one on a succession cycle or one
+# that no path or several paths use, with the (path index, slot) of each
+# user's curve at the link's entry
+Entry = tuple[Link, tuple[tuple[int, int], ...]]
+
+
+class _Rows(NamedTuple):
+    """The links of one depth that one path each uses, in network order, laid
+    out for one _batch_step over their live users' rows."""
+
+    links: tuple[Link, ...]
+    slots: tuple[int, ...]  # the slot of each user's curve at the link's entry
+    tau: np.ndarray  # the links' free-flow times
+    cap: np.ndarray  # the links' exit capacities
+    # At the first depth every user enters at its origin: the users' path
+    # indices into load's cumulative counts (a slice when they are all paths
+    # in order), their queue-arrival times (the cell boundaries plus each
+    # link's tau, one row per link) and the index of each row's last point;
+    # None at the later depths.
+    paths: np.ndarray | slice | None
+    times: np.ndarray | None
+    last: np.ndarray | None
+
+
+class _Layout(NamedTuple):
+    """What load needs of a network and grid besides the flows, taken once
+    per pair (Network.loading_layouts). Path p's curves have the slots ends[p]
+    - len(route) to ends[p] of load's curve list: at the entry of each link of
+    its route, then at its destination."""
+
+    size: int  # the slots of all paths
+    ends: tuple[int, ...]
+    entries: tuple[tuple[int, int], ...]  # (path, slot) of the origin curves an Entry reads
+    # per depth, its single-user links, its other links and its cycles
+    depths: tuple[tuple[_Rows | None, tuple[Entry, ...], tuple[tuple[Entry, ...], ...]], ...]
+    room: float  # the rounding room load adds to the default horizon
+
+
+def _layout(network: Network, grid: TimeGrid) -> _Layout:
+    """The layout of network's loadings on grid. A loading's arrays may be
+    views of the rows' times, which are read-only."""
+    origins, size = [], 0
+    for route in network.routes:
+        origins.append(size)
+        size += len(route) + 1
+    entries: set[int] = set()  # the paths whose origin curve an Entry reads
+
+    def entry(link: Link, users: Users) -> Entry:
+        entries.update(p for p, k in users if k == 0)
+        return link, tuple((p, origins[p] + k) for p, k in users)
+
+    depths = []
+    for depth in network.loading_depths:
+        links, users, others = [], [], []
+        for link, link_users in depth.links:
+            if len(link_users) == 1:
+                links.append(link)
+                users.append(link_users[0])
+            else:
+                others.append(entry(link, link_users))
+        cycles = tuple(tuple(entry(link, link_users) for link, link_users in cycle)
+                       for cycle in depth.cycles)
+        rows = None
+        if links:
+            tau = np.array([link.free_flow_time for link in links])
+            paths = times = last = None
+            # a link that one path uses from its origin has no predecessor,
+            # so a depth's such links are all at their origins or none is
+            if users[0][1] == 0:
+                paths = [p for p, _ in users]
+                paths = (slice(None) if paths == list(range(len(origins)))
+                         else np.array(paths, dtype=np.intp))
+                times = grid.boundaries + tau[:, None]
+                times.setflags(write=False)
+                last = np.arange(grid.n, len(links) * (grid.n + 1), grid.n + 1)
+            rows = _Rows(tuple(links), tuple(origins[p] + k for p, k in users), tau,
+                         np.array([link.exit_capacity for link in links]),
+                         paths, times, last)
+        depths.append((rows, tuple(others), cycles))
+    return _Layout(size, tuple(o + len(route) for o, route in zip(origins, network.routes)),
+                   tuple((p, origins[p]) for p in sorted(entries)), tuple(depths),
+                   _rounding_room(network, grid, network.clearance_terms[2] + 2))
+
+
+_NONE = np.empty(0)
+_NONE.setflags(write=False)
+
+
+def _empty(link: Link) -> Batch:
+    """The state of a link with no live user."""
+    return (link,), _NONE, _NONE, _NONE, _NONE, [0], [False]
 
 
 def _settle_time(curve: Curve) -> float:
@@ -423,26 +530,34 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
     if np.count_nonzero((flows >= 0.0) & (flows < np.inf)) < flows.size:  # NaN fails both
         raise ValueError("path flows must be finite and nonnegative")
 
-    # curves[p][k]: path p's curve at the entry of its k-th link; the last
-    # one is its arrival curve at the destination
-    bounds = grid.boundaries
+    layout = network.loading_layouts.get(grid)
+    if layout is None:
+        layout = network.loading_layouts[grid] = _layout(network, grid)
     cum = np.zeros((len(flows), grid.n + 1))
     np.add.accumulate(flows * grid.dt, axis=1, out=cum[:, 1:])
+    volumes = cum[:, -1]
     # totals and the overflow test run on Python floats, added in path order
     # by a loop: from Python 3.12, sum() of floats is compensated
-    entered = cum[:, -1].tolist()
-    curves: list[list[Curve]] = []
+    entered = volumes.tolist()
     total_in = 0.0
-    for row, route, volume in zip(cum, network.routes, entered):
+    for volume in entered:
         total_in += volume
-        curves.append([(bounds, row) if volume > 0.0 else None] + [None] * len(route))
-    t_end = grid.tf + (default_horizon(network, total_in)
-                       + _rounding_room(network, grid, network.clearance_terms[2] + 2))
+    t_end = grid.tf + (default_horizon(network, total_in) + layout.room)
+
+    # the curves of every path at the entry of each of its links and at its
+    # destination, by the layout's slots; None where it carries nothing. The
+    # first depth's rows read cum, so an origin curve is made only where an
+    # Entry reads it.
+    curves: list[Curve] = [None] * layout.size
+    bounds = grid.boundaries
+    for p, slot in layout.entries:
+        if entered[p] > 0.0:
+            curves[slot] = (bounds, cum[p])
 
     parts: dict[str, Batch] = {}
     waits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def record(batch: Batch, outs: list[Live], users: list[tuple[int, int]]) -> None:
+    def record(batch: Batch, outs: list[Live], slots) -> None:
         links, s, _, _, w, ends, queued = batch
         for link, lo, hi, queues in zip(links, [0] + ends, ends, queued):
             parts[link.id] = batch
@@ -450,31 +565,55 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
                 waits[link.id] = s[lo:hi], w[lo:hi]
             else:
                 waits.pop(link.id, None)  # a cycle's earlier pass may have queued
-        for (p, k), out in zip(users, outs):
-            curves[p][k + 1] = out
+        for slot, out in zip(slots, outs):
+            curves[slot + 1] = out
 
-    def step(links: tuple[tuple[Link, Users], ...]) -> None:
-        # each link by its live users (the module docstring); behind a cycle
+    def step(entry: Entry) -> None:
+        # a link by its live users (the module docstring); behind a cycle
         # cut short at the horizon end, a path with flow can have no curve here
-        single: list[tuple[Link, tuple[int, int]]] = []
-        for link, users in links:
-            live = [(p, k) for p, k in users if curves[p][k] is not None]
-            if len(live) == 1:
-                single.append((link, live[0]))
-            elif live:
-                record(*_link_step(link, [curves[p][k] for p, k in live]), live)
-            else:
-                empty = np.empty(0)
-                record(([link], empty, empty, empty, empty, [0], [False]), [], [])
-        if single:
-            batch, outs = _batch_step([link for link, _ in single],
-                                      [curves[p][k] for _, (p, k) in single])
-            record(batch, outs, [user for _, user in single])
+        link, users = entry
+        live = [slot for _, slot in users if curves[slot] is not None]
+        if len(live) > 1:
+            record(*_link_step(link, [curves[slot] for slot in live]), live)
+        elif live:
+            t, n = curves[live[0]]
+            record(*_batch_step((link,), link.exit_capacity, t + link.free_flow_time, n,
+                                np.array([len(t) - 1])), live)
+        else:
+            record(_empty(link), [], [])
 
-    for depth in network.loading_depths:
-        step(depth.links)  # no link at a depth feeds another at it
+    def step_rows(rows: _Rows) -> None:
+        # one batch of the live users' rows; a dead user's link is empty
+        if rows.paths is not None:  # every user at its origin
+            live = (volumes[rows.paths] > 0.0).tolist()
+        else:
+            inflows = [curves[slot] for slot in rows.slots]
+            live = [curve is not None for curve in inflows]
+        links, slots, tau, cap = rows.links, rows.slots, rows.tau, rows.cap
+        if not all(live):
+            for link in compress(links, [not alive for alive in live]):
+                record(_empty(link), [], [])
+            if not any(live):
+                return
+            links, slots = tuple(compress(links, live)), list(compress(slots, live))
+            tau, cap = tau[live], cap[live]
+        if rows.paths is not None:
+            times, counts = rows.times, cum[rows.paths]
+            if len(links) < len(live):
+                times, counts = times[live], counts[live]
+            s, n, last = times.ravel(), counts.ravel(), rows.last[:len(links)]
+        else:
+            s, n, last = _end_to_end(list(compress(inflows, live)), tau)
+        record(*_batch_step(links, cap, s, n, last), slots)
 
-        for cycle in depth.cycles:
+    for rows, others, cycles in layout.depths:
+        # no link at a depth feeds another at it
+        if rows is not None:
+            step_rows(rows)
+        for entry in others:
+            step(entry)
+
+        for cycle in cycles:
             # Before a pass, every curve the cycle produces is exact up to
             # `exact_until`: at first the empty curves are, since nothing
             # leaves a link sooner than min tau after the cycle's first entry.
@@ -488,18 +627,17 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
             width = min(link.free_flow_time for link, _ in cycle)
             # the curves that enter from outside the cycle: those from its
             # own links are made by the passes below
-            entries = [float(curves[p][k][0][0]) for _, users in cycle for p, k in users
-                       if curves[p][k] is not None]
-            produced = [(p, k + 1) for _, users in cycle for p, k in users
-                        if curves[p][0] is not None]
+            entries = [float(curves[slot][0][0]) for _, users in cycle for _, slot in users
+                       if curves[slot] is not None]
+            produced = [slot + 1 for _, users in cycle for p, slot in users if entered[p] > 0.0]
             exact_until = min(entries, default=t_end) + width
             while True:
-                for link_users in cycle:
-                    step((link_users,))
+                for entry in cycle:
+                    step(entry)
                 exact_until += width
                 if exact_until > t_end + width or all(
-                    curves[p][k] is not None and _settle_time(curves[p][k]) < exact_until
-                    for p, k in produced
+                    curves[slot] is not None and _settle_time(curves[slot]) < exact_until
+                    for slot in produced
                 ):
                     break
 
@@ -513,15 +651,18 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
     # still held in it; total_out adds them in path order, as total_in does
     total_out = 0.0
     held = []
-    for volume, path_curves in zip(entered, curves):
-        arrived = count_at_end(path_curves[-1])
+    for volume, slot in zip(entered, layout.ends):
+        arrived = count_at_end(curves[slot])
         total_out += arrived
         held.append(volume - arrived)
     most = max(held)
     if most > 0.0:
         p = len(held) - 1 - held[::-1].index(most)  # the last of the paths holding most
-        on_link = [count_at_end(c_in) - count_at_end(c_out)
-                   for c_in, c_out in zip(curves[p], curves[p][1:])]
+        # what entered each link of the path by t_end: at its origin, all it carries
+        end = layout.ends[p]
+        counts = [entered[p]] + [count_at_end(curve)
+                                 for curve in curves[end + 1 - len(network.routes[p]):end + 1]]
+        on_link = [c_in - c_out for c_in, c_out in zip(counts, counts[1:])]
         link = network.routes[p][int(np.argmax(on_link))]
         raise HorizonOverflowError(total_in - total_out, t_end, network.paths[p].id, link.id)
 

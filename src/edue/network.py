@@ -181,6 +181,12 @@ class Network:
         return {}
 
     @cached_property
+    def loading_layouts(self) -> dict:
+        """What dnl.load needs of the network besides the flows, one layout
+        per grid. dnl.load alone fills and reads it."""
+        return {}
+
+    @cached_property
     def clearance_terms(self) -> tuple[float, float, int]:
         """The least exit capacity, the total free-flow time (summed in
         network order) and the number of the links that some path uses
@@ -234,10 +240,10 @@ class Network:
         was built, so it runs no constructor; routes, od_paths, od_rows,
         queue_bound_terms and loading_depths are sliced from the stack's: in
         each of them copy k lies after copy k-1, so the first b copies are
-        the first b/B share. The rest, the free-flow memo included, is the
-        copies' own. A stack that this network's copies(B) did not build (a
-        copy of an equal network, the network itself, or first copies) is a
-        ValueError."""
+        the first b/B share. The rest, the free-flow memo and the loading
+        layouts included, is the copies' own. A stack that this network's
+        copies(B) did not build (a copy of an equal network, the network
+        itself, or first copies) is a ValueError."""
         if stack is not None:
             if stack.__dict__.get("_copies_of") is not self:
                 raise ValueError("stack must be this network's own copies(B), built by "

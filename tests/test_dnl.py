@@ -9,7 +9,7 @@ from edue.cost import CostField, SchedulePenalty, effective_delay
 from edue.demand import InverseDemand
 from edue import dnl
 from edue.dnl import (_MIN_PARCEL_LEN, HorizonOverflowError, _batch_states, _batch_step,
-                      _link_step, _step, cannot_queue, default_horizon, load)
+                      _end_to_end, _link_step, _step, cannot_queue, default_horizon, load)
 from edue.grid import ExtendedPoint, TimeGrid
 from edue.network import Link, Network, Path
 from edue.solver import compute_gap, f_map
@@ -657,15 +657,37 @@ def test_states_are_built_only_when_read(name, monkeypatch):
         assert np.array_equal(state.segments, np.column_stack((state.s[:-1], state.s[1:])))
 
 
+def test_a_layout_is_built_once_per_network_and_grid(monkeypatch):
+    # loads whose live paths differ read one layout and give the bytes of
+    # loads on a fresh network; an equal grid reads it too, another grid and
+    # each copies network build their own
+    built = []
+    real = dnl._layout
+    monkeypatch.setattr(dnl, "_layout", lambda net, grid: built.append(grid) or real(net, grid))
+    net, grid, flows, _ = loader_case("corridor, K=3")
+    dead = loader_case("corridor, K=3, a1 and b2 dead")[2]
+    for h in (flows, dead, np.zeros_like(flows)):
+        assert loader_digest(net, grid, h)[1] == loader_digest(corridor_network(3), grid, h)[1]
+    assert built == [grid] * 4
+    load(net, flows, TimeGrid(0.0, 1.0, 16))
+    other = TimeGrid(0.0, 1.0, 8)
+    load(net, flows[:, :8], other)
+    assert built == [grid] * 4 + [other]
+    stack = net.copies(2)
+    load(stack, np.concatenate([flows, dead]), grid)
+    load(net.copies(1, stack), flows, grid)
+    assert built == [grid] * 4 + [other, grid, grid]
+
+
 def spy_steps(monkeypatch):
     """The link ids of every _batch_step call and every _link_step call of
     the loadings that follow, in call order."""
     calls = {"batch": [], "merge": []}
     batch_step, link_step = dnl._batch_step, dnl._link_step
 
-    def batch(links, inflows):
+    def batch(links, *rows):
         calls["batch"].append([link.id for link in links])
-        return batch_step(links, inflows)
+        return batch_step(links, *rows)
 
     def merge(link, inflows):
         calls["merge"].append(link.id)
@@ -700,6 +722,13 @@ def test_cycle_links_are_stepped_by_their_live_users(monkeypatch):
     passes = len(calls["batch"]) // 2
     assert passes > 1
     assert calls == {"batch": [["r1"], ["r2"]] * passes, "merge": []}
+
+
+def batch_step(links, curves):
+    """_batch_step on links with one live user each, given their curves, laid
+    end to end as load lays out a depth's rows."""
+    return _batch_step(tuple(links), np.array([link.exit_capacity for link in links]),
+                       *_end_to_end(curves, np.array([link.free_flow_time for link in links])))
 
 
 @st.composite
@@ -808,8 +837,8 @@ class TestLoaderProperties:
         link, curve = data.draw(lone_link_flows(grid))
         t, n = curve
         s, a, q, w, counts, exits, _, queued = _step(
-            [link], t + link.free_flow_time, n[None], np.array([len(t) - 1]))
-        batch, (out,) = _batch_step([link], [curve])
+            link.exit_capacity, t + link.free_flow_time, n[None], np.array([len(t) - 1]))
+        batch, (out,) = batch_step([link], [curve])
         (state,) = _batch_states(batch)
         for got, want in ((state.s, s), (state.cum_in, a), (state.queue, q), (state.w, w),
                           (out[0], exits), (out[1], counts[0])):
@@ -832,9 +861,9 @@ class TestLoaderProperties:
     @given(single_user_links())
     def test_batch_rows_equal_batches_of_one_bit_for_bit(self, case):
         links, curves = case
-        batch, outs = _batch_step(links, curves)
+        batch, outs = batch_step(links, curves)
         for link, curve, state, out in zip(links, curves, _batch_states(batch), outs):
-            ref_batch, (ref_out,) = _batch_step([link], [curve])
+            ref_batch, (ref_out,) = batch_step([link], [curve])
             (ref,) = _batch_states(ref_batch)
             for got, want in ((state.s, ref.s), (state.cum_in, ref.cum_in),
                               (state.queue, ref.queue), (state.w, ref.w),
@@ -865,7 +894,7 @@ class TestLoaderProperties:
         lengths = np.full(3, 0.1)
         rates = link.exit_capacity * np.array([1.0, 1.0 + 1e-9, 0.5])
         curve = (np.arange(4) * 0.1, np.concatenate(([0.0], np.cumsum(rates * lengths))))
-        batch, (out,) = _batch_step([link], [curve])
+        batch, (out,) = batch_step([link], [curve])
         (state,) = _batch_states(batch)
         assert state.queued
         assert state.queue.max() == pytest.approx(1500.0 * 1e-10, rel=1e-3)

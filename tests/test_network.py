@@ -293,6 +293,7 @@ def test_first_copies_of_a_stack_equal_fresh_copies(net, n_copies):
         assert first._od_take == take if isinstance(take, slice) else \
             np.array_equal(first._od_take, take)
         assert first.free_flow_delays is not stack.free_flow_delays
+        assert first.loading_layouts is not stack.loading_layouts
     with pytest.raises(ValueError, match="between 1 and the stack's"):
         net.copies(n_copies + 1, stack)
     # only this network's own stack is adopted: not an equal network's, not
