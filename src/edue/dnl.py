@@ -237,8 +237,7 @@ def _step(cap, s: np.ndarray, counts: np.ndarray, last: np.ndarray):
 # the arrays of one _link_step or _batch_step: its links, then their
 # breakpoints s, arrivals, queue and waits laid end to end, the index after
 # each link's row and whether each link queues
-Batch = tuple[tuple[Link, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int],
-              list[bool]]
+Batch = tuple[list[Link], np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int], list[bool]]
 
 
 def _link_step(link: Link, inflows: list[Live]) -> tuple[Batch, list[Live]]:
@@ -259,7 +258,7 @@ def _link_step(link: Link, inflows: list[Live]) -> tuple[Batch, list[Live]]:
         counts = np.array([np.interp(e, t, n) for t, n in inflows])
     s, a, q, w, counts, exits, _, queued = _step(
         link.exit_capacity, e + link.free_flow_time, counts, np.array([len(e) - 1]))
-    return ((link,), s, a, q, w, [len(s)], queued), [(exits, n) for n in counts]
+    return ([link], s, a, q, w, [len(s)], queued), [(exits, n) for n in counts]
 
 
 def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
@@ -273,7 +272,7 @@ def _shared_axis(times: list[np.ndarray]) -> np.ndarray | None:
     return first
 
 
-def _batch_step(links: tuple[Link, ...], cap, s: np.ndarray, n: np.ndarray,
+def _batch_step(links: list[Link], cap, s: np.ndarray, n: np.ndarray,
                 last: np.ndarray) -> tuple[Batch, list[Live]]:
     """Load links that have one live user each in one _step: the users'
     queue-arrival times s (entry times plus the link's free-flow time) and
@@ -307,15 +306,15 @@ def _batch_states(batch: Batch) -> list[LinkState]:
 # a link that load steps by its live users, one on a succession cycle or one
 # that no path or several paths use, with the (path index, slot) of each
 # user's curve at the link's entry
-Entry = tuple[Link, tuple[tuple[int, int], ...]]
+Entry = tuple[Link, list[tuple[int, int]]]
 
 
 class _Rows(NamedTuple):
     """The links of one depth that one path each uses, in network order, laid
     out for one _batch_step over their live users' rows."""
 
-    links: tuple[Link, ...]
-    slots: tuple[int, ...]  # the slot of each user's curve at the link's entry
+    links: list[Link]
+    slots: list[int]  # the slot of each user's curve at the link's entry
     tau: np.ndarray  # the links' free-flow times
     cap: np.ndarray  # the links' exit capacities
     # At the first depth every user enters at its origin: the users' path
@@ -335,16 +334,20 @@ class _Layout(NamedTuple):
     its route, then at its destination."""
 
     size: int  # the slots of all paths
-    ends: tuple[int, ...]
-    entries: tuple[tuple[int, int], ...]  # (path, slot) of the origin curves an Entry reads
+    ends: list[int]
+    entries: list[tuple[int, int]]  # (path, slot) of the origin curves an Entry reads
     # per depth, its single-user links, its other links and its cycles
-    depths: tuple[tuple[_Rows | None, tuple[Entry, ...], tuple[tuple[Entry, ...], ...]], ...]
+    depths: list[tuple[_Rows | None, list[Entry], list[list[Entry]]]]
     room: float  # the rounding room load adds to the default horizon
 
 
 def _layout(network: Network, grid: TimeGrid) -> _Layout:
     """The layout of network's loadings on grid. A loading's arrays may be
     views of the rows' times, which are read-only."""
+    # lists, not tuples built from iterators: such a tuple is resized to its
+    # length and, once freed, joins the free list of that length, which no
+    # later build from an iterator takes from. A run that lays out many
+    # networks (the oracle's) would keep up to 2000 per length.
     origins, size = [], 0
     for route in network.routes:
         origins.append(size)
@@ -353,7 +356,7 @@ def _layout(network: Network, grid: TimeGrid) -> _Layout:
 
     def entry(link: Link, users: Users) -> Entry:
         entries.update(p for p, k in users if k == 0)
-        return link, tuple((p, origins[p] + k) for p, k in users)
+        return link, [(p, origins[p] + k) for p, k in users]
 
     depths = []
     for depth in network.loading_depths:
@@ -364,8 +367,8 @@ def _layout(network: Network, grid: TimeGrid) -> _Layout:
                 users.append(link_users[0])
             else:
                 others.append(entry(link, link_users))
-        cycles = tuple(tuple(entry(link, link_users) for link, link_users in cycle)
-                       for cycle in depth.cycles)
+        cycles = [[entry(link, link_users) for link, link_users in cycle]
+                  for cycle in depth.cycles]
         rows = None
         if links:
             tau = np.array([link.free_flow_time for link in links])
@@ -379,12 +382,12 @@ def _layout(network: Network, grid: TimeGrid) -> _Layout:
                 times = grid.boundaries + tau[:, None]
                 times.setflags(write=False)
                 last = np.arange(grid.n, len(links) * (grid.n + 1), grid.n + 1)
-            rows = _Rows(tuple(links), tuple(origins[p] + k for p, k in users), tau,
+            rows = _Rows(links, [origins[p] + k for p, k in users], tau,
                          np.array([link.exit_capacity for link in links]),
                          paths, times, last)
-        depths.append((rows, tuple(others), cycles))
-    return _Layout(size, tuple(o + len(route) for o, route in zip(origins, network.routes)),
-                   tuple((p, origins[p]) for p in sorted(entries)), tuple(depths),
+        depths.append((rows, others, cycles))
+    return _Layout(size, [o + len(route) for o, route in zip(origins, network.routes)],
+                   [(p, origins[p]) for p in sorted(entries)], depths,
                    _rounding_room(network, grid, network.clearance_terms[2] + 2))
 
 
@@ -394,7 +397,7 @@ _NONE.setflags(write=False)
 
 def _empty(link: Link) -> Batch:
     """The state of a link with no live user."""
-    return (link,), _NONE, _NONE, _NONE, _NONE, [0], [False]
+    return [link], _NONE, _NONE, _NONE, _NONE, [0], [False]
 
 
 def _settle_time(curve: Curve) -> float:
@@ -557,7 +560,7 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
     parts: dict[str, Batch] = {}
     waits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def record(batch: Batch, outs: list[Live], slots) -> None:
+    def record(batch: Batch, outs: list[Live], slots: list[int]) -> None:
         links, s, _, _, w, ends, queued = batch
         for link, lo, hi, queues in zip(links, [0] + ends, ends, queued):
             parts[link.id] = batch
@@ -577,7 +580,7 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
             record(*_link_step(link, [curves[slot] for slot in live]), live)
         elif live:
             t, n = curves[live[0]]
-            record(*_batch_step((link,), link.exit_capacity, t + link.free_flow_time, n,
+            record(*_batch_step([link], link.exit_capacity, t + link.free_flow_time, n,
                                 np.array([len(t) - 1])), live)
         else:
             record(_empty(link), [], [])
@@ -595,7 +598,7 @@ def load(network: Network, flows: np.ndarray, grid: TimeGrid) -> LoadingResult:
                 record(_empty(link), [], [])
             if not any(live):
                 return
-            links, slots = tuple(compress(links, live)), list(compress(slots, live))
+            links, slots = list(compress(links, live)), list(compress(slots, live))
             tau, cap = tau[live], cap[live]
         if rows.paths is not None:
             times, counts = rows.times, cum[rows.paths]

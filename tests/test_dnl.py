@@ -637,8 +637,8 @@ def test_loader_bytes_match_the_recorded_ones(name):
                                   "corridor, K=3, a1 and b2 dead", "ring"])
 def test_states_are_built_only_when_read(name, monkeypatch):
     # a lone link, a merge link (bn) between two batches, links with no live
-    # user, and a cycle loaded in passes: a loading keeps each step's arrays and builds no LinkState
-    # until states is read, then one per link
+    # user, and a cycle loaded in passes: a loading keeps each step's arrays
+    # and builds no LinkState until states is read, then one per link
     built = []
 
     class CountedState(dnl.LinkState):
@@ -727,7 +727,7 @@ def test_cycle_links_are_stepped_by_their_live_users(monkeypatch):
 def batch_step(links, curves):
     """_batch_step on links with one live user each, given their curves, laid
     end to end as load lays out a depth's rows."""
-    return _batch_step(tuple(links), np.array([link.exit_capacity for link in links]),
+    return _batch_step(links, np.array([link.exit_capacity for link in links]),
                        *_end_to_end(curves, np.array([link.free_flow_time for link in links])))
 
 
